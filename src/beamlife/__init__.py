@@ -11,18 +11,14 @@ __version__ = "0.1.0"
 
 from .allocation import (
     ChannelStats,
-    ClusterDepletedError,
     InfeasibleAllocationError,
     ReiStats,
-    WeightVector,
-    adjust_scale_feedback,
     analytic_average_snr,
     cbepa_weight,
     cbpa_normalized_weights,
     compute_wmax,
     lognormal_channel_stats,
     quantize_weights,
-    rei_stats,
     solve_max_gain,
     solve_min_power,
 )
@@ -39,39 +35,26 @@ from .config import (
     preset_names,
 )
 from .energy import (
-    ChargeResult,
-    EnergyDistribution,
-    EnergyState,
     LinkBudget,
-    charge_round,
     required_tx_power_db,
     sample_initial_energies,
-    slot_energy,
-    wasted_energy,
 )
 from .ensemble import ComparisonResult, EnsembleResult, compare_strategies, run_ensemble
 from .geometry import (
-    ChannelRealization,
     Destination,
     FarFieldWarning,
-    PhaseErrorVector,
     PolarPoint,
     carrier_phase,
     db_to_linear,
     deploy_cluster,
     far_field_distance,
     linear_to_db,
-    received_snr,
     sample_channel,
     sample_phase_errors,
 )
 from .lifetime import (
-    ClusterPartition,
-    DeathCriteria,
     LifetimeTrace,
-    Strategy,
     bit_rate,
-    ebn0_from_snr,
     evaluate_death,
     partition_cluster,
     run_lifetime,

@@ -18,18 +18,14 @@ LN10 = math.log(10.0)
 
 __all__ = [
     "InfeasibleAllocationError",
-    "ClusterDepletedError",
     "ChannelStats",
     "ReiStats",
-    "WeightVector",
     "lognormal_channel_stats",
-    "rei_stats",
     "cbpa_normalized_weights",
     "analytic_average_snr",
     "compute_wmax",
     "cbepa_weight",
     "quantize_weights",
-    "adjust_scale_feedback",
     "solve_max_gain",
     "solve_min_power",
 ]
@@ -40,10 +36,6 @@ _BISECT_ITERS = 200
 
 class InfeasibleAllocationError(RuntimeError):
     """No weight assignment can satisfy the request under the power cap."""
-
-
-class ClusterDepletedError(RuntimeError):
-    """No alive node is left to allocate over."""
 
 
 @dataclass(frozen=True)
@@ -99,58 +91,6 @@ class ReiStats:
     @property
     def variance_normalized(self):
         return self.variance / self.capacity**2
-
-
-def rei_stats(residuals, capacity):
-    """Sample mean and population variance of alive-node residual energies."""
-    residuals = np.asarray(residuals, dtype=float)
-    if residuals.size == 0:
-        raise ClusterDepletedError("no alive nodes to compute residual statistics over")
-    return ReiStats(mean=float(residuals.mean()), variance=float(residuals.var()), capacity=float(capacity))
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Per-node transmit amplitudes, split into a common scale and
-    normalized fractions in [0, 1].
-
-    ``effective`` is always the elementwise product of the two parts.
-    """
-
-    normalized: np.ndarray
-    scale: float
-    quantization_levels: int = 0
-
-    def __post_init__(self):
-        u = np.asarray(self.normalized, dtype=float)
-        if u.ndim != 1 or u.size == 0:
-            raise ValueError("normalized weights must be a non-empty 1-D vector")
-        if np.any(u < -1e-12) or np.any(u > 1 + 1e-12):
-            raise ValueError("normalized weights must lie in [0, 1]")
-        u = np.clip(u, 0.0, 1.0)
-        if self.scale < 0:
-            raise ValueError(f"scale must be non-negative, got {self.scale}")
-        levels = self.quantization_levels
-        if levels < 0:
-            raise ValueError(f"quantization levels must be non-negative, got {levels}")
-        if levels > 0 and np.any(np.abs(u * levels - np.round(u * levels)) > 1e-9):
-            raise ValueError(f"normalized weights are not on the {levels}-level grid")
-        object.__setattr__(self, "normalized", u)
-        object.__setattr__(self, "scale", float(self.scale))
-
-    @property
-    def effective(self):
-        return self.scale * self.normalized
-
-    @classmethod
-    def from_effective(cls, weights, quantization_levels=0):
-        w = np.asarray(weights, dtype=float)
-        scale = float(w.max()) if w.size else 0.0
-        u = w / scale if scale > 0 else np.zeros_like(w)
-        return cls(normalized=u, scale=scale, quantization_levels=quantization_levels)
-
-    def __len__(self):
-        return self.normalized.size
 
 
 def cbpa_normalized_weights(residuals, capacity):
@@ -248,46 +188,6 @@ def quantize_weights(u, levels, include_zero=True):
     return np.clip(q, 0.0, 1.0)
 
 
-def adjust_scale_feedback(
-    start_scale,
-    realized_snr_of,
-    target_snr,
-    cap=None,
-    step_db=0.5,
-    window_db=0.25,
-    max_steps=200,
-):
-    """Receiver-driven incremental scale adjustment.
-
-    Starting from ``start_scale``, multiply the scale up or down in
-    ``step_db`` steps until ``realized_snr_of(scale)`` lands inside
-    ``target_snr`` +/- ``window_db``, the per-node power cap is reached, or
-    the step budget runs out. Returns the final scale. This mirrors the
-    alternative where the receiver nudges the cluster instead of the
-    cluster computing the closed form.
-    """
-    if start_scale <= 0:
-        raise ValueError(f"start scale must be positive, got {start_scale}")
-    if target_snr <= 0:
-        raise ValueError(f"target SNR must be positive, got {target_snr}")
-    step = 10.0 ** (step_db / 20.0)  # amplitude step for a power step_db
-    lo = target_snr * 10.0 ** (-window_db / 10.0)
-    hi = target_snr * 10.0 ** (window_db / 10.0)
-    cap_amp = math.inf if cap is None else math.sqrt(cap)
-    scale = min(start_scale, cap_amp)
-    for _ in range(max_steps):
-        snr = realized_snr_of(scale)
-        if lo <= snr <= hi:
-            break
-        if snr < lo:
-            if scale >= cap_amp:
-                break
-            scale = min(scale * step, cap_amp)
-        else:
-            scale = scale / step
-    return scale
-
-
 def _capped_matched_filter(gains, cap_amplitude, total_of, total_target):
     """Bisect the matched-filter gain so an increasing total meets its target."""
     lo = 0.0
@@ -324,14 +224,13 @@ def solve_max_gain(gains, total_power, cap):
         )
     s = math.sqrt(cap)
     if total_power == 0:
-        return WeightVector(normalized=np.zeros(n), scale=0.0)
+        return np.zeros(n)
 
     def total_of(mu):
         return float(np.sum(np.minimum(mu * gains, s) ** 2))
 
     mu = _capped_matched_filter(gains, s, total_of, total_power)
-    w = np.minimum(mu * gains, s)
-    return WeightVector.from_effective(w)
+    return np.minimum(mu * gains, s)
 
 
 def solve_min_power(gains, target_snr, noise_power, cap):
@@ -361,11 +260,10 @@ def solve_min_power(gains, target_snr, noise_power, cap):
             f"{s * float(gains.sum()):.3e} < required {amplitude_target:.3e}"
         )
     if amplitude_target == 0:
-        return WeightVector(normalized=np.zeros(n), scale=0.0)
+        return np.zeros(n)
 
     def amplitude_of(mu):
         return float(np.sum(gains * np.minimum(mu * gains, s)))
 
     mu = _capped_matched_filter(gains, s, amplitude_of, amplitude_target)
-    w = np.minimum(mu * gains, s)
-    return WeightVector.from_effective(w)
+    return np.minimum(mu * gains, s)

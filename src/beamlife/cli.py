@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -68,7 +69,7 @@ def _write_summary_csv(path, result):
 def _write_manifest(path, cfg, runs, master_seed):
     manifest = {
         "artifact_version": __version__,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "runs": runs,
         "master_seed": master_seed,
         "run_seeds": [[master_seed, i] for i in range(runs)],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 __all__ = [
@@ -82,9 +83,6 @@ class ScenarioConfig:
     target_snr_db: float = 11.76
     target_rate_bits: float = None
     noise_db: float = -100.0
-    pl0_db: float = 40.0
-    alpha: float = 2.0
-    d0_m: float = 1.0
     shadowing_sigma2_db: float = 16.0
     amplitude_divisor: int = 20
     phase_error_deg_bound: float = 5.0
@@ -102,6 +100,9 @@ class ScenarioConfig:
     ensemble_conditioning: str = "alive"  # per-round averaging convention
     wasted_percent_of_realized: bool = False
 
+    def __post_init__(self):
+        validate(self)
+
     @property
     def links(self):
         return len(self.destinations.azimuths_deg)
@@ -115,51 +116,13 @@ class ScenarioConfig:
         snr = self.target_snr_linear()
         return 10.0 * math.log10(snr) if snr > 0 else -math.inf
 
-    def to_dict(self):
-        return {
-            "n": self.n,
-            "disk_radius_wavelengths": self.disk_radius_wavelengths,
-            "wavelength_m": self.wavelength_m,
-            "destinations": {
-                "range_m": self.destinations.range_m,
-                "azimuths_deg": list(self.destinations.azimuths_deg),
-            },
-            "target_snr_db": self.target_snr_db,
-            "target_rate_bits": self.target_rate_bits,
-            "noise_db": self.noise_db,
-            "pl0_db": self.pl0_db,
-            "alpha": self.alpha,
-            "d0_m": self.d0_m,
-            "shadowing_sigma2_db": self.shadowing_sigma2_db,
-            "amplitude_divisor": self.amplitude_divisor,
-            "phase_error_deg_bound": self.phase_error_deg_bound,
-            "energy": {
-                "kind": self.energy.kind,
-                "e_max": self.energy.e_max,
-                "mean": self.energy.mean,
-                "sigma": self.energy.sigma,
-            },
-            "strategy": {
-                "kind": self.strategy.kind,
-                "levels": self.strategy.levels,
-                "period": self.strategy.period,
-            },
-            "death": {
-                "max_dead_fraction": self.death.max_dead_fraction,
-                "snr_drop_db": self.death.snr_drop_db,
-                "nominal": self.death.nominal,
-            },
-            "runs": self.runs,
-            "master_seed": self.master_seed,
-            "t_slot_s": self.t_slot_s,
-            "p_max": self.p_max,
-            "max_rounds": self.max_rounds,
-            "quantization_include_zero": self.quantization_include_zero,
-            "channel_redraw_period": self.channel_redraw_period,
-            "snr_average": self.snr_average,
-            "ensemble_conditioning": self.ensemble_conditioning,
-            "wasted_percent_of_realized": self.wasted_percent_of_realized,
-        }
+
+_SECTIONS = {
+    "destinations": DestinationsSpec,
+    "energy": EnergySpec,
+    "strategy": StrategySpec,
+    "death": DeathSpec,
+}
 
 
 def _reject_unknown(data, known, path):
@@ -168,15 +131,13 @@ def _reject_unknown(data, known, path):
             raise ConfigError(f"{path}{key}: unknown key")
 
 
-def _section(cls, data, path, **overrides):
+def _section(cls, data, path):
     known = {f.name for f in fields(cls)}
     _reject_unknown(data, known, path)
     kwargs = dict(data)
-    if "azimuths_deg" in kwargs:
-        if not isinstance(kwargs["azimuths_deg"], (list, tuple)) or not kwargs["azimuths_deg"]:
-            raise ConfigError(f"{path}azimuths_deg: need a non-empty list of angles")
-        kwargs["azimuths_deg"] = tuple(float(a) for a in kwargs["azimuths_deg"])
-    kwargs.update(overrides)
+    angles = kwargs.get("azimuths_deg")
+    if isinstance(angles, list):  # validate rejects what does not convert
+        kwargs["azimuths_deg"] = tuple(float(a) if _is_finite_number(a) else a for a in angles)
     return cls(**kwargs)
 
 
@@ -187,14 +148,13 @@ def from_dict(data):
     top_known = {f.name for f in fields(ScenarioConfig)}
     _reject_unknown(data, top_known, "")
     kwargs = dict(data)
-    for name, cls in (("destinations", DestinationsSpec), ("energy", EnergySpec),
-                      ("strategy", StrategySpec), ("death", DeathSpec)):
+    for name, cls in _SECTIONS.items():
         if name in kwargs:
             if not isinstance(kwargs[name], dict):
                 raise ConfigError(f"{name}: must be an object")
             kwargs[name] = _section(cls, kwargs[name], f"{name}.")
-    has_snr = kwargs.get("target_snr_db") is not None and "target_snr_db" in kwargs
-    has_rate = kwargs.get("target_rate_bits") is not None and "target_rate_bits" in kwargs
+    has_snr = kwargs.get("target_snr_db") is not None
+    has_rate = kwargs.get("target_rate_bits") is not None
     if has_snr and has_rate:
         raise ConfigError("target_snr_db/target_rate_bits: set exactly one, not both")
     if has_rate:
@@ -202,11 +162,9 @@ def from_dict(data):
     if has_snr:
         kwargs["target_rate_bits"] = None
     try:
-        cfg = ScenarioConfig(**kwargs)
+        return ScenarioConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    validate(cfg)
-    return cfg
 
 
 def _check(cond, path, message):
@@ -214,8 +172,40 @@ def _check(cond, path, message):
         raise ConfigError(f"{path}: {message}")
 
 
+def _is_finite_number(value):
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _check_types(spec, path):
+    """Floats must be finite numbers, ints integers, flags booleans, and
+    each section its spec class; ``bool`` and ``str`` are not numbers."""
+    for f in fields(spec):
+        key, value = path + f.name, getattr(spec, f.name)
+        if value is None and f.name in ("target_snr_db", "target_rate_bits"):
+            continue  # validate requires exactly one of the two
+        if f.type == "int":
+            _check(isinstance(value, numbers.Integral) and not isinstance(value, bool), key,
+                   f"must be an integer, got {value!r}")
+        elif f.type == "float":
+            _check(_is_finite_number(value), key, f"must be a finite number, got {value!r}")
+        elif f.type == "bool":
+            _check(isinstance(value, bool), key, f"must be true or false, got {value!r}")
+        elif f.type == "tuple":  # destinations.azimuths_deg
+            _check(isinstance(value, (list, tuple)) and all(map(_is_finite_number, value)), key,
+                   f"need a list of finite angles, got {value!r}")
+        elif f.name in _SECTIONS:
+            _check(isinstance(value, _SECTIONS[f.name]), key, "must be an object")
+            _check_types(value, key + ".")
+
+
 def validate(cfg):
     """Raise ConfigError with a key path on the first violated constraint."""
+    _check_types(cfg, "")
     _check(cfg.n >= 1, "n", f"must be at least 1, got {cfg.n}")
     _check(cfg.disk_radius_wavelengths >= 0, "disk_radius_wavelengths", "must be non-negative")
     _check(cfg.wavelength_m > 0, "wavelength_m", "must be positive")
@@ -226,9 +216,6 @@ def validate(cfg):
         raise ConfigError("target_snr_db/target_rate_bits: exactly one must be set")
     if cfg.target_rate_bits is not None:
         _check(cfg.target_rate_bits >= 0, "target_rate_bits", "must be non-negative")
-    _check(cfg.alpha > 0, "alpha", f"must be positive, got {cfg.alpha}")
-    _check(cfg.d0_m > 0, "d0_m", "must be positive")
-    _check(cfg.destinations.range_m >= cfg.d0_m, "destinations.range_m", "must be at least d0_m")
     _check(cfg.shadowing_sigma2_db >= 0, "shadowing_sigma2_db", "must be non-negative")
     _check(cfg.amplitude_divisor in (10, 20), "amplitude_divisor", "must be 10 or 20")
     _check(cfg.phase_error_deg_bound >= 0, "phase_error_deg_bound", "must be non-negative")

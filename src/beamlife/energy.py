@@ -1,4 +1,4 @@
-"""Node energy accounting: initial budgets, slot costs, link budget, waste.
+"""Node energy accounting: initial budgets, slot costs and the link budget.
 
 Only the amplifier energy of a transmission slot is modeled; transceiver
 electronics draw the same for every strategy and are left out.
@@ -12,70 +12,25 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "EnergyDistribution",
-    "EnergyState",
     "LinkBudget",
-    "ChargeResult",
     "sample_initial_energies",
-    "slot_energy",
     "required_tx_power_db",
     "gate_and_charge",
-    "charge_round",
-    "wasted_energy",
 ]
 
 
-@dataclass(frozen=True)
-class EnergyDistribution:
-    """Distribution of initial per-node energy budgets.
+def sample_initial_energies(spec, n, rng):
+    """Draw initial energies in joules for ``n`` nodes from an ``EnergySpec``.
 
-    kind "uniform" draws from [0, capacity]; "gaussian" draws from
-    N(mean, gaussian_sigma^2) clamped into [0, capacity].
+    kind "uniform" draws from [0, e_max]; "gaussian" draws from
+    N(mean, sigma^2) clamped into [0, e_max].
     """
-
-    kind: str
-    capacity: float
-    mean: float = None
-    gaussian_sigma: float = None
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "gaussian"):
-            raise ValueError(f"unknown energy distribution kind {self.kind!r}")
-        if self.capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
-        if self.kind == "uniform":
-            mean = self.capacity / 2.0 if self.mean is None else float(self.mean)
-            if not math.isclose(mean, self.capacity / 2.0, rel_tol=1e-12):
-                raise ValueError("uniform draws span [0, capacity]; mean must be capacity/2")
-            object.__setattr__(self, "mean", mean)
-            object.__setattr__(self, "gaussian_sigma", None)
-        else:
-            if self.mean is None or not 0 < self.mean <= self.capacity:
-                raise ValueError(f"gaussian mean must lie in (0, capacity], got {self.mean}")
-            sigma = 0.15 * self.capacity if self.gaussian_sigma is None else float(self.gaussian_sigma)
-            if sigma < 0:
-                raise ValueError(f"gaussian sigma must be non-negative, got {sigma}")
-            object.__setattr__(self, "mean", float(self.mean))
-            object.__setattr__(self, "gaussian_sigma", sigma)
-
-
-def sample_initial_energies(dist, n, rng):
-    """Draw initial energies in joules for ``n`` nodes."""
     if n < 1:
         raise ValueError(f"need at least 1 node, got {n}")
-    if dist.kind == "uniform":
-        return rng.uniform(0.0, dist.capacity, n)
-    draws = rng.normal(dist.mean, dist.gaussian_sigma, n) if dist.gaussian_sigma > 0 else np.full(n, dist.mean)
-    return np.clip(draws, 0.0, dist.capacity)
-
-
-def slot_energy(weight, slot_length):
-    """Energy in joules consumed by one transmission slot at the given amplitude."""
-    if weight < 0:
-        raise ValueError(f"weight must be non-negative, got {weight}")
-    if slot_length <= 0:
-        raise ValueError(f"slot length must be positive, got {slot_length}")
-    return weight * weight * slot_length
+    if spec.kind == "uniform":
+        return rng.uniform(0.0, spec.e_max, n)
+    draws = rng.normal(spec.mean, spec.sigma, n) if spec.sigma > 0 else np.full(n, spec.mean)
+    return np.clip(draws, 0.0, spec.e_max)
 
 
 @dataclass(frozen=True)
@@ -107,50 +62,6 @@ def required_tx_power_db(budget, target_snr_db):
     return p_rx + budget.pl0_db + 10.0 * budget.alpha * math.log10(budget.distance_m / budget.d0_m)
 
 
-@dataclass(frozen=True)
-class EnergyState:
-    """Per-node energies for one simulation run."""
-
-    initial: np.ndarray
-    residual: np.ndarray
-    slot_length: float
-    capacity: float
-
-    def __post_init__(self):
-        initial = np.asarray(self.initial, dtype=float)
-        residual = np.asarray(self.residual, dtype=float)
-        if initial.shape != residual.shape or initial.ndim != 1:
-            raise ValueError("initial and residual must be matching 1-D vectors")
-        if self.slot_length <= 0:
-            raise ValueError(f"slot length must be positive, got {self.slot_length}")
-        if self.capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
-        tol = 1e-12 * self.capacity
-        if np.any(residual < -tol) or np.any(residual > initial + tol) or np.any(initial > self.capacity + tol):
-            raise ValueError("energies must satisfy 0 <= residual <= initial <= capacity")
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "residual", residual)
-
-    @property
-    def n(self):
-        return self.initial.size
-
-    @classmethod
-    def fresh(cls, initial, slot_length, capacity):
-        initial = np.asarray(initial, dtype=float)
-        return cls(initial=initial, residual=initial.copy(), slot_length=slot_length, capacity=capacity)
-
-
-@dataclass(frozen=True)
-class ChargeResult:
-    """Outcome of one charging round."""
-
-    state: EnergyState
-    funded_weights: np.ndarray   # weights actually transmitted (unfunded forced to 0)
-    newly_dead: np.ndarray       # indices that could not fund their slot this round
-    consumed: float              # total energy drawn this round
-
-
 def gate_and_charge(residual, weights, slot_length):
     """In-place fundability gating and charging on a raw residual vector.
 
@@ -168,41 +79,3 @@ def gate_and_charge(residual, weights, slot_length):
     pay = np.where(funded, cost, 0.0)
     residual -= pay
     return funded, funded_w, float(pay.sum())
-
-
-def charge_round(state, weights):
-    """Charge one transmission round against the energy state.
-
-    ``weights`` are per-node amplitudes (dead nodes are expected to carry
-    zero already). Nodes that cannot fund their assigned slot energy are
-    gated to zero weight and reported in ``newly_dead``; their residual is
-    left untouched (it counts as wasted at cluster death).
-    """
-    w = getattr(weights, "effective", weights)
-    residual = state.residual.copy()
-    funded, funded_w, consumed = gate_and_charge(residual, w, state.slot_length)
-    newly_dead = np.flatnonzero(~funded)
-    new_state = EnergyState(
-        initial=state.initial,
-        residual=residual,
-        slot_length=state.slot_length,
-        capacity=state.capacity,
-    )
-    return ChargeResult(state=new_state, funded_weights=funded_w, newly_dead=newly_dead, consumed=consumed)
-
-
-def wasted_energy(state, distribution_mean, percent_of_realized=False):
-    """Total stranded energy at cluster death, in joules and percent.
-
-    The percentage is referenced to the expected total initial energy
-    (node count times the configured distribution mean) unless
-    ``percent_of_realized`` asks for the realized total instead.
-    """
-    total = float(state.residual.sum())
-    if percent_of_realized:
-        denom = float(state.initial.sum())
-    else:
-        denom = state.n * distribution_mean
-    if denom <= 0:
-        raise ValueError("total initial energy must be positive")
-    return total, 100.0 * total / denom

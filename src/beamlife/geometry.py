@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +23,6 @@ FAR_FIELD_MIN_RATIO = 10.0
 __all__ = [
     "PolarPoint",
     "Destination",
-    "ChannelRealization",
-    "PhaseErrorVector",
     "FarFieldWarning",
     "db_to_linear",
     "linear_to_db",
@@ -34,7 +32,6 @@ __all__ = [
     "propagation_phase",
     "sample_channel",
     "sample_phase_errors",
-    "received_snr",
 ]
 
 
@@ -76,44 +73,6 @@ class Destination:
 
     location: PolarPoint
     index: int = 0
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Per-node amplitude gains drawn from the shadowing model (one receiver)."""
-
-    gains: np.ndarray
-    shadowing_db_sigma2: float
-
-    def __post_init__(self):
-        gains = np.asarray(self.gains, dtype=float)
-        if gains.ndim != 1 or gains.size == 0:
-            raise ValueError("gains must be a non-empty 1-D vector")
-        if not np.all(gains > 0):
-            raise ValueError("all channel gains must be positive")
-        object.__setattr__(self, "gains", gains)
-
-    def __len__(self):
-        return self.gains.size
-
-
-@dataclass(frozen=True)
-class PhaseErrorVector:
-    """Residual per-node carrier phase errors in radians."""
-
-    errors: np.ndarray
-    bound: float = field(default=math.inf)
-
-    def __post_init__(self):
-        errors = np.asarray(self.errors, dtype=float)
-        if errors.ndim != 1:
-            raise ValueError("errors must be a 1-D vector")
-        if np.any(np.abs(errors) > self.bound):
-            raise ValueError("phase errors exceed the configured bound")
-        object.__setattr__(self, "errors", errors)
-
-    def __len__(self):
-        return self.errors.size
 
 
 def deploy_cluster(n, disk_radius, rng):
@@ -189,7 +148,9 @@ def sample_channel(n, sigma2_db, rng, amplitude_divisor=10):
         raise ValueError(f"amplitude divisor must be 10 or 20, got {amplitude_divisor}")
     shadow_db = rng.normal(0.0, math.sqrt(sigma2_db), n)
     gains = 10.0 ** (shadow_db / amplitude_divisor)
-    return ChannelRealization(gains=gains, shadowing_db_sigma2=float(sigma2_db))
+    if not np.all(gains > 0):
+        raise ValueError("all channel gains must be positive")
+    return gains
 
 
 def sample_phase_errors(n, bound_rad, rng):
@@ -199,49 +160,5 @@ def sample_phase_errors(n, bound_rad, rng):
     if bound_rad < 0:
         raise ValueError(f"phase error bound must be non-negative, got {bound_rad}")
     if bound_rad == 0:
-        errors = np.zeros(n)
-    else:
-        errors = rng.uniform(-bound_rad, bound_rad, n)
-    return PhaseErrorVector(errors=errors, bound=float(bound_rad))
-
-
-def coherent_snr(effective_weights, gains, phases, noise_power):
-    """Instantaneous SNR of a phase-misaligned coherent sum (array inputs).
-
-    This is the raw kernel behind :func:`received_snr`; the simulation
-    engine calls it directly with plain arrays.
-    """
-    amplitude = np.sum(effective_weights * gains * np.exp(1j * phases))
-    return float(abs(amplitude) ** 2 / noise_power)
-
-
-def received_snr(weights, channel, phase_errors, noise_power):
-    """Instantaneous received SNR at the destination.
-
-    Parameters
-    ----------
-    weights : WeightVector
-        Per-node transmit amplitudes (``weights.effective``).
-    channel : ChannelRealization
-    phase_errors : PhaseErrorVector or None
-        Residual phase misalignment per node; ``None`` means perfect
-        phase alignment.
-    noise_power : float
-        Receiver noise power, linear scale.
-
-    With zero phase errors this is just the squared weighted gain sum over
-    the noise power.
-    """
-    if noise_power <= 0:
-        raise ValueError(f"noise power must be positive, got {noise_power}")
-    w = weights.effective
-    gains = channel.gains
-    if phase_errors is None:
-        phases = np.zeros(gains.size)
-    else:
-        phases = phase_errors.errors
-    if not (w.size == gains.size == phases.size):
-        raise ValueError(
-            f"length mismatch: weights {w.size}, gains {gains.size}, phases {phases.size}"
-        )
-    return coherent_snr(w, gains, phases, noise_power)
+        return np.zeros(n)
+    return rng.uniform(-bound_rad, bound_rad, n)

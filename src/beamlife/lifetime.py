@@ -26,7 +26,7 @@ from .allocation import (
     solve_max_gain,
     solve_min_power,
 )
-from .energy import gate_and_charge, sample_initial_energies, EnergyDistribution
+from .energy import gate_and_charge, sample_initial_energies
 from .geometry import (
     Destination,
     PolarPoint,
@@ -39,75 +39,20 @@ from .geometry import (
 )
 
 __all__ = [
-    "Strategy",
-    "DeathCriteria",
-    "ClusterPartition",
     "LifetimeTrace",
     "partition_cluster",
     "evaluate_death",
     "bit_rate",
-    "ebn0_from_snr",
     "run_lifetime",
 ]
 
 
-@dataclass(frozen=True)
-class Strategy:
-    """Which allocation rule runs, how coarse its weights are, how often."""
+def partition_cluster(n, k):
+    """Split ``n`` nodes round-robin into ``k`` disjoint link groups.
 
-    kind: str
-    quantization_levels: int = 0
-    reallocation_period: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("cb_epa", "cb_pa", "centralized_min_power", "centralized_max_gain"):
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        levels = self.quantization_levels
-        if levels < 0 or (levels > 0 and levels & (levels - 1)):
-            raise ValueError(f"quantization levels must be 0 or a power of two, got {levels}")
-        if self.reallocation_period < 1:
-            raise ValueError(f"reallocation period must be at least 1, got {self.reallocation_period}")
-
-
-@dataclass(frozen=True)
-class DeathCriteria:
-    """A cluster dies on too many dead nodes or on a sustained SNR shortfall."""
-
-    max_dead_fraction: float = 0.9
-    snr_drop_db: float = 3.0
-
-    def __post_init__(self):
-        if not 0 < self.max_dead_fraction <= 1:
-            raise ValueError(f"max dead fraction must lie in (0, 1], got {self.max_dead_fraction}")
-        if self.snr_drop_db <= 0:
-            raise ValueError(f"SNR drop must be positive, got {self.snr_drop_db}")
-
-
-@dataclass(frozen=True)
-class ClusterPartition:
-    """Node-to-link assignment for simultaneous multi-destination operation."""
-
-    assignments: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        assignments = np.asarray(self.assignments, dtype=int)
-        if assignments.ndim != 1 or assignments.size == 0:
-            raise ValueError("assignments must be a non-empty 1-D vector")
-        if assignments.min() < 0 or assignments.max() >= self.k:
-            raise ValueError("assignments must reference links 0..k-1")
-        object.__setattr__(self, "assignments", assignments)
-
-    def members(self, link):
-        return np.flatnonzero(self.assignments == link)
-
-
-def partition_cluster(n, k, policy="round_robin", rng=None):
-    """Split ``n`` nodes into ``k`` disjoint link groups.
-
-    Group sizes are n/k when k divides n; otherwise sizes differ by one
-    and a warning flags the uneven split. The random policy permutes node
-    identity first (reproducible for a fixed seed).
+    Returns the link index of each node. Group sizes are n/k when k
+    divides n; otherwise sizes differ by one and a warning flags the
+    uneven split.
     """
     if k < 1:
         raise ValueError(f"need at least 1 link, got {k}")
@@ -115,20 +60,14 @@ def partition_cluster(n, k, policy="round_robin", rng=None):
         raise ValueError(f"cannot split {n} nodes into {k} links")
     if n % k:
         warnings.warn(f"{n} nodes do not split evenly into {k} links", stacklevel=2)
-    base = np.arange(n) % k
-    if policy == "round_robin":
-        assignments = base
-    elif policy == "random":
-        if rng is None:
-            raise ValueError("random partition policy needs an rng")
-        assignments = base[rng.permutation(n)]
-    else:
-        raise ValueError(f"unknown partition policy {policy!r}")
-    return ClusterPartition(assignments=assignments, k=k)
+    return np.arange(n) % k
 
 
 def evaluate_death(dead_fraction, realized_snr_db, criteria, nominal_snr_db):
-    """Return None while alive, else the death cause ("nodes" or "snr")."""
+    """Return None while alive, else the death cause ("nodes" or "snr").
+
+    ``criteria`` is the scenario's ``DeathSpec``.
+    """
     if dead_fraction > criteria.max_dead_fraction:
         return "nodes"
     if realized_snr_db < nominal_snr_db - criteria.snr_drop_db:
@@ -143,15 +82,6 @@ def bit_rate(snr_linear, links=1):
     if links < 1:
         raise ValueError(f"need at least 1 link, got {links}")
     return links * math.log2(1.0 + snr_linear)
-
-
-def ebn0_from_snr(snr_linear, bandwidth_hz, bit_rate_bps):
-    """Energy-per-bit to noise density ratio from an SNR and a rate."""
-    if bit_rate_bps <= 0:
-        raise ValueError(f"bit rate must be positive for the ratio, got {bit_rate_bps}")
-    if bandwidth_hz <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth_hz}")
-    return (bandwidth_hz / bit_rate_bps) * snr_linear
 
 
 @dataclass(frozen=True)
@@ -239,19 +169,16 @@ def _strategy_weights(
 
     if kind == "centralized_min_power":
         try:
-            wv = solve_min_power(gains[active], target_snr, noise_power, p_max)
+            weights[active] = solve_min_power(gains[active], target_snr, noise_power, p_max)
         except InfeasibleAllocationError:
             if first_round:
                 raise
             weights[active] = cap_amp  # best effort: everyone at the cap
-            return weights
-        weights[active] = wv.effective
         return weights
 
     # centralized_max_gain: spend the equal-power budget optimally
     budget = min(n_alive * cbepa_weight(target_snr, n_alive, ch_stats, noise_power) ** 2, n_alive * p_max)
-    wv = solve_max_gain(gains[active], budget, p_max)
-    weights[active] = wv.effective
+    weights[active] = solve_max_gain(gains[active], budget, p_max)
     return weights
 
 
@@ -270,25 +197,11 @@ def run_lifetime(scenario, rng, record_nodes=False):
     target_snr = scenario.target_snr_linear()
     target_db = scenario.resolved_target_snr_db()
     ch_stats = lognormal_channel_stats(scenario.shadowing_sigma2_db, scenario.amplitude_divisor)
-    strategy = Strategy(
-        kind=scenario.strategy.kind,
-        quantization_levels=scenario.strategy.levels,
-        reallocation_period=scenario.strategy.period,
-    )
-    criteria = DeathCriteria(
-        max_dead_fraction=scenario.death.max_dead_fraction,
-        snr_drop_db=scenario.death.snr_drop_db,
-    )
-    dist = EnergyDistribution(
-        kind=scenario.energy.kind,
-        capacity=e_max,
-        mean=scenario.energy.mean,
-        gaussian_sigma=scenario.energy.sigma,
-    )
+    strategy = scenario.strategy
 
     # fixed draw order
     points = deploy_cluster(n, scenario.disk_radius_wavelengths, rng)
-    partition = partition_cluster(n, k)
+    link_of = partition_cluster(n, k)
     range_wl = scenario.destinations.range_m / scenario.wavelength_m
     dests = [
         Destination(PolarPoint(range_wl, math.radians(az)), i)
@@ -302,22 +215,21 @@ def run_lifetime(scenario, rng, record_nodes=False):
 
     # Residual phase toward each node's own destination: the carrier phase
     # cancels the propagation phase by construction, leaving the error.
-    link_of = partition.assignments
     total_phase = np.empty(n)
     for i, point in enumerate(points):
         dest = dests[link_of[i]]
         total_phase[i] = (
             carrier_phase(point, dest)
             + propagation_phase(point, dest.location.phi, dest.location.rho)
-            + phase_errors.errors[i]
+            + phase_errors[i]
         )
 
     members = [link_of == l for l in range(k)]
     member_idx = [np.flatnonzero(m) for m in members]
     link_sizes = np.array([m.sum() for m in members])
-    coherent = [channels[l].gains * np.exp(1j * total_phase) for l in range(k)]
+    coherent = [channels[l] * np.exp(1j * total_phase) for l in range(k)]
 
-    residual = sample_initial_energies(dist, n, rng)
+    residual = sample_initial_energies(scenario.energy, n, rng)
     initial_total = float(residual.sum())
     alive = np.ones(n, dtype=bool)
     link_alive = np.ones(k, dtype=bool)
@@ -338,9 +250,9 @@ def run_lifetime(scenario, rng, record_nodes=False):
                 sample_channel(n, scenario.shadowing_sigma2_db, rng, scenario.amplitude_divisor)
                 for _ in range(k)
             ]
-            coherent = [channels[l].gains * np.exp(1j * total_phase) for l in range(k)]
+            coherent = [channels[l] * np.exp(1j * total_phase) for l in range(k)]
 
-        reallocate = (t - 1) % strategy.reallocation_period == 0
+        reallocate = (t - 1) % strategy.period == 0
         if reallocate:
             assigned[:] = 0.0
             for l in range(k):
@@ -351,12 +263,12 @@ def run_lifetime(scenario, rng, record_nodes=False):
                     alive,
                     members[l],
                     residual,
-                    channels[l].gains,
+                    channels[l],
                     target_snr,
                     noise_power,
                     ch_stats,
                     e_max,
-                    strategy.quantization_levels,
+                    strategy.levels,
                     scenario.quantization_include_zero,
                     scenario.p_max,
                     first_round=(t == 1),
@@ -380,7 +292,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
             snr_row[l] = snr_db
             rate_total += bit_rate(snr)
             dead_fraction = 1.0 - float((alive & members[l]).sum()) / link_sizes[l]
-            cause = evaluate_death(dead_fraction, snr_db, criteria, nominal_db[l])
+            cause = evaluate_death(dead_fraction, snr_db, scenario.death, nominal_db[l])
             if cause is not None:
                 link_alive[l] = False
                 link_lifetimes[l] = t

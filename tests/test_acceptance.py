@@ -249,15 +249,15 @@ def test_criterion_8_solvers_match_grid_search():
         gains = rng.uniform(0.5, 1.2, n)
         cap = 0.0004  # amplitude cap 0.02 keeps the grid exhaustive
         total = float(rng.uniform(0.3, 0.9)) * n * cap
-        wv = solve_max_gain(gains, total, cap)
-        solver_obj = float(gains @ wv.effective) ** 2
+        w = solve_max_gain(gains, total, cap)
+        solver_obj = float(gains @ w) ** 2
         grid_obj = grid_best_max_gain(gains, total, cap, resolution)
         assert solver_obj >= grid_obj - 1e-12
         worst_gain = max(worst_gain, solver_obj - grid_obj)
 
         c = float(rng.uniform(0.2, 0.8)) * math.sqrt(cap) * gains.sum()
-        wv = solve_min_power(gains, c**2, 1.0, cap)
-        solver_obj = float((wv.effective**2).sum())
+        w = solve_min_power(gains, c**2, 1.0, cap)
+        solver_obj = float((w**2).sum())
         grid_obj = grid_best_min_power(gains, c**2, 1.0, cap, resolution)
         assert grid_obj >= solver_obj - 1e-12
         worst_power = max(worst_power, grid_obj - solver_obj)

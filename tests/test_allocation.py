@@ -14,18 +14,14 @@ import pytest
 
 from beamlife.allocation import (
     ChannelStats,
-    ClusterDepletedError,
     InfeasibleAllocationError,
     ReiStats,
-    WeightVector,
-    adjust_scale_feedback,
     analytic_average_snr,
     cbepa_weight,
     cbpa_normalized_weights,
     compute_wmax,
     lognormal_channel_stats,
     quantize_weights,
-    rei_stats,
     solve_max_gain,
     solve_min_power,
 )
@@ -87,28 +83,31 @@ class TestNormalizedWeights:
 
 
 class TestReiStats:
+    # The engine builds ReiStats from the alive nodes' normalized weights u
+    # as mean(u) * e_max and the population variance var(u) * e_max^2.
+    @staticmethod
+    def from_residuals(residuals, capacity):
+        u = np.asarray(residuals, dtype=float) / capacity
+        return ReiStats(mean=float(u.mean()) * capacity, variance=float(u.var()) * capacity**2, capacity=capacity)
+
     def test_constant_residuals(self):
-        stats = rei_stats(np.full(10, 0.5), 1.0)
+        stats = self.from_residuals(np.full(10, 0.5), 1.0)
         assert stats.mean_normalized == pytest.approx(0.5)
         assert stats.variance_normalized == 0.0
 
     def test_two_point(self):
-        stats = rei_stats(np.array([0.0, 1.0]), 1.0)
+        stats = self.from_residuals(np.array([0.0, 2.0]), 2.0)
         assert stats.mean_normalized == pytest.approx(0.5)
         assert stats.variance_normalized == pytest.approx(0.25)
 
     def test_two_pass_variance_oracle(self):
         rng = np.random.default_rng(37)
         residuals = rng.uniform(0, 1, 200)
-        stats = rei_stats(residuals, 1.0)
+        stats = self.from_residuals(residuals, 1.0)
         mean = sum(residuals) / len(residuals)
         var = sum((x - mean) ** 2 for x in residuals) / len(residuals)
         assert stats.mean == pytest.approx(mean, rel=1e-12)
         assert stats.variance == pytest.approx(var, rel=1e-12)
-
-    def test_empty_is_cluster_dead(self):
-        with pytest.raises(ClusterDepletedError):
-            rei_stats(np.array([]), 1.0)
 
 
 def uniform_rei():
@@ -238,49 +237,6 @@ class TestQuantizeWeights:
             quantize_weights(np.array([1.5]), 2)
 
 
-class TestWeightVector:
-    def test_effective_is_exact_product(self):
-        u = np.array([0.25, 0.5, 1.0])
-        wv = WeightVector(normalized=u, scale=3e-7)
-        np.testing.assert_array_equal(wv.effective, 3e-7 * u)
-
-    def test_from_effective_round_trip(self):
-        w = np.array([0.0, 1e-7, 4e-7])
-        wv = WeightVector.from_effective(w)
-        assert wv.scale == 4e-7
-        np.testing.assert_allclose(wv.effective, w, rtol=1e-15)
-
-    def test_grid_membership_checked(self):
-        WeightVector(normalized=np.array([0.0, 0.5, 1.0]), scale=1.0, quantization_levels=2)
-        with pytest.raises(ValueError):
-            WeightVector(normalized=np.array([0.3]), scale=1.0, quantization_levels=2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WeightVector(normalized=np.array([1.2]), scale=1.0)
-        with pytest.raises(ValueError):
-            WeightVector(normalized=np.array([0.5]), scale=-1.0)
-
-
-class TestScaleFeedback:
-    def test_converges_into_window(self):
-        gains_sum = 120.0  # realized amplitude per unit scale
-
-        def realized(scale):
-            return (scale * gains_sum) ** 2 / NOISE
-
-        final = adjust_scale_feedback(1e-8, realized, TARGET, cap=1.0)
-        assert abs(10 * math.log10(realized(final) / TARGET)) <= 0.25 + 1e-9
-
-    def test_stops_at_cap(self):
-        def realized(scale):
-            return (scale * 10.0) ** 2 / NOISE
-
-        cap = 1e-16
-        final = adjust_scale_feedback(1e-9, realized, TARGET, cap=cap)
-        assert final == pytest.approx(math.sqrt(cap))
-
-
 def grid_best_max_gain(gains, total_power, cap, resolution):
     """Exhaustive grid search of the gain-maximization problem.
 
@@ -310,12 +266,12 @@ def grid_best_min_power(gains, target_snr, noise, cap, resolution):
 class TestSolveMaxGain:
     def test_uncapped_matched_filter(self):
         gains = np.array([1.0, 2.0, 3.0])
-        wv = solve_max_gain(gains, 4.0, cap=1e6)
-        np.testing.assert_allclose(wv.effective, 2.0 * gains / np.linalg.norm(gains), rtol=1e-9)
+        w = solve_max_gain(gains, 4.0, cap=1e6)
+        np.testing.assert_allclose(w, 2.0 * gains / np.linalg.norm(gains), rtol=1e-9)
 
     def test_equal_gains_split_evenly(self):
-        wv = solve_max_gain(np.full(4, 1.7), 1.0, cap=10.0)
-        np.testing.assert_allclose(wv.effective, np.full(4, 0.5), rtol=1e-9)
+        w = solve_max_gain(np.full(4, 1.7), 1.0, cap=10.0)
+        np.testing.assert_allclose(w, np.full(4, 0.5), rtol=1e-9)
 
     def test_total_power_met_exactly(self):
         rng = np.random.default_rng(59)
@@ -324,9 +280,9 @@ class TestSolveMaxGain:
             gains = rng.uniform(0.2, 3.0, n)
             cap = rng.uniform(0.05, 0.5)
             total = rng.uniform(0.1, 0.95) * n * cap
-            wv = solve_max_gain(gains, total, cap)
-            assert float((wv.effective**2).sum()) == pytest.approx(total, rel=1e-9)
-            assert np.all(wv.effective**2 <= cap * (1 + 1e-12))
+            w = solve_max_gain(gains, total, cap)
+            assert float((w**2).sum()) == pytest.approx(total, rel=1e-9)
+            assert np.all(w**2 <= cap * (1 + 1e-12))
 
     def test_dominates_equal_power(self):
         rng = np.random.default_rng(61)
@@ -335,9 +291,9 @@ class TestSolveMaxGain:
             gains = 10 ** (rng.normal(0, 4.0, n) / 20)
             cap = 0.4
             total = rng.uniform(0.1, 0.9) * n * cap
-            wv = solve_max_gain(gains, total, cap)
+            w = solve_max_gain(gains, total, cap)
             equal = np.full(n, math.sqrt(total / n))
-            assert float(gains @ wv.effective) ** 2 >= float(gains @ equal) ** 2 - 1e-12
+            assert float(gains @ w) ** 2 >= float(gains @ equal) ** 2 - 1e-12
 
     def test_matches_grid_search(self):
         rng = np.random.default_rng(67)
@@ -346,8 +302,8 @@ class TestSolveMaxGain:
             gains = rng.uniform(0.5, 1.2, n)
             cap = 0.0004  # amplitude cap 0.02
             total = rng.uniform(0.3, 0.9) * n * cap
-            wv = solve_max_gain(gains, total, cap)
-            solver_obj = float(gains @ wv.effective) ** 2
+            w = solve_max_gain(gains, total, cap)
+            solver_obj = float(gains @ w) ** 2
             grid_obj = grid_best_max_gain(gains, total, cap, resolution=1e-3)
             assert solver_obj >= grid_obj - 1e-12
             assert solver_obj - grid_obj <= 1e-3
@@ -356,8 +312,8 @@ class TestSolveMaxGain:
         # all three caps bind here, so the optimum sits on a grid point
         gains = np.array([1.0, 2.0, 4.0])
         total, cap, h = 3.0, 1.0, 1e-3
-        wv = solve_max_gain(gains, total, cap)
-        solver_obj = float(gains @ wv.effective) ** 2
+        w = solve_max_gain(gains, total, cap)
+        solver_obj = float(gains @ w) ** 2
         axis = np.arange(0.0, math.sqrt(cap) + h / 2, h)
         w2, w3 = np.meshgrid(axis, axis, indexing="ij")
         inner = (gains[1] * w2 + gains[2] * w3).ravel()
@@ -376,15 +332,15 @@ class TestSolveMaxGain:
 
 class TestSolveMinPower:
     def test_single_node(self):
-        wv = solve_min_power(np.array([1.0]), 0.04, noise_power=1.0, cap=0.05)
-        np.testing.assert_allclose(wv.effective, [0.2], rtol=1e-9)
+        w = solve_min_power(np.array([1.0]), 0.04, noise_power=1.0, cap=0.05)
+        np.testing.assert_allclose(w, [0.2], rtol=1e-9)
 
     def test_uncapped_minimum_norm(self):
         gains = np.array([1.0, 2.0, 4.0])
         target, noise = 4.0, 1.0
-        wv = solve_min_power(gains, target, noise, cap=1e6)
+        w = solve_min_power(gains, target, noise, cap=1e6)
         c = math.sqrt(target * noise)
-        np.testing.assert_allclose(wv.effective, c * gains / (gains @ gains), rtol=1e-9)
+        np.testing.assert_allclose(w, c * gains / (gains @ gains), rtol=1e-9)
 
     def test_constraint_met(self):
         rng = np.random.default_rng(71)
@@ -393,9 +349,9 @@ class TestSolveMinPower:
             gains = rng.uniform(0.2, 3.0, n)
             cap = rng.uniform(0.05, 0.5)
             c = rng.uniform(0.1, 0.8) * math.sqrt(cap) * gains.sum()
-            wv = solve_min_power(gains, c**2, 1.0, cap)
-            assert float(gains @ wv.effective) >= c * (1 - 1e-9)
-            assert np.all(wv.effective**2 <= cap * (1 + 1e-12))
+            w = solve_min_power(gains, c**2, 1.0, cap)
+            assert float(gains @ w) >= c * (1 - 1e-9)
+            assert np.all(w**2 <= cap * (1 + 1e-12))
 
     def test_no_worse_than_equal_power_meeting_same_target(self):
         rng = np.random.default_rng(73)
@@ -405,8 +361,8 @@ class TestSolveMinPower:
             cap = 1.0
             c = 0.3 * gains.sum()  # realized amplitude target
             equal = np.full(n, c / gains.sum())  # equal weights meeting it exactly
-            wv = solve_min_power(gains, c**2, 1.0, cap)
-            assert float((wv.effective**2).sum()) <= float((equal**2).sum()) + 1e-12
+            w = solve_min_power(gains, c**2, 1.0, cap)
+            assert float((w**2).sum()) <= float((equal**2).sum()) + 1e-12
 
     def test_matches_grid_search(self):
         rng = np.random.default_rng(79)
@@ -415,8 +371,8 @@ class TestSolveMinPower:
             gains = rng.uniform(0.5, 1.2, n)
             cap = 0.0004
             c = rng.uniform(0.2, 0.8) * math.sqrt(cap) * gains.sum()
-            wv = solve_min_power(gains, c**2, 1.0, cap)
-            solver_obj = float((wv.effective**2).sum())
+            w = solve_min_power(gains, c**2, 1.0, cap)
+            solver_obj = float((w**2).sum())
             grid_obj = grid_best_min_power(gains, c**2, 1.0, cap, resolution=1e-3)
             assert grid_obj >= solver_obj - 1e-12
             assert grid_obj - solver_obj <= 1e-3
@@ -424,8 +380,8 @@ class TestSolveMinPower:
     def test_literal_three_node_instance_vs_grid(self):
         gains = np.array([1.0, 2.0, 4.0])
         target, cap, h = 4.0, 0.5, 1e-3  # required amplitude 2.0
-        wv = solve_min_power(gains, target, 1.0, cap)
-        solver_obj = float((wv.effective**2).sum())
+        w = solve_min_power(gains, target, 1.0, cap)
+        solver_obj = float((w**2).sum())
         axis = np.arange(0.0, math.sqrt(cap) + h / 2, h)
         w2, w3 = np.meshgrid(axis, axis, indexing="ij")
         amp23 = (gains[1] * w2 + gains[2] * w3).ravel()

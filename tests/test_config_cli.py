@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -70,9 +71,28 @@ class TestFromDict:
         assert cfg.target_snr_linear() == pytest.approx(15.0)
         assert cfg.resolved_target_snr_db() == pytest.approx(10 * math.log10(15.0))
 
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ConfigError, match="alpha"):
-            from_dict({"alpha": -1.0})
+    @pytest.mark.parametrize("key", ["pl0_db", "alpha", "d0_m"])
+    def test_link_budget_keys_rejected(self, key):
+        # the engine never read these; manifests written with them no longer load
+        with pytest.raises(ConfigError, match=f"{key}: unknown key"):
+            from_dict({key: 1.0})
+
+    @pytest.mark.parametrize(
+        "data, path",
+        [
+            ({"strategy": {"kind": "nonsense"}}, "strategy.kind"),
+            ({"strategy": {"period": 0}}, "strategy.period"),
+            ({"death": {"max_dead_fraction": 0.0}}, "death.max_dead_fraction"),
+            ({"death": {"snr_drop_db": 0.0}}, "death.snr_drop_db"),
+            ({"energy": {"kind": "exotic"}}, "energy.kind"),
+            ({"energy": {"e_max": 0.0}}, "energy.e_max"),
+            ({"energy": {"kind": "uniform", "mean": 0.7}}, "energy.mean"),
+            ({"energy": {"kind": "gaussian", "mean": 1.5}}, "energy.mean"),
+        ],
+    )
+    def test_rejected_values_name_their_key(self, data, path):
+        with pytest.raises(ConfigError, match=f"^{path}:"):
+            from_dict(data)
 
     def test_bad_levels_rejected(self):
         with pytest.raises(ConfigError, match="levels"):
@@ -80,7 +100,7 @@ class TestFromDict:
 
     def test_round_trip_through_dict(self):
         cfg = preset("multi-link")
-        assert from_dict(cfg.to_dict()) == cfg
+        assert from_dict(asdict(cfg)) == cfg
 
 
 class TestLoadConfig:
@@ -178,8 +198,26 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"alpha": -2.0}))
+        cfg_path.write_text(json.dumps({"p_max": -2.0}))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize(
+        "data, path",
+        [
+            ({"target_snr_db": float("nan")}, "target_snr_db"),
+            ({"target_snr_db": float("inf")}, "target_snr_db"),
+            ({"runs": True}, "runs"),
+            ({"n": "100"}, "n"),
+            ({"n": 2.5}, "n"),
+            ({"destinations": {"azimuths_deg": ["x"]}}, "destinations.azimuths_deg"),
+        ],
+    )
+    def test_malformed_value_exits_with_key_path(self, tmp_path, capsys, data, path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))  # NaN and Infinity as Python's json writes them
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not (tmp_path / "out").exists()
 
     def test_compare_emits_lifetime_ratio(self, tmp_path):
         a = tmp_path / "a.json"

@@ -6,20 +6,17 @@ import numpy as np
 import pytest
 
 from beamlife.geometry import (
-    ChannelRealization,
     Destination,
     FarFieldWarning,
-    PhaseErrorVector,
     PolarPoint,
     carrier_phase,
     deploy_cluster,
     far_field_distance,
     propagation_phase,
-    received_snr,
     sample_channel,
     sample_phase_errors,
 )
-from beamlife.allocation import WeightVector, lognormal_channel_stats
+from beamlife.allocation import lognormal_channel_stats
 
 
 def test_polar_point_wraps_and_validates():
@@ -99,28 +96,28 @@ class TestCarrierPhase:
 
 class TestSampleChannel:
     def test_zero_variance_gives_unit_gains(self):
-        ch = sample_channel(64, 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(ch.gains, np.ones(64))
+        gains = sample_channel(64, 0.0, np.random.default_rng(0))
+        np.testing.assert_array_equal(gains, np.ones(64))
 
     def test_log_gain_statistics(self):
         # ln(gain) = A * ln(10)/10 with A zero-mean Gaussian of variance 16.
-        ch = sample_channel(1_000_000, 16.0, np.random.default_rng(5), amplitude_divisor=10)
-        log_gains = np.log(ch.gains)
+        gains = sample_channel(1_000_000, 16.0, np.random.default_rng(5), amplitude_divisor=10)
+        log_gains = np.log(gains)
         expected_var = 16.0 * (math.log(10.0) / 10.0) ** 2
         assert abs(log_gains.mean()) < 0.01 * math.sqrt(expected_var)
         assert abs(log_gains.var() / expected_var - 1.0) < 0.01
 
     @pytest.mark.parametrize("divisor", [10, 20])
     def test_analytic_moments_match_monte_carlo(self, divisor):
-        ch = sample_channel(1_000_000, 16.0, np.random.default_rng(6), amplitude_divisor=divisor)
+        gains = sample_channel(1_000_000, 16.0, np.random.default_rng(6), amplitude_divisor=divisor)
         stats = lognormal_channel_stats(16.0, divisor)
-        assert abs(ch.gains.mean() / stats.mean - 1.0) < 0.02
-        assert abs(ch.gains.var() / stats.variance - 1.0) < 0.02
+        assert abs(gains.mean() / stats.mean - 1.0) < 0.02
+        assert abs(gains.var() / stats.variance - 1.0) < 0.02
 
     def test_deterministic_for_seed(self):
         a = sample_channel(100, 16.0, np.random.default_rng(9))
         b = sample_channel(100, 16.0, np.random.default_rng(9))
-        np.testing.assert_array_equal(a.gains, b.gains)
+        np.testing.assert_array_equal(a, b)
 
     def test_validation(self):
         rng = np.random.default_rng(0)
@@ -128,72 +125,15 @@ class TestSampleChannel:
             sample_channel(10, -1.0, rng)
         with pytest.raises(ValueError):
             sample_channel(10, 16.0, rng, amplitude_divisor=15)
-        with pytest.raises(ValueError):
-            ChannelRealization(gains=np.array([1.0, 0.0]), shadowing_db_sigma2=16.0)
+        # a 10^4 dB shadowing spread underflows some gains to zero
+        with pytest.raises(ValueError, match="positive"), np.errstate(over="ignore"):
+            sample_channel(1000, 1e8, rng)
 
 
 def test_sample_phase_errors_bounded():
     errors = sample_phase_errors(10_000, math.radians(5.0), np.random.default_rng(2))
-    assert np.all(np.abs(errors.errors) <= math.radians(5.0))
+    assert np.all(np.abs(errors) <= math.radians(5.0))
     zero = sample_phase_errors(10, 0.0, np.random.default_rng(2))
-    np.testing.assert_array_equal(zero.errors, np.zeros(10))
+    np.testing.assert_array_equal(zero, np.zeros(10))
     with pytest.raises(ValueError):
-        PhaseErrorVector(errors=np.array([0.2]), bound=0.1)
-
-
-def _wv(values):
-    return WeightVector.from_effective(np.asarray(values, dtype=float))
-
-
-class TestReceivedSnr:
-    def test_coherent_pair(self):
-        ch = ChannelRealization(np.array([1.0, 1.0]), 0.0)
-        snr = received_snr(_wv([1.0, 1.0]), ch, None, 1.0)
-        assert snr == pytest.approx(4.0)
-
-    def test_perfect_cancellation(self):
-        ch = ChannelRealization(np.array([1.0, 1.0]), 0.0)
-        errors = PhaseErrorVector(np.array([0.0, math.pi]))
-        assert received_snr(_wv([1.0, 1.0]), ch, errors, 1.0) == pytest.approx(0.0, abs=1e-25)
-
-    def test_matches_naive_summation(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            n = rng.integers(1, 30)
-            w = rng.random(n)
-            gains = rng.random(n) + 0.1
-            # independent oracle: plain python accumulation
-            total = 0.0
-            for wi, ai in zip(w, gains):
-                total += wi * ai
-            expected = total**2 / 2.5
-            got = received_snr(_wv(w), ChannelRealization(gains, 0.0), None, 2.5)
-            assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_invariant_under_common_phase_shift(self):
-        rng = np.random.default_rng(17)
-        w, gains = rng.random(12), rng.random(12) + 0.1
-        errors = rng.uniform(-0.3, 0.3, 12)
-        base = received_snr(_wv(w), ChannelRealization(gains, 0.0), PhaseErrorVector(errors), 1.0)
-        shifted = received_snr(
-            _wv(w), ChannelRealization(gains, 0.0), PhaseErrorVector(errors + 1.234), 1.0
-        )
-        assert shifted == pytest.approx(base, rel=1e-9)
-
-    def test_monotone_in_each_weight(self):
-        rng = np.random.default_rng(19)
-        gains = rng.random(8) + 0.05
-        ch = ChannelRealization(gains, 0.0)
-        w = rng.random(8)
-        base = received_snr(_wv(w), ch, None, 1.0)
-        for i in range(8):
-            bumped = w.copy()
-            bumped[i] += 0.25
-            assert received_snr(_wv(bumped), ch, None, 1.0) >= base
-
-    def test_validation(self):
-        ch = ChannelRealization(np.array([1.0, 1.0]), 0.0)
-        with pytest.raises(ValueError):
-            received_snr(_wv([1.0]), ch, None, 1.0)
-        with pytest.raises(ValueError):
-            received_snr(_wv([1.0, 1.0]), ch, None, 0.0)
+        sample_phase_errors(10, -0.1, np.random.default_rng(2))
