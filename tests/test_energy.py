@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from beamlife.config import ConfigError, EnergySpec, ScenarioConfig
+from beamlife import lifetime
+from beamlife.allocation import cbepa_weight, lognormal_channel_stats
+from beamlife.config import ConfigError, EnergySpec, ScenarioConfig, StrategySpec
 from beamlife.energy import LinkBudget, gate_and_charge, required_tx_power_db, sample_initial_energies
+from beamlife.geometry import db_to_linear
 from beamlife.lifetime import run_lifetime
 
 from test_lifetime import rng_for, small_scenario
@@ -113,6 +116,22 @@ class TestChargeRound:
 
 
 class TestWastedEnergy:
+    def test_fully_drained(self, monkeypatch):
+        # Every node starts with exactly one equal-power slot of energy, so
+        # round 1 drains the whole cluster and round 2 gates every node out.
+        cfg = small_scenario(strategy=StrategySpec(kind="cb_epa", levels=0, period=1))
+        w = cbepa_weight(
+            cfg.target_snr_linear(),
+            cfg.n,
+            lognormal_channel_stats(cfg.shadowing_sigma2_db, cfg.amplitude_divisor),
+            db_to_linear(cfg.noise_db),
+        )
+        monkeypatch.setattr(lifetime, "sample_initial_energies", lambda spec, n, rng: np.full(n, w * w * cfg.t_slot_s))
+        trace = run_lifetime(cfg, rng_for(cfg.master_seed, 0))
+        assert trace.lifetime == 2
+        assert trace.consumed_j == pytest.approx(trace.initial_j)
+        assert (trace.wasted_j, trace.wasted_pct) == (0.0, 0.0)
+
     def test_partial(self):
         # Stranded energy is what the nodes hold at death, referenced to n
         # times the configured mean (test_lifetime covers the realized total).
@@ -120,3 +139,14 @@ class TestWastedEnergy:
         trace = run_lifetime(cfg, rng_for(cfg.master_seed, 0))
         assert trace.wasted_j == pytest.approx(trace.residual_total[-1])
         assert trace.wasted_pct == pytest.approx(100.0 * trace.wasted_j / (cfg.n * cfg.energy.mean))
+
+    def test_realized_denominator(self):
+        # The flag moves the percentage onto the realized initial total and
+        # leaves the stranded joules and the run itself unchanged.
+        cfg = small_scenario()
+        expected = run_lifetime(cfg, rng_for(cfg.master_seed, 1))
+        realized = run_lifetime(small_scenario(wasted_percent_of_realized=True), rng_for(cfg.master_seed, 1))
+        assert realized.wasted_j == expected.wasted_j
+        assert realized.initial_j == expected.initial_j
+        assert realized.wasted_pct == pytest.approx(100.0 * realized.wasted_j / realized.initial_j)
+        assert realized.wasted_pct * realized.initial_j == pytest.approx(expected.wasted_pct * cfg.n * cfg.energy.mean)
