@@ -128,13 +128,12 @@ def _scale_denominator(n, rei, ch):
     return n * (var_u * var_a + var_a * m_u**2 + var_u * m_a**2) + n**2 * m_u**2 * m_a**2
 
 
-def compute_wmax(target_snr, n, rei, ch, noise_power, cap=None):
+def compute_wmax(target_snr, n, rei, ch, noise_power):
     """Closed-form common scale that meets ``target_snr`` on ensemble average.
 
     Exact inverse of :func:`analytic_average_snr` in the scale. Raises
     :class:`InfeasibleAllocationError` when the cluster statistics are all
-    zero (nothing can transmit), or when ``cap`` (the per-node power limit)
-    is given and the required scale exceeds its square root.
+    zero (nothing can transmit); the caller applies the per-node power cap.
     """
     if n < 1:
         raise ValueError(f"need at least 1 node, got {n}")
@@ -149,13 +148,7 @@ def compute_wmax(target_snr, n, rei, ch, noise_power, cap=None):
         raise InfeasibleAllocationError(
             "residual-energy statistics are all zero; the cluster cannot transmit"
         )
-    scale = math.sqrt(target_snr * noise_power / denom)
-    if cap is not None and scale > math.sqrt(cap):
-        raise InfeasibleAllocationError(
-            f"target SNR needs scale {scale:.3e}, above the per-node power cap "
-            f"amplitude {math.sqrt(cap):.3e}"
-        )
-    return scale
+    return math.sqrt(target_snr * noise_power / denom)
 
 
 def cbepa_weight(target_snr, n, ch, noise_power):
@@ -170,12 +163,11 @@ def cbepa_weight(target_snr, n, ch, noise_power):
     return math.sqrt(target_snr * noise_power / (n * var_a + n**2 * m_a**2))
 
 
-def quantize_weights(u, levels, include_zero=True):
+def quantize_weights(u, levels):
     """Round normalized weights to an equispaced grid with ``levels`` steps.
 
-    The grid is {j/levels : j = 0..levels}; ties round up. With
-    ``include_zero=False`` the lowest grid point is 1/levels, so a node is
-    never silenced outright.
+    The grid is {j/levels : j = 0..levels}; ties round up, and a weight
+    below half a step rounds to zero, which silences the node.
     """
     if levels < 1:
         raise ValueError(f"need at least 1 quantization level, got {levels}")
@@ -183,8 +175,6 @@ def quantize_weights(u, levels, include_zero=True):
     if np.any(u < -1e-12) or np.any(u > 1 + 1e-12):
         raise ValueError("normalized weights must lie in [0, 1]")
     q = np.floor(u * levels + 0.5) / levels
-    if not include_zero:
-        q = np.maximum(q, 1.0 / levels)
     return np.clip(q, 0.0, 1.0)
 
 

@@ -41,8 +41,10 @@ def _fmt(value):
     return str(value)
 
 
-def _write_rounds_csv(path, result):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _write_ensemble_dir(out, result, cfg, runs, master_seed):
+    """Write one ensemble's rounds.csv, summary.csv and manifest.json into ``out``."""
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "rounds.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(ROUNDS_COLUMNS)
         for t in range(result.rounds):
@@ -56,17 +58,11 @@ def _write_rounds_csv(path, result):
                     int(result.surviving_runs[t]),
                 ]
             )
-
-
-def _write_summary_csv(path, result):
     summary = result.summary()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(summary))
         writer.writerow([_fmt(v) for v in summary.values()])
-
-
-def _write_manifest(path, cfg, runs, master_seed):
     manifest = {
         "artifact_version": __version__,
         "config": asdict(cfg),
@@ -74,7 +70,7 @@ def _write_manifest(path, cfg, runs, master_seed):
         "master_seed": master_seed,
         "run_seeds": [[master_seed, i] for i in range(runs)],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -85,10 +81,7 @@ def _cmd_run(args):
     seed = args.seed if args.seed is not None else cfg.master_seed
     result = run_ensemble(cfg, runs=runs, master_seed=seed, workers=args.workers)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_rounds_csv(out / "rounds.csv", result)
-    _write_summary_csv(out / "summary.csv", result)
-    _write_manifest(out / "manifest.json", cfg, runs, seed)
+    _write_ensemble_dir(out, result, cfg, runs, seed)
     summary = result.summary()
     print(
         f"{runs} runs: mean lifetime {summary['lifetime_mean_rounds']:.1f} rounds, "
@@ -113,13 +106,8 @@ def _cmd_compare(args):
         scenarios, runs=runs, master_seed=seed, workers=args.workers, labels=labels
     )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for label, cfg, ensemble in zip(labels, scenarios, comparison.ensembles):
-        sub = out / label
-        sub.mkdir(parents=True, exist_ok=True)
-        _write_rounds_csv(sub / "rounds.csv", ensemble)
-        _write_summary_csv(sub / "summary.csv", ensemble)
-        _write_manifest(sub / "manifest.json", cfg, runs, seed)
+        _write_ensemble_dir(out / label, ensemble, cfg, runs, seed)
     with open(out / "comparison.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(

@@ -12,6 +12,8 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
 
+from .allocation import lognormal_channel_stats
+
 __all__ = [
     "ConfigError",
     "DestinationsSpec",
@@ -26,9 +28,6 @@ __all__ = [
 ]
 
 STRATEGY_KINDS = ("cb_epa", "cb_pa", "centralized_min_power", "centralized_max_gain")
-NOMINAL_MODES = ("first_round", "target")
-SNR_AVERAGE_MODES = ("linear", "db")
-CONDITIONING_MODES = ("alive", "zero_fill")
 
 # One-shot allocation: a reallocation period no practical run ever reaches.
 NEVER_REALLOCATE = 10**9
@@ -64,8 +63,7 @@ class StrategySpec:
 @dataclass(frozen=True)
 class DeathSpec:
     max_dead_fraction: float = 0.9
-    snr_drop_db: float = 3.0
-    nominal: str = "first_round"  # reference for the SNR drop: first_round | target
+    snr_drop_db: float = 3.0     # below the link's first-round realized SNR
 
 
 @dataclass(frozen=True)
@@ -94,11 +92,6 @@ class ScenarioConfig:
     t_slot_s: float = 2.0e10
     p_max: float = 1.2e-11
     max_rounds: int = 1_000_000
-    quantization_include_zero: bool = True
-    channel_redraw_period: int = 0        # rounds between channel redraws, 0 = never
-    snr_average: str = "linear"           # ensemble SNR averaging domain
-    ensemble_conditioning: str = "alive"  # per-round averaging convention
-    wasted_percent_of_realized: bool = False
 
     def __post_init__(self):
         validate(self)
@@ -182,8 +175,8 @@ def _is_finite_number(value):
 
 
 def _check_types(spec, path):
-    """Floats must be finite numbers, ints integers, flags booleans, and
-    each section its spec class; ``bool`` and ``str`` are not numbers."""
+    """Floats must be finite numbers, ints integers and each section its
+    spec class; ``bool`` and ``str`` are not numbers."""
     for f in fields(spec):
         key, value = path + f.name, getattr(spec, f.name)
         if value is None and f.name in ("target_snr_db", "target_rate_bits"):
@@ -193,14 +186,21 @@ def _check_types(spec, path):
                    f"must be an integer, got {value!r}")
         elif f.type == "float":
             _check(_is_finite_number(value), key, f"must be a finite number, got {value!r}")
-        elif f.type == "bool":
-            _check(isinstance(value, bool), key, f"must be true or false, got {value!r}")
         elif f.type == "tuple":  # destinations.azimuths_deg
             _check(isinstance(value, (list, tuple)) and all(map(_is_finite_number, value)), key,
                    f"need a list of finite angles, got {value!r}")
         elif f.name in _SECTIONS:
             _check(isinstance(value, _SECTIONS[f.name]), key, "must be an object")
             _check_types(value, key + ".")
+
+
+def _channel_moments_finite(cfg):
+    """The gain moments and the closed-form denominator n·var + n²·mean² are finite."""
+    try:
+        ch = lognormal_channel_stats(cfg.shadowing_sigma2_db, cfg.amplitude_divisor)
+        return math.isfinite(cfg.n * ch.variance + cfg.n**2 * ch.mean**2)
+    except OverflowError:
+        return False
 
 
 def validate(cfg):
@@ -218,6 +218,8 @@ def validate(cfg):
         _check(cfg.target_rate_bits >= 0, "target_rate_bits", "must be non-negative")
     _check(cfg.shadowing_sigma2_db >= 0, "shadowing_sigma2_db", "must be non-negative")
     _check(cfg.amplitude_divisor in (10, 20), "amplitude_divisor", "must be 10 or 20")
+    _check(_channel_moments_finite(cfg), "shadowing_sigma2_db",
+           f"too large: the channel gain moments overflow at amplitude_divisor={cfg.amplitude_divisor}, n={cfg.n}")
     _check(cfg.phase_error_deg_bound >= 0, "phase_error_deg_bound", "must be non-negative")
     _check(cfg.energy.kind in ("uniform", "gaussian"), "energy.kind", f"unknown kind {cfg.energy.kind!r}")
     _check(cfg.energy.e_max > 0, "energy.e_max", "must be positive")
@@ -236,15 +238,10 @@ def validate(cfg):
     _check(cfg.strategy.period >= 1, "strategy.period", "must be at least 1")
     _check(0 < cfg.death.max_dead_fraction <= 1, "death.max_dead_fraction", "must lie in (0, 1]")
     _check(cfg.death.snr_drop_db > 0, "death.snr_drop_db", "must be positive")
-    _check(cfg.death.nominal in NOMINAL_MODES, "death.nominal", f"must be one of {NOMINAL_MODES}")
     _check(cfg.runs >= 1, "runs", "must be at least 1")
     _check(cfg.t_slot_s > 0, "t_slot_s", "must be positive")
     _check(cfg.p_max > 0, "p_max", "must be positive")
     _check(cfg.max_rounds >= 1, "max_rounds", "must be at least 1")
-    _check(cfg.channel_redraw_period >= 0, "channel_redraw_period", "must be non-negative")
-    _check(cfg.snr_average in SNR_AVERAGE_MODES, "snr_average", f"must be one of {SNR_AVERAGE_MODES}")
-    _check(cfg.ensemble_conditioning in CONDITIONING_MODES, "ensemble_conditioning",
-           f"must be one of {CONDITIONING_MODES}")
     return cfg
 
 

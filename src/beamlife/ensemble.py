@@ -3,6 +3,8 @@
 Run i draws its generator from SeedSequence([master_seed, i]), so results
 are reproducible for a fixed master seed no matter how many workers
 execute the runs; the reduction is a fixed-order fold over run indices.
+Round t of each curve averages the runs still alive in round t, and the
+SNR is averaged in the linear domain.
 """
 
 from __future__ import annotations
@@ -55,24 +57,17 @@ def _run_indexed(args):
     return run_lifetime(scenario, rng)
 
 
-def _per_run_link_mean_snr(trace, snr_average):
-    """Per-round scalar SNR for one run: average over links still up."""
-    snr_db = trace.snr_db
+def _per_run_link_mean_snr(trace):
+    """Per-round scalar SNR for one run: linear average over links still up."""
     with np.errstate(invalid="ignore"):
-        if snr_average == "db":
-            return np.nanmean(snr_db, axis=1)
-        linear = 10.0 ** (snr_db / 10.0)
-        return linear_to_db(np.nanmean(linear, axis=1))
+        return linear_to_db(np.nanmean(10.0 ** (trace.snr_db / 10.0), axis=1))
 
 
 def run_ensemble(scenario, runs=None, master_seed=None, workers=1):
     """Run an ensemble of independent seeded lifetimes and align the traces.
 
-    Per-round averages follow the scenario's conditioning convention:
-    "alive" averages round t over runs whose cluster was still alive then
-    (the surviving-run count is reported alongside); "zero_fill" keeps all
-    runs in every average, contributing zero rate/SNR and their frozen
-    terminal alive fraction and residual after death.
+    Round t of each curve averages the runs whose cluster was still alive
+    in round t; the surviving-run count is reported alongside.
     """
     runs = scenario.runs if runs is None else int(runs)
     master_seed = scenario.master_seed if master_seed is None else int(master_seed)
@@ -95,24 +90,16 @@ def run_ensemble(scenario, runs=None, master_seed=None, workers=1):
     for i, trace in enumerate(traces):
         rounds_i = trace.lifetime
         alive[i, :rounds_i] = trace.alive_fraction
-        snr[i, :rounds_i] = _per_run_link_mean_snr(trace, scenario.snr_average)
+        snr[i, :rounds_i] = _per_run_link_mean_snr(trace)
         rate[i, :rounds_i] = trace.rate_total
         residual[i, :rounds_i] = trace.residual_total
-        if scenario.ensemble_conditioning == "zero_fill" and rounds_i < max_rounds:
-            alive[i, rounds_i:] = trace.alive_fraction[-1]
-            snr[i, rounds_i:] = -np.inf
-            rate[i, rounds_i:] = 0.0
-            residual[i, rounds_i:] = trace.residual_total[-1]
 
     surviving = np.sum(lifetimes[:, None] >= np.arange(1, max_rounds + 1)[None, :], axis=0)
     with np.errstate(invalid="ignore"):
         mean_alive = np.nanmean(alive, axis=0)
         mean_rate = np.nanmean(rate, axis=0)
         mean_residual = np.nanmean(residual, axis=0)
-        if scenario.snr_average == "db":
-            mean_snr = np.nanmean(snr, axis=0)
-        else:
-            mean_snr = linear_to_db(np.nanmean(10.0 ** (snr / 10.0), axis=0))
+        mean_snr = linear_to_db(np.nanmean(10.0 ** (snr / 10.0), axis=0))
 
     return EnsembleResult(
         rounds=max_rounds,

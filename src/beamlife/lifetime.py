@@ -75,13 +75,11 @@ def evaluate_death(dead_fraction, realized_snr_db, criteria, nominal_snr_db):
     return None
 
 
-def bit_rate(snr_linear, links=1):
-    """Spectral efficiency in bits/s/Hz; multi-link totals scale by the link count."""
+def bit_rate(snr_linear):
+    """Spectral efficiency of one link in bits/s/Hz."""
     if snr_linear < 0:
         raise ValueError(f"SNR must be non-negative, got {snr_linear}")
-    if links < 1:
-        raise ValueError(f"need at least 1 link, got {links}")
-    return links * math.log2(1.0 + snr_linear)
+    return math.log2(1.0 + snr_linear)
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ class LifetimeTrace:
     wasted_pct: float
     consumed_j: float
     initial_j: float               # realized total initial energy
-    nominal_snr_db: np.ndarray     # (links,) reference used by the SNR criterion
+    nominal_snr_db: np.ndarray     # (links,) first-round SNR, the SNR criterion's reference
     node_residuals: np.ndarray = None  # (rounds, n) when recorded
     node_alive: np.ndarray = None      # (rounds, n) when recorded
 
@@ -119,7 +117,6 @@ def _strategy_weights(
     ch_stats,
     e_max,
     levels,
-    include_zero,
     p_max,
     first_round,
 ):
@@ -146,7 +143,7 @@ def _strategy_weights(
     if kind == "cb_pa":
         u = cbpa_normalized_weights(residuals[active], e_max)
         if levels > 0:
-            u = quantize_weights(u, levels, include_zero)
+            u = quantize_weights(u, levels)
         # The scale targets the weights actually transmitted, so the
         # moments fed to the closed form are those of the (possibly
         # quantized) normalized weights.
@@ -195,7 +192,6 @@ def run_lifetime(scenario, rng, record_nodes=False):
     slot = scenario.t_slot_s
     noise_power = db_to_linear(scenario.noise_db)
     target_snr = scenario.target_snr_linear()
-    target_db = scenario.resolved_target_snr_db()
     ch_stats = lognormal_channel_stats(scenario.shadowing_sigma2_db, scenario.amplitude_divisor)
     strategy = scenario.strategy
 
@@ -235,23 +231,15 @@ def run_lifetime(scenario, rng, record_nodes=False):
     link_alive = np.ones(k, dtype=bool)
     link_lifetimes = np.zeros(k, dtype=int)
     causes = [None] * k
-    nominal_db = np.full(k, target_db)
+    nominal_db = np.empty(k)  # every link is up in round 1, which sets it
     assigned = np.zeros(n)
     consumed = 0.0
 
     alive_rows, snr_rows, rate_rows, residual_rows = [], [], [], []
     node_rows = [] if record_nodes else None
     node_alive_rows = [] if record_nodes else None
-    redraw = scenario.channel_redraw_period
 
     for t in range(1, scenario.max_rounds + 1):
-        if redraw and t > 1 and (t - 1) % redraw == 0:
-            channels = [
-                sample_channel(n, scenario.shadowing_sigma2_db, rng, scenario.amplitude_divisor)
-                for _ in range(k)
-            ]
-            coherent = [channels[l] * np.exp(1j * total_phase) for l in range(k)]
-
         reallocate = (t - 1) % strategy.period == 0
         if reallocate:
             assigned[:] = 0.0
@@ -269,7 +257,6 @@ def run_lifetime(scenario, rng, record_nodes=False):
                     ch_stats,
                     e_max,
                     strategy.levels,
-                    scenario.quantization_include_zero,
                     scenario.p_max,
                     first_round=(t == 1),
                 )
@@ -287,7 +274,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
             idx = member_idx[l]
             snr = float(abs(np.sum(funded_w[idx] * coherent[l][idx])) ** 2) / noise_power
             snr_db = 10.0 * math.log10(snr) if snr > 0 else -math.inf
-            if t == 1 and scenario.death.nominal == "first_round":
+            if t == 1:
                 nominal_db[l] = snr_db
             snr_row[l] = snr_db
             rate_total += bit_rate(snr)
@@ -315,11 +302,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
             causes[l] = "max_rounds"
 
     wasted_j = float(residual.sum())
-    if scenario.wasted_percent_of_realized:
-        denom = initial_total
-    else:
-        denom = n * scenario.energy.mean
-    wasted_pct = 100.0 * wasted_j / denom
+    wasted_pct = 100.0 * wasted_j / (n * scenario.energy.mean)
 
     return LifetimeTrace(
         alive_fraction=np.array(alive_rows),

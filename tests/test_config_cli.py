@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +78,28 @@ class TestFromDict:
         # the engine never read these; manifests written with them no longer load
         with pytest.raises(ConfigError, match=f"{key}: unknown key"):
             from_dict({key: 1.0})
+
+    @pytest.mark.parametrize(
+        "data, path",
+        [
+            ({"quantization_include_zero": False}, "quantization_include_zero"),
+            ({"channel_redraw_period": 5}, "channel_redraw_period"),
+            ({"death": {"nominal": "target"}}, "death.nominal"),
+            ({"snr_average": "db"}, "snr_average"),
+            ({"ensemble_conditioning": "zero_fill"}, "ensemble_conditioning"),
+            ({"wasted_percent_of_realized": True}, "wasted_percent_of_realized"),
+        ],
+    )
+    def test_removed_convention_keys_rejected(self, data, path):
+        # every workload ran one convention; manifests naming these keys no longer load
+        with pytest.raises(ConfigError, match=f"^{path}: unknown key"):
+            from_dict(data)
+
+    def test_readme_config_block_matches_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```jsonc\n(.*?)```", readme, re.DOTALL).group(1)
+        documented = json.loads(re.sub(r"//.*", "", block))
+        assert documented == json.loads(json.dumps(asdict(ScenarioConfig())))
 
     @pytest.mark.parametrize(
         "data, path",
@@ -210,6 +234,8 @@ class TestCli:
             ({"n": "100"}, "n"),
             ({"n": 2.5}, "n"),
             ({"destinations": {"azimuths_deg": ["x"]}}, "destinations.azimuths_deg"),
+            ({"shadowing_sigma2_db": 30000, "n": 10, "runs": 2, "max_rounds": 50}, "shadowing_sigma2_db"),
+            ({"shadowing_sigma2_db": 1e8}, "shadowing_sigma2_db"),
         ],
     )
     def test_malformed_value_exits_with_key_path(self, tmp_path, capsys, data, path):

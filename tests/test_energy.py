@@ -134,19 +134,8 @@ class TestWastedEnergy:
 
     def test_partial(self):
         # Stranded energy is what the nodes hold at death, referenced to n
-        # times the configured mean (test_lifetime covers the realized total).
+        # times the configured mean.
         cfg = small_scenario()
         trace = run_lifetime(cfg, rng_for(cfg.master_seed, 0))
         assert trace.wasted_j == pytest.approx(trace.residual_total[-1])
         assert trace.wasted_pct == pytest.approx(100.0 * trace.wasted_j / (cfg.n * cfg.energy.mean))
-
-    def test_realized_denominator(self):
-        # The flag moves the percentage onto the realized initial total and
-        # leaves the stranded joules and the run itself unchanged.
-        cfg = small_scenario()
-        expected = run_lifetime(cfg, rng_for(cfg.master_seed, 1))
-        realized = run_lifetime(small_scenario(wasted_percent_of_realized=True), rng_for(cfg.master_seed, 1))
-        assert realized.wasted_j == expected.wasted_j
-        assert realized.initial_j == expected.initial_j
-        assert realized.wasted_pct == pytest.approx(100.0 * realized.wasted_j / realized.initial_j)
-        assert realized.wasted_pct * realized.initial_j == pytest.approx(expected.wasted_pct * cfg.n * cfg.energy.mean)
