@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -35,13 +35,19 @@ def _resolve_scenario(args):
     return cfg
 
 
+def _with_overrides(cfg, runs, seed):
+    """Apply ``--runs``/``--seed`` to the scenario, so its manifest reproduces the run."""
+    seed = cfg.master_seed if seed is None else seed
+    return replace(cfg, runs=cfg.runs if runs is None else runs, master_seed=seed)
+
+
 def _fmt(value):
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def _write_ensemble_dir(out, result, cfg, runs, master_seed):
+def _write_ensemble_dir(out, result, cfg):
     """Write one ensemble's rounds.csv, summary.csv and manifest.json into ``out``."""
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "rounds.csv", "w", newline="", encoding="utf-8") as fh:
@@ -66,9 +72,9 @@ def _write_ensemble_dir(out, result, cfg, runs, master_seed):
     manifest = {
         "artifact_version": __version__,
         "config": asdict(cfg),
-        "runs": runs,
-        "master_seed": master_seed,
-        "run_seeds": [[master_seed, i] for i in range(runs)],
+        "runs": cfg.runs,
+        "master_seed": cfg.master_seed,
+        "run_seeds": [[cfg.master_seed, i] for i in range(cfg.runs)],
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -76,15 +82,13 @@ def _write_ensemble_dir(out, result, cfg, runs, master_seed):
 
 
 def _cmd_run(args):
-    cfg = _resolve_scenario(args)
-    runs = args.runs if args.runs is not None else cfg.runs
-    seed = args.seed if args.seed is not None else cfg.master_seed
-    result = run_ensemble(cfg, runs=runs, master_seed=seed, workers=args.workers)
+    cfg = _with_overrides(_resolve_scenario(args), args.runs, args.seed)
+    result = run_ensemble(cfg, workers=args.workers)
     out = Path(args.out)
-    _write_ensemble_dir(out, result, cfg, runs, seed)
+    _write_ensemble_dir(out, result, cfg)
     summary = result.summary()
     print(
-        f"{runs} runs: mean lifetime {summary['lifetime_mean_rounds']:.1f} rounds, "
+        f"{cfg.runs} runs: mean lifetime {summary['lifetime_mean_rounds']:.1f} rounds, "
         f"mean wasted energy {summary['wasted_pct_mean']:.1f}% -> {out}"
     )
     return 0
@@ -99,15 +103,16 @@ def _cmd_compare(args):
     if len(sources) < 2:
         raise ConfigError("compare needs at least two scenarios (--preset/--config, repeatable)")
     labels = [name for name, _ in sources]
-    scenarios = [cfg for _, cfg in sources]
-    seed = args.seed if args.seed is not None else scenarios[0].master_seed
-    runs = args.runs if args.runs is not None else scenarios[0].runs
-    comparison = compare_strategies(
-        scenarios, runs=runs, master_seed=seed, workers=args.workers, labels=labels
-    )
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ConfigError(f"scenario label {label!r} given twice; both would write to {label}/")
+    # paired seeds: every scenario runs the first one's run count and master seed
+    first = _with_overrides(sources[0][1], args.runs, args.seed)
+    scenarios = [_with_overrides(cfg, first.runs, first.master_seed) for _, cfg in sources]
+    comparison = compare_strategies(scenarios, workers=args.workers, labels=labels)
     out = Path(args.out)
     for label, cfg, ensemble in zip(labels, scenarios, comparison.ensembles):
-        _write_ensemble_dir(out / label, ensemble, cfg, runs, seed)
+        _write_ensemble_dir(out / label, ensemble, cfg)
     with open(out / "comparison.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(

@@ -239,6 +239,7 @@ def validate(cfg):
     _check(0 < cfg.death.max_dead_fraction <= 1, "death.max_dead_fraction", "must lie in (0, 1]")
     _check(cfg.death.snr_drop_db > 0, "death.snr_drop_db", "must be positive")
     _check(cfg.runs >= 1, "runs", "must be at least 1")
+    _check(cfg.master_seed >= 0, "master_seed", "must be non-negative")
     _check(cfg.t_slot_s > 0, "t_slot_s", "must be positive")
     _check(cfg.p_max > 0, "p_max", "must be positive")
     _check(cfg.max_rounds >= 1, "max_rounds", "must be at least 1")

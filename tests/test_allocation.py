@@ -1,9 +1,9 @@
 """Weight-selection tests: closed forms, quantization, centralized solvers.
 
 The centralized solvers are checked against an exhaustive grid search over
-the feasible set; the closed-form scale is checked against an independent
-high-precision evaluation and against Monte Carlo averages of the realized
-SNR.
+the feasible set, literal edge cases and a bisection reference; the
+closed-form scale is checked against an independent high-precision
+evaluation and against Monte Carlo averages of the realized SNR.
 """
 
 import math
@@ -399,3 +399,55 @@ class TestSolveMinPower:
     def test_infeasible_target(self):
         with pytest.raises(InfeasibleAllocationError):
             solve_min_power(np.array([1.0]), 100.0, 1.0, cap=0.01)
+
+
+def bisect_capped_matched_filter(gains, cap, total_of, target):
+    """Reference solver: bisect mu so the increasing total of min(mu·g, s) meets ``target``."""
+    s = math.sqrt(cap)
+    if target == 0:
+        return np.zeros(gains.size)
+    lo, hi = 0.0, s / float(gains.min())  # every node capped: total is maximal
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if total_of(np.minimum(mid * gains, s)) < target:
+            lo = mid
+        else:
+            hi = mid
+    return np.minimum(hi * gains, s)
+
+
+class TestCappedMatchedFilterCases:
+    # max-gain is given a total power, min-power an amplitude (target SNR = amplitude², noise 1)
+    @pytest.mark.parametrize(
+        "gains, cap, total, amplitude, expected",
+        [
+            ([1.0, 2.0, 4.0], 1.0, 2.25, 6.5, [0.5, 1.0, 1.0]),  # node 2 exactly on its breakpoint
+            ([1.0, 2.0, 4.0], 1.0, 3.0, 7.0, [1.0, 1.0, 1.0]),  # every node at the cap
+            ([2.0], 1.0, 0.25, 1.0, [0.5]),  # n = 1, uncapped
+            ([2.0], 1.0, 1.0, 2.0, [1.0]),  # n = 1, at the cap
+            ([2.0, 1.0, 2.0], 1.0, 2.36, 4.6, [1.0, 0.6, 1.0]),  # tied gains, both capped
+            ([2.0, 2.0, 2.0, 2.0], 1.0, 1.0, 4.0, [0.5, 0.5, 0.5, 0.5]),  # all tied, none capped
+            ([1.0, 2.0, 4.0], 1.0, 0.0, 0.0, [0.0, 0.0, 0.0]),  # zero targets
+        ],
+    )
+    def test_literal_values(self, gains, cap, total, amplitude, expected):
+        gains = np.array(gains)
+        np.testing.assert_allclose(solve_max_gain(gains, total, cap), expected, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(solve_min_power(gains, amplitude**2, 1.0, cap), expected, rtol=1e-14, atol=0)
+
+    def test_agrees_with_bisection(self):
+        rng = np.random.default_rng(83)
+        for k in range(1000):
+            n = int(rng.integers(1, 121))
+            gains = 10 ** (rng.normal(0, 4.0, n) / 20)
+            if k % 3 == 0:  # ties: redraw from a few distinct gains
+                gains = rng.choice(gains[: max(1, n // 4)], n)
+            cap = float(rng.uniform(0.01, 2.0))
+            fraction = 1.0 if k % 10 == 0 else float(rng.uniform(0.0, 1.0))  # 1.0: every node at the cap
+            total = fraction * n * cap
+            snr = (fraction * math.sqrt(cap) * float(gains.sum())) ** 2  # noise power 1
+            tol = 1e-12 * math.sqrt(cap)
+            ref = bisect_capped_matched_filter(gains, cap, lambda w: float(np.sum(w**2)), total)
+            np.testing.assert_allclose(solve_max_gain(gains, total, cap), ref, rtol=0, atol=tol)
+            ref = bisect_capped_matched_filter(gains, cap, lambda w: float(gains @ w), math.sqrt(snr))
+            np.testing.assert_allclose(solve_min_power(gains, snr, 1.0, cap), ref, rtol=0, atol=tol)

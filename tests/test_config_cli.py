@@ -207,6 +207,27 @@ class TestCli:
         assert main(["run", "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
         assert (out1 / "rounds.csv").read_bytes() == (out2 / "rounds.csv").read_bytes()
 
+    def test_overridden_manifest_reingests_identically(self, tmp_path):
+        # the manifest's config records the --runs/--seed values the run used
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config_dict()))
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out1), "--runs", "2", "--seed", "9"]) == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        assert (manifest["config"]["runs"], manifest["config"]["master_seed"]) == (2, 9)
+        assert (manifest["runs"], manifest["master_seed"]) == (2, 9)
+        assert main(["run", "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
+        assert (out1 / "rounds.csv").read_bytes() == (out2 / "rounds.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("flag, value, path", [("--runs", "0", "runs"), ("--seed", "-5", "master_seed")])
+    def test_bad_override_exits_with_key_path(self, tmp_path, capsys, command, flag, value, path):
+        scenarios = ["--preset", "pa-uniform"] + (["--preset", "epa-uniform"] if command == "compare" else [])
+        out = tmp_path / "out"
+        assert main([command, *scenarios, "--out", str(out), flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not out.exists()
+
     def test_worker_flag_does_not_change_outputs(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config_dict()))
@@ -236,6 +257,7 @@ class TestCli:
             ({"destinations": {"azimuths_deg": ["x"]}}, "destinations.azimuths_deg"),
             ({"shadowing_sigma2_db": 30000, "n": 10, "runs": 2, "max_rounds": 50}, "shadowing_sigma2_db"),
             ({"shadowing_sigma2_db": 1e8}, "shadowing_sigma2_db"),
+            ({"master_seed": -1}, "master_seed"),
         ],
     )
     def test_malformed_value_exits_with_key_path(self, tmp_path, capsys, data, path):
@@ -262,6 +284,19 @@ class TestCli:
         assert float(first[2]) == 1.0
         assert (out / "a" / "rounds.csv").exists()
         assert (out / "b" / "rounds.csv").exists()
+
+    def test_compare_rejects_duplicate_labels(self, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        a, b = tmp_path / "a" / "x.json", tmp_path / "b" / "x.json"
+        a.write_text(json.dumps(tiny_config_dict()))
+        b.write_text(json.dumps(tiny_config_dict(target_snr_db=5.0)))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(a), "--config", str(b), "--out", str(out)]) == 1
+        assert "'x'" in capsys.readouterr().err
+        assert main(["compare", "--preset", "pa-uniform", "--preset", "pa-uniform", "--out", str(out)]) == 1
+        assert "'pa-uniform'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_compare_needs_two(self, tmp_path):
         assert main(["compare", "--preset", "pa-uniform", "--out", str(tmp_path)]) == 1
