@@ -118,8 +118,8 @@ def analytic_average_snr(scale, n, rei, ch, noise_power):
     return scale**2 / noise_power * (self_terms + cross_terms)
 
 
-def _scale_denominator(n, rei, ch):
-    m_u, var_u = rei.mean_normalized, rei.variance_normalized
+def _scale_denominator(n, m_u, var_u, ch):
+    """Denominator of the closed-form scale, from the normalized weight moments."""
     m_a, var_a = ch.mean, ch.variance
     return n * (var_u * var_a + var_a * m_u**2 + var_u * m_a**2) + n**2 * m_u**2 * m_a**2
 
@@ -139,7 +139,7 @@ def compute_wmax(target_snr, n, rei, ch, noise_power):
         raise ValueError(f"target SNR must be non-negative, got {target_snr}")
     if target_snr == 0:
         return 0.0
-    denom = _scale_denominator(n, rei, ch)
+    denom = _scale_denominator(n, rei.mean_normalized, rei.variance_normalized, ch)
     if denom <= 0:
         raise InfeasibleAllocationError(
             "residual-energy statistics are all zero; the cluster cannot transmit"

@@ -106,6 +106,13 @@ def _cmd_compare(args):
     for label in labels:
         if labels.count(label) > 1:
             raise ConfigError(f"scenario label {label!r} given twice; both would write to {label}/")
+    first_label, first_cfg = sources[0]
+    for label, cfg in sources[1:]:
+        if cfg.n != first_cfg.n:
+            raise ConfigError(
+                f"n: paired comparison needs one cluster size, got {first_cfg.n} for {first_label!r} "
+                f"and {cfg.n} for {label!r}"
+            )
     # paired seeds: every scenario runs the first one's run count and master seed
     first = _with_overrides(sources[0][1], args.runs, args.seed)
     scenarios = [_with_overrides(cfg, first.runs, first.master_seed) for _, cfg in sources]

@@ -5,6 +5,17 @@ strategy, nodes that cannot fund their slot are gated out and die, the
 realized SNR at each destination is evaluated on the funded weights, and
 the per-link death criteria are checked. A link stops transmitting when
 its criterion fires; the run ends when every link is down.
+
+The round loop checks no input; the config is validated once, when it is
+built. The loop relies on these invariants:
+
+- residuals stay in [0, e_max]: initial draws are clamped into it and a
+  node pays only what it holds, so normalized weights lie in [0, 1];
+- ``strategy.levels`` is 0 or a power of two, so quantized weights need
+  no clip;
+- node i serves link i % k (``partition_cluster``), so a link's members
+  form a strided slice;
+- a down link's members carry zero weight, so they stay funded and alive.
 """
 
 from __future__ import annotations
@@ -17,15 +28,17 @@ import numpy as np
 
 from .allocation import (
     InfeasibleAllocationError,
-    ReiStats,
+    _scale_denominator,
     cbepa_weight,
-    cbpa_normalized_weights,
-    compute_wmax,
     lognormal_channel_stats,
-    quantize_weights,
     solve_max_gain,
     solve_min_power,
 )
+
+# The round loop inlines these three, but the benchmark tracer
+# (perfbench/tracer.py) wraps them in this module's namespace, and
+# tests/test_tracer_contract.py checks that they resolve here.
+from .allocation import cbpa_normalized_weights, compute_wmax, quantize_weights  # noqa: F401
 from .energy import gate_and_charge, sample_initial_energies
 from .geometry import (
     Destination,
@@ -120,7 +133,15 @@ def _strategy_weights(
     p_max,
     first_round,
 ):
-    """Assigned amplitude per node of one link (zeros elsewhere)."""
+    """Assigned amplitude per node of one link (zeros elsewhere).
+
+    ``member_mask`` selects the link's nodes among ``residuals`` and
+    ``gains``; the engine passes the link's own views and ``True``.
+
+    This runs every round, so the ``cb_pa`` branch inlines the public
+    helpers without their input checks, on the invariants the module
+    docstring lists.
+    """
     weights = np.zeros(residuals.size)
     active = alive_mask & member_mask
     n_alive = int(active.sum())
@@ -141,19 +162,31 @@ def _strategy_weights(
         return weights
 
     if kind == "cb_pa":
-        u = cbpa_normalized_weights(residuals[active], e_max)
+        # cbpa_normalized_weights, then quantize_weights, in place
+        u = residuals[active]
+        u /= e_max
         if levels > 0:
-            u = quantize_weights(u, levels)
+            u *= levels
+            u += 0.5
+            np.floor(u, out=u)
+            u /= levels
         # The scale targets the weights actually transmitted, so the
         # moments fed to the closed form are those of the (possibly
-        # quantized) normalized weights.
-        stats = ReiStats(mean=float(u.mean()) * e_max, variance=float(u.var()) * e_max**2, capacity=e_max)
-        try:
-            scale = compute_wmax(target_snr, n_alive, stats, ch_stats, noise_power)
-        except InfeasibleAllocationError:
+        # quantized) normalized weights. These are the float operations of
+        # u.mean() and u.var(), and of compute_wmax on a ReiStats built
+        # from them: the round trip (m·e_max)/e_max is kept because it is
+        # not the identity for every e_max ≠ 1.
+        m = float(u.sum() / n_alive)
+        d = u - m
+        v = float((d * d).sum() / n_alive)
+        denom = _scale_denominator(n_alive, (m * e_max) / e_max, (v * e_max**2) / e_max**2, ch_stats)
+        if denom <= 0:
             if first_round:
-                raise
+                raise InfeasibleAllocationError(
+                    "residual-energy statistics are all zero; the cluster cannot transmit"
+                )
             return weights  # every weight quantized to zero: nothing can transmit
+        scale = math.sqrt(target_snr * noise_power / denom)
         if scale > cap_amp:
             if first_round:
                 raise InfeasibleAllocationError(
@@ -220,15 +253,20 @@ def run_lifetime(scenario, rng, record_nodes=False):
             + phase_errors[i]
         )
 
-    members = [link_of == l for l in range(k)]
-    member_idx = [np.flatnonzero(m) for m in members]
-    link_sizes = np.array([m.sum() for m in members])
-    coherent = [channels[l] * np.exp(1j * total_phase) for l in range(k)]
+    # partition_cluster puts node i on link i % k, so each link's members
+    # form a strided slice, which the round loop reads as views (all
+    # nodes, slice(None), on a single link) instead of fancy-index copies.
+    member_idx = [slice(l, None, k) for l in range(k)]
+    link_sizes = [int((link_of == l).sum()) for l in range(k)]
+    coherent = [(channels[l] * np.exp(1j * total_phase))[member_idx[l]].copy() for l in range(k)]
 
     residual = sample_initial_energies(scenario.energy, n, rng)
     initial_total = float(residual.sum())
     alive = np.ones(n, dtype=bool)
-    link_alive = np.ones(k, dtype=bool)
+    # Alive members per link, counted once per round after gating. A down
+    # link's last count stands, so the counts also sum to the alive total.
+    up_counts = list(link_sizes)
+    link_alive = [True] * k
     link_lifetimes = np.zeros(k, dtype=int)
     causes = [None] * k
     nominal_db = np.empty(k)  # every link is up in round 1, which sets it
@@ -242,16 +280,18 @@ def run_lifetime(scenario, rng, record_nodes=False):
     for t in range(1, scenario.max_rounds + 1):
         reallocate = (t - 1) % strategy.period == 0
         if reallocate:
-            assigned[:] = 0.0
+            # Each link up writes all its members; a down link's members
+            # were zeroed when it went down.
             for l in range(k):
                 if not link_alive[l]:
                     continue
-                assigned += _strategy_weights(
+                idx = member_idx[l]
+                assigned[idx] = _strategy_weights(
                     strategy.kind,
-                    alive,
-                    members[l],
-                    residual,
-                    channels[l],
+                    alive[idx],
+                    True,
+                    residual[idx],
+                    channels[l][idx],
                     target_snr,
                     noise_power,
                     ch_stats,
@@ -266,19 +306,20 @@ def run_lifetime(scenario, rng, record_nodes=False):
         alive &= funded
         consumed += paid
 
-        snr_row = np.full(k, np.nan)
+        snr_row = [math.nan] * k
         rate_total = 0.0
         for l in range(k):
             if not link_alive[l]:
                 continue
             idx = member_idx[l]
-            snr = float(abs(np.sum(funded_w[idx] * coherent[l][idx])) ** 2) / noise_power
+            snr = float(abs((funded_w[idx] * coherent[l]).sum()) ** 2) / noise_power
             snr_db = 10.0 * math.log10(snr) if snr > 0 else -math.inf
             if t == 1:
                 nominal_db[l] = snr_db
             snr_row[l] = snr_db
             rate_total += bit_rate(snr)
-            dead_fraction = 1.0 - float((alive & members[l]).sum()) / link_sizes[l]
+            up_counts[l] = int(alive[idx].sum())
+            dead_fraction = 1.0 - up_counts[l] / link_sizes[l]
             cause = evaluate_death(dead_fraction, snr_db, scenario.death, nominal_db[l])
             if cause is not None:
                 link_alive[l] = False
@@ -286,14 +327,14 @@ def run_lifetime(scenario, rng, record_nodes=False):
                 causes[l] = cause
                 assigned[idx] = 0.0
 
-        alive_rows.append(float(alive.sum()) / n)
+        alive_rows.append(sum(up_counts) / n)
         snr_rows.append(snr_row)
         rate_rows.append(rate_total)
         residual_rows.append(float(residual.sum()))
         if record_nodes:
             node_rows.append(residual.copy())
             node_alive_rows.append(alive.copy())
-        if not link_alive.any():
+        if not any(link_alive):
             break
 
     for l in range(k):

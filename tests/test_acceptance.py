@@ -318,6 +318,11 @@ def test_criterion_9_property_suite_on_mini_scenarios():
         drift = abs(trace.initial_j - trace.consumed_j - trace.residual_total[-1])
         assert drift <= 1e-9 * max(trace.initial_j, 1e-30), f"seed {seed}: conservation drift {drift}"
 
+        # range: residuals stay in [0, e_max], which lets the engine skip
+        # per-round range checks on its normalized weights
+        assert trace.node_residuals.min() >= 0.0, f"seed {seed}: negative residual"
+        assert trace.node_residuals.max() <= cfg.energy.e_max, f"seed {seed}: residual above e_max"
+
         # monotonicity, per node and in aggregate
         if trace.lifetime > 1:
             node_steps = np.diff(trace.node_residuals, axis=0)

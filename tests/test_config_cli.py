@@ -298,6 +298,17 @@ class TestCli:
         assert "'pa-uniform'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_compare_rejects_mismatched_sizes(self, tmp_path, capsys):
+        n10, n20 = tmp_path / "n10.json", tmp_path / "n20.json"
+        n10.write_text(json.dumps({"n": 10, "runs": 2}))
+        n20.write_text(json.dumps({"n": 20, "runs": 2}))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(n10), "--config", str(n20), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n: ")
+        assert "'n10'" in err and "'n20'" in err
+        assert not out.exists()
+
     def test_compare_needs_two(self, tmp_path):
         assert main(["compare", "--preset", "pa-uniform", "--out", str(tmp_path)]) == 1
 

@@ -11,7 +11,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from beamlife.allocation import InfeasibleAllocationError, cbepa_weight, ChannelStats
+from beamlife.allocation import (
+    ChannelStats,
+    InfeasibleAllocationError,
+    ReiStats,
+    cbepa_weight,
+    cbpa_normalized_weights,
+    compute_wmax,
+    lognormal_channel_stats,
+    quantize_weights,
+)
 from beamlife.config import (
     ConfigError,
     DeathSpec,
@@ -21,6 +30,7 @@ from beamlife.config import (
     StrategySpec,
     preset,
 )
+from beamlife.geometry import db_to_linear
 from beamlife.lifetime import bit_rate, evaluate_death, partition_cluster, run_lifetime
 
 
@@ -49,8 +59,6 @@ def small_scenario(**overrides):
     )
     base.update(overrides)
     if "t_slot_s" not in base or "p_max" not in base:
-        from beamlife.allocation import lognormal_channel_stats
-
         if base.get("target_rate_bits") is not None:
             gamma = 2.0 ** base["target_rate_bits"] - 1.0
         else:
@@ -303,3 +311,51 @@ def test_engine_matches_naive_replay(kind, seed):
         else:
             assert trace.snr_db[t, 0] == pytest.approx(snr_db, abs=1e-9)
         assert trace.residual_total[t] == pytest.approx(residual, rel=1e-12)
+
+
+def helper_chain_weights(cfg, residuals, alive, up_links):
+    """cb_pa weights of one round through the public, validating helpers."""
+    e_max = cfg.energy.e_max
+    noise = db_to_linear(cfg.noise_db)
+    gamma = cfg.target_snr_linear()
+    ch = lognormal_channel_stats(cfg.shadowing_sigma2_db, cfg.amplitude_divisor)
+    link_of = partition_cluster(cfg.n, cfg.links)
+    w = np.zeros(cfg.n)
+    for l in up_links:
+        active = alive & (link_of == l)
+        n_alive = int(active.sum())
+        if n_alive == 0:
+            continue
+        u = cbpa_normalized_weights(residuals[active], e_max)
+        if cfg.strategy.levels:
+            u = quantize_weights(u, cfg.strategy.levels)
+        stats = ReiStats(mean=float(u.mean()) * e_max, variance=float(u.var()) * e_max**2, capacity=e_max)
+        try:
+            scale = compute_wmax(gamma, n_alive, stats, ch, noise)
+        except InfeasibleAllocationError:
+            continue
+        w[active] = min(scale, math.sqrt(cfg.p_max)) * u
+    return w
+
+
+@pytest.mark.parametrize("levels", [0, 8])
+@pytest.mark.parametrize("azimuths", [(0.0,), (0.0, 180.0)])
+@pytest.mark.parametrize("seed", range(5))
+def test_engine_charges_match_helper_chain(levels, azimuths, seed):
+    # The engine inlines the cb_pa helpers without their checks; its charges
+    # must equal theirs exactly, round by round, with e_max away from 1.
+    cfg = small_scenario(
+        energy=EnergySpec(kind="gaussian", e_max=2.5, mean=1.25, sigma=0.5),
+        strategy=StrategySpec(kind="cb_pa", levels=levels, period=1),
+        destinations=DestinationsSpec(range_m=1000.0, azimuths_deg=azimuths),
+        target_snr_db=5.0,
+    )
+    trace = run_lifetime(cfg, rng_for(cfg.master_seed, seed), record_nodes=True)
+    assert trace.lifetime >= 3
+    for t in range(2, trace.lifetime + 1):
+        prev = trace.node_residuals[t - 2]
+        up = [l for l in range(cfg.links) if trace.link_lifetimes[l] >= t]
+        w = helper_chain_weights(cfg, prev, trace.node_alive[t - 2], up)
+        cost = w * w * cfg.t_slot_s
+        expected = np.where(prev >= cost, prev - cost, prev)
+        assert np.array_equal(trace.node_residuals[t - 1], expected), f"round {t}"
