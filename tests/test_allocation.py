@@ -175,15 +175,45 @@ class TestComputeWmax:
     def test_cap_flagging(self):
         # compute_wmax returns the uncapped scale; the engine raises when the
         # first round needs more than the cap amplitude and clips to it later.
-        from beamlife.lifetime import _strategy_weights
+        # Equal budgets keep every weight equal, so the uncapped scale grows
+        # as the residuals drain and passes a cap set just above round 1's.
+        from dataclasses import replace
 
-        residuals = np.linspace(0.1, 1.0, 100)
-        everyone = np.ones(100, dtype=bool)
-        args = ("cb_pa", everyone, everyone, residuals, None, TARGET, NOISE,
-                lognormal_channel_stats(16.0, 10), 1.0, 0, 1e-20)
+        from beamlife.config import EnergySpec, ScenarioConfig, StrategySpec
+        from beamlife.geometry import db_to_linear
+        from beamlife.lifetime import run_lifetime
+
+        n, e_max, e0 = 20, 1.0, 0.5
+        ch = lognormal_channel_stats(16.0, 20)
+        cfg = ScenarioConfig(
+            n=n,
+            energy=EnergySpec(kind="gaussian", e_max=e_max, mean=e0, sigma=0.0),
+            strategy=StrategySpec(kind="cb_pa", levels=0, period=1),
+            t_slot_s=e0 / (30 * cbepa_weight(TARGET, n, ch, NOISE) ** 2),
+            max_rounds=200,
+        )
+        gamma, noise = cfg.target_snr_linear(), db_to_linear(cfg.noise_db)
+
+        def scale(u):
+            rei = ReiStats(mean=float(u.mean()) * e_max, variance=float(u.var()) * e_max**2, capacity=e_max)
+            return compute_wmax(gamma, u.size, rei, ch, noise)
+
+        def rng():
+            return np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 0]))
+
         with pytest.raises(InfeasibleAllocationError):
-            _strategy_weights(*args, first_round=True)
-        np.testing.assert_allclose(_strategy_weights(*args, first_round=False), 1e-10 * residuals, rtol=1e-12)
+            run_lifetime(replace(cfg, p_max=1e-30), rng())
+        capped = replace(cfg, p_max=(1.05 * scale(np.full(n, e0 / e_max))) ** 2)
+        trace = run_lifetime(capped, rng(), record_nodes=True)
+        clipped = 0
+        for t in range(2, trace.lifetime + 1):
+            prev = trace.node_residuals[t - 2]
+            u = prev / e_max
+            if trace.node_alive[t - 2].all() and scale(u) > math.sqrt(capped.p_max):
+                clipped += 1
+                paid = prev - trace.node_residuals[t - 1]
+                np.testing.assert_allclose(paid, capped.p_max * u**2 * capped.t_slot_s, rtol=1e-12)
+        assert clipped
 
     def test_zero_target(self):
         assert compute_wmax(0.0, 10, uniform_rei(), lognormal_channel_stats(16.0), NOISE) == 0.0

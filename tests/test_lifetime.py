@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import beamlife.lifetime
 from beamlife.allocation import (
     ChannelStats,
     InfeasibleAllocationError,
@@ -267,20 +268,23 @@ def naive_single_link_replay(cfg, rng):
     cap = math.sqrt(cfg.p_max)
     nominal = None
     rows = []
+    w = np.zeros(n)
     for t in range(1, cfg.max_rounds + 1):
-        na = int(alive.sum())
-        w = np.zeros(n)
-        if na and gamma > 0:
-            if cfg.strategy.kind == "cb_epa":
-                w0 = min(math.sqrt(gamma * noise / (na * v_a + na * na * m_a * m_a)), cap)
-                w[alive] = w0
-            else:
-                u = e[alive] / cfg.energy.e_max
-                if cfg.strategy.levels:
-                    u = np.floor(u * cfg.strategy.levels + 0.5) / cfg.strategy.levels
-                mu, vu = u.mean(), u.var()
-                den = na * (vu * v_a + v_a * mu**2 + vu * m_a**2) + na**2 * mu**2 * m_a**2
-                w[alive] = (min(math.sqrt(gamma * noise / den), cap) if den > 0 else 0.0) * u
+        if (t - 1) % cfg.strategy.period == 0:
+            na = int(alive.sum())
+            w = np.zeros(n)
+            if na and gamma > 0:
+                if cfg.strategy.kind == "cb_epa":
+                    w0 = min(math.sqrt(gamma * noise / (na * v_a + na * na * m_a * m_a)), cap)
+                    w[alive] = w0
+                else:
+                    u = e[alive] / cfg.energy.e_max
+                    if cfg.strategy.levels:
+                        u = np.floor(u * cfg.strategy.levels + 0.5) / cfg.strategy.levels
+                    mu, vu = u.mean(), u.var()
+                    den = na * (vu * v_a + v_a * mu**2 + vu * m_a**2) + na**2 * mu**2 * m_a**2
+                    w[alive] = (min(math.sqrt(gamma * noise / den), cap) if den > 0 else 0.0) * u
+        w = np.where(alive, w, 0.0)  # weights are kept between reallocations; the dead send nothing
         cost = w * w * cfg.t_slot_s
         funded = e >= cost
         alive &= funded
@@ -297,10 +301,7 @@ def naive_single_link_replay(cfg, rng):
     return rows
 
 
-@pytest.mark.parametrize("kind", ["cb_epa", "cb_pa"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_engine_matches_naive_replay(kind, seed):
-    cfg = small_scenario(strategy=StrategySpec(kind=kind, levels=8 if kind == "cb_pa" else 0, period=1))
+def assert_matches_naive_replay(cfg, seed):
     trace = run_lifetime(cfg, rng_for(cfg.master_seed, seed))
     rows = naive_single_link_replay(cfg, rng_for(cfg.master_seed, seed))
     assert trace.lifetime == len(rows)
@@ -311,6 +312,28 @@ def test_engine_matches_naive_replay(kind, seed):
         else:
             assert trace.snr_db[t, 0] == pytest.approx(snr_db, abs=1e-9)
         assert trace.residual_total[t] == pytest.approx(residual, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["cb_epa", "cb_pa"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_engine_matches_naive_replay(kind, seed):
+    cfg = small_scenario(strategy=StrategySpec(kind=kind, levels=8 if kind == "cb_pa" else 0, period=1))
+    assert_matches_naive_replay(cfg, seed)
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        StrategySpec(kind="cb_epa", levels=0, period=7),
+        StrategySpec(kind="cb_epa", levels=0, period=10**9),
+        StrategySpec(kind="cb_pa", levels=8, period=5),
+    ],
+    ids=["cb_epa-7", "cb_epa-one-shot", "cb_pa-5"],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_engine_matches_naive_replay_between_reallocations(strategy, seed):
+    # Rounds between reallocations are the ones the engine steps in bulk.
+    assert_matches_naive_replay(small_scenario(strategy=strategy), seed)
 
 
 def helper_chain_weights(cfg, residuals, alive, up_links):
@@ -359,3 +382,162 @@ def test_engine_charges_match_helper_chain(levels, azimuths, seed):
         cost = w * w * cfg.t_slot_s
         expected = np.where(prev >= cost, prev - cost, prev)
         assert np.array_equal(trace.node_residuals[t - 1], expected), f"round {t}"
+
+
+def round_charges(cfg, trace, t, initial):
+    """Slot cost of every node in round t >= 2, from public helpers.
+
+    Weights come from the last reallocation at or before round t (``initial``
+    holds the residuals of round 1); nodes dead by round t and links down
+    before it pay nothing.
+    """
+    reallocated = t - (t - 1) % cfg.strategy.period
+    if reallocated == 1:
+        residuals, alive = initial, np.ones(cfg.n, dtype=bool)
+    else:
+        residuals, alive = trace.node_residuals[reallocated - 2], trace.node_alive[reallocated - 2]
+    up = [l for l in range(cfg.links) if trace.link_lifetimes[l] >= t]
+    if cfg.strategy.kind == "cb_pa":
+        w = helper_chain_weights(cfg, residuals, alive, up)
+    else:
+        ch = lognormal_channel_stats(cfg.shadowing_sigma2_db, cfg.amplitude_divisor)
+        link_of = partition_cluster(cfg.n, cfg.links)
+        w = np.zeros(cfg.n)
+        for l in up:
+            active = alive & (link_of == l)
+            w0 = cbepa_weight(cfg.target_snr_linear(), int(active.sum()), ch, db_to_linear(cfg.noise_db))
+            w[active] = min(w0, math.sqrt(cfg.p_max))
+    w[~trace.node_alive[t - 2]] = 0.0
+    return w * w * cfg.t_slot_s
+
+
+def run_with_normal_rounds(cfg, seed, monkeypatch):
+    """Recorded trace plus the rounds that ran gate_and_charge (the normal path)."""
+    entries = []
+    gate = beamlife.lifetime.gate_and_charge
+
+    def recording(residual, weights, slot):
+        entries.append(residual.tobytes())
+        return gate(residual, weights, slot)
+
+    monkeypatch.setattr(beamlife.lifetime, "gate_and_charge", recording)
+    trace = run_lifetime(cfg, rng_for(cfg.master_seed, seed), record_nodes=True)
+    starts = {row.tobytes(): t for t, row in enumerate(trace.node_residuals[:-1], start=2)}
+    return trace, {1} | {starts[entry] for entry in entries[1:]}
+
+
+def one_shot(**overrides):
+    return small_scenario(strategy=StrategySpec(kind="cb_epa", levels=0, period=10**9), **overrides)
+
+
+def clipped_uneven_links():
+    """Two cb_pa links of 7 and 6 nodes on equal budgets, capped just above
+    the smaller link's first scale: nobody dies, and the smaller link's SNR
+    falls at reallocations until it goes down in a fully funded round."""
+    e0 = 0.5
+    cfg = small_scenario(
+        n=13,
+        destinations=DestinationsSpec(range_m=1000.0, azimuths_deg=(0.0, 180.0)),
+        energy=EnergySpec(kind="gaussian", e_max=1.0, mean=e0, sigma=0.0),
+        strategy=StrategySpec(kind="cb_pa", levels=0, period=4),
+    )
+    ch = lognormal_channel_stats(cfg.shadowing_sigma2_db, cfg.amplitude_divisor)
+    w6 = cbepa_weight(cfg.target_snr_linear(), 6, ch, db_to_linear(cfg.noise_db))
+    return replace(cfg, p_max=(1.01 * w6 / e0) ** 2, t_slot_s=e0 / (30 * w6**2))
+
+
+@pytest.mark.filterwarnings("ignore:13 nodes do not split evenly")
+@pytest.mark.parametrize("case", ["unfunded", "reallocation", "max_rounds", "link_down", "funded_link_down"])
+def test_bulk_stepped_rounds_are_bit_exact(case, monkeypatch):
+    # Every round charges exactly what gate_and_charge would, whether the
+    # engine ran it or stepped it in bulk, around each way a stretch ends.
+    cfg = one_shot()
+    if case == "reallocation":
+        cfg = small_scenario(strategy=StrategySpec(kind="cb_epa", levels=0, period=7))
+    elif case == "link_down":
+        cfg = one_shot(
+            destinations=DestinationsSpec(range_m=1000.0, azimuths_deg=(0.0, 180.0)),
+            target_snr_db=5.0,
+        )
+    elif case == "funded_link_down":
+        cfg = clipped_uneven_links()
+    elif case == "max_rounds":
+        cfg = replace(cfg, t_slot_s=cfg.t_slot_s / 10)  # longer stretches
+        full, normal = run_with_normal_rounds(cfg, 0, monkeypatch)
+        inside = [t for t in range(3, full.lifetime) if not {t - 2, t - 1, t, t + 1} & normal]
+        cfg = replace(cfg, max_rounds=inside[0])
+    trace, normal = run_with_normal_rounds(cfg, 0, monkeypatch)
+    stepped = set(range(1, trace.lifetime + 1)) - normal
+    assert stepped
+
+    initial = np.full(cfg.n, cfg.energy.mean)  # only read for cb_pa, whose budgets are equal
+    charges = [None, None] + [round_charges(cfg, trace, t, initial) for t in range(2, trace.lifetime + 1)]
+    for t in range(2, trace.lifetime + 1):
+        prev = trace.node_residuals[t - 2]
+        expected = np.where(prev >= charges[t], prev - charges[t], prev)
+        assert np.array_equal(trace.node_residuals[t - 1], expected), f"round {t}"
+        assert trace.residual_total[t - 1] == float(trace.node_residuals[t - 1].sum()), f"round {t}"
+
+    first_down = int(trace.link_lifetimes.min())
+    if case == "unfunded":
+        # a stretch ran up to a round in which some node could not pay
+        cut = [t for t in range(3, trace.lifetime + 1)
+               if t - 1 in stepped and np.any(trace.node_residuals[t - 2] < charges[t])]
+        assert cut
+    elif case == "reallocation":
+        # a stretch ran up to a reallocation that changed the weights
+        cut = [t for t in range(8, trace.lifetime + 1, 7)
+               if t - 1 in stepped and not np.array_equal(charges[t], charges[t - 1])]
+        assert cut
+    elif case == "max_rounds":
+        assert trace.lifetime == cfg.max_rounds and cfg.max_rounds in stepped
+        assert trace.causes == ("max_rounds",)
+        assert trace.consumed_j + trace.wasted_j == pytest.approx(trace.initial_j, rel=1e-12)
+    elif case == "link_down":
+        assert first_down < trace.lifetime
+        assert stepped & set(range(first_down + 1, trace.lifetime + 1))
+    else:
+        # the link went down with every node funded, before a round that
+        # reallocates nothing, and that round still ran the normal path
+        assert trace.node_alive.all() and first_down % cfg.strategy.period
+        assert first_down < trace.lifetime and first_down + 1 in normal
+        assert stepped & set(range(first_down + 2, trace.lifetime + 1))
+
+
+def test_stretch_stops_where_the_node_cannot_pay():
+    # A stretch's length is estimated as residual / cost, which near a whole
+    # ratio can promise one round more than repeated subtraction leaves; the
+    # stepped rows, not the estimate, decide. One node on a one-shot equal
+    # weight gets a budget for which the estimate overshoots, and must still
+    # die in the first round it cannot pay, with every residual exact.
+    cfg = ScenarioConfig(
+        n=1,
+        disk_radius_wavelengths=0.0,
+        destinations=DestinationsSpec(range_m=1000.0, azimuths_deg=(0.0,)),
+        target_snr_db=6.0,
+        shadowing_sigma2_db=0.0,
+        phase_error_deg_bound=0.0,
+        energy=EnergySpec(kind="gaussian", e_max=1.0, mean=0.5, sigma=0.0),
+        strategy=StrategySpec(kind="cb_epa", levels=0, period=10**9),
+        t_slot_s=1e6,
+        p_max=1.0,
+        max_rounds=100,
+    )
+    w = cbepa_weight(cfg.target_snr_linear(), 1, lognormal_channel_stats(0.0, 20), db_to_linear(cfg.noise_db))
+    cost = w * w * cfg.t_slot_s
+
+    def residuals(budget):
+        rows = [budget]
+        while rows[-1] >= cost:
+            rows.append(rows[-1] - cost)
+        return rows
+
+    budgets = np.nextafter(20 * cost, np.inf) + cost * np.arange(-8, 9) * 2.0**-45
+    overshoot = [b for b in budgets if int((b - cost) / cost) > len(residuals(b - cost)) - 1]
+    assert overshoot
+    budget = float(overshoot[0])
+    trace = run_lifetime(replace(cfg, energy=replace(cfg.energy, mean=budget)), rng_for(1))
+    rows = residuals(budget)
+    assert trace.lifetime == len(rows)
+    assert trace.causes == ("nodes",)
+    assert trace.residual_total.tolist() == rows[1:] + [rows[-1]]

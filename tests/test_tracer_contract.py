@@ -12,6 +12,7 @@ import importlib.util
 from pathlib import Path
 
 import beamlife.ensemble
+import beamlife.lifetime
 from beamlife.config import preset
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -28,10 +29,8 @@ def test_traced_names_resolve():
     assert not missing, f"traced names missing: {missing}"
 
 
-def test_one_run_lifetime_return_per_run(monkeypatch):
-    # The tracer sums lifetime.run_rounds from each beamlife.ensemble.run_lifetime
-    # return and checks it against the lifetimes in the outputs, so every run
-    # must come back through that name as one trace with its own .lifetime.
+def counted_ensemble(name, runs, monkeypatch):
+    """Run a preset's ensemble; return it with each traced run's lifetime."""
     lifetimes = []
     engine = beamlife.ensemble.run_lifetime
 
@@ -41,6 +40,30 @@ def test_one_run_lifetime_return_per_run(monkeypatch):
         return trace
 
     monkeypatch.setattr(beamlife.ensemble, "run_lifetime", counting)
-    result = beamlife.ensemble.run_ensemble(preset("pa-uniform"), runs=3)
+    return beamlife.ensemble.run_ensemble(preset(name), runs=runs), lifetimes
+
+
+def test_one_run_lifetime_return_per_run(monkeypatch):
+    # The tracer sums lifetime.run_rounds from each beamlife.ensemble.run_lifetime
+    # return and checks it against the lifetimes in the outputs, so every run
+    # must come back through that name as one trace with its own .lifetime.
+    result, lifetimes = counted_ensemble("pa-uniform", 3, monkeypatch)
     assert len(lifetimes) == 3
     assert sum(lifetimes) == result.surviving_runs.sum()
+
+
+def test_one_run_lifetime_return_per_stepped_run(monkeypatch):
+    # One-shot allocation lets the engine step most rounds in bulk; those runs
+    # still return one trace each, and their rounds all count.
+    gate_calls = []
+    gate = beamlife.lifetime.gate_and_charge
+
+    def counting_gate(*args):
+        gate_calls.append(1)
+        return gate(*args)
+
+    monkeypatch.setattr(beamlife.lifetime, "gate_and_charge", counting_gate)
+    result, lifetimes = counted_ensemble("epa-uniform", 3, monkeypatch)
+    assert len(lifetimes) == 3
+    assert sum(lifetimes) == result.surviving_runs.sum()
+    assert len(gate_calls) < sum(lifetimes)
