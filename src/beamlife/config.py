@@ -39,9 +39,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class DestinationsSpec:
-    """Receiver geometry; one link per azimuth entry, all at the same range."""
+    """Receivers, one link per azimuth entry; only their count matters."""
 
-    range_m: float = 1000.0
     azimuths_deg: tuple = (0.0,)
 
 
@@ -75,8 +74,6 @@ class ScenarioConfig:
     """
 
     n: int = 100
-    disk_radius_wavelengths: float = 250.0
-    wavelength_m: float = 0.125
     destinations: DestinationsSpec = field(default_factory=DestinationsSpec)
     target_snr_db: float = 11.76
     target_rate_bits: float = None
@@ -207,9 +204,6 @@ def validate(cfg):
     """Raise ConfigError with a key path on the first violated constraint."""
     _check_types(cfg, "")
     _check(cfg.n >= 1, "n", f"must be at least 1, got {cfg.n}")
-    _check(cfg.disk_radius_wavelengths >= 0, "disk_radius_wavelengths", "must be non-negative")
-    _check(cfg.wavelength_m > 0, "wavelength_m", "must be positive")
-    _check(cfg.destinations.range_m > 0, "destinations.range_m", "must be positive")
     k = cfg.links
     _check(1 <= k <= cfg.n, "destinations.azimuths_deg", f"need between 1 and n={cfg.n} links, got {k}")
     if (cfg.target_snr_db is None) == (cfg.target_rate_bits is None):
@@ -294,7 +288,7 @@ _PRESETS = {
             energy=_GAUSSIAN,
             target_snr_db=None,
             target_rate_bits=2.0,
-            destinations=DestinationsSpec(range_m=1000.0, azimuths_deg=(0.0, 180.0)),
+            destinations=DestinationsSpec(azimuths_deg=(0.0, 180.0)),
         ),
     ),
     "rate-4bit": (

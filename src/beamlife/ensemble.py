@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
 from .geometry import linear_to_db
 from .lifetime import run_lifetime
 
@@ -131,17 +132,23 @@ def compare_strategies(scenarios, runs=None, master_seed=None, workers=1, labels
     """Run paired-seed ensembles over several scenarios of equal cluster size.
 
     All scenarios share the master seed and per-run seeds, so run i sees
-    the same node layout, channel and energy draws everywhere and the
-    comparison isolates the strategy and target differences.
+    the same channel, phase-error and energy draws everywhere and the
+    comparison isolates the strategy and target differences. Scenarios of
+    different cluster sizes raise ConfigError (a ValueError) naming both
+    labels.
     """
     scenarios = list(scenarios)
     if len(scenarios) < 2:
         raise ValueError("need at least 2 scenarios to compare")
-    sizes = {s.n for s in scenarios}
-    if len(sizes) != 1:
-        raise ValueError(f"paired comparison needs matching cluster sizes, got {sorted(sizes)}")
     if labels is None:
         labels = tuple(f"scenario_{i}" for i in range(len(scenarios)))
+    n = scenarios[0].n
+    for label, s in zip(labels[1:], scenarios[1:]):
+        if s.n != n:
+            raise ConfigError(
+                f"n: paired comparison needs one cluster size, got {n} for {labels[0]!r} "
+                f"and {s.n} for {label!r}"
+            )
     if master_seed is None:
         master_seed = scenarios[0].master_seed
     ensembles = tuple(

@@ -46,21 +46,16 @@ from .allocation import (
     solve_min_power,
 )
 
-# The round loop inlines these three, but the benchmark tracer
-# (perfbench/tracer.py) wraps them in this module's namespace, and
+from .energy import gate_and_charge, sample_initial_energies
+from .geometry import db_to_linear, sample_channel, sample_phase_errors
+
+# The engine calls none of these: the round loop inlines the three cb_pa
+# helpers, and the carrier phase cancels the propagation phase, so neither
+# node positions nor destination ranges reach the SNR. The benchmark tracer
+# (perfbench/tracer.py) still wraps them in this module's namespace, and
 # tests/test_tracer_contract.py checks that they resolve here.
 from .allocation import cbpa_normalized_weights, compute_wmax, quantize_weights  # noqa: F401
-from .energy import gate_and_charge, sample_initial_energies
-from .geometry import (
-    Destination,
-    PolarPoint,
-    carrier_phase,
-    db_to_linear,
-    deploy_cluster,
-    propagation_phase,
-    sample_channel,
-    sample_phase_errors,
-)
+from .geometry import carrier_phase, deploy_cluster, propagation_phase  # noqa: F401
 
 __all__ = [
     "LifetimeTrace",
@@ -132,8 +127,7 @@ class LifetimeTrace:
 
 def _strategy_weights(
     kind,
-    alive_mask,
-    member_mask,
+    active,
     residuals,
     gains,
     target_snr,
@@ -144,17 +138,14 @@ def _strategy_weights(
     p_max,
     first_round,
 ):
-    """Assigned amplitude per node of one link (zeros elsewhere).
+    """Assigned amplitude per node of one link, zero for its dead nodes.
 
-    ``member_mask`` selects the link's nodes among ``residuals`` and
-    ``gains``; the engine passes the link's own views and ``True``.
-
-    This runs every round, so the ``cb_pa`` branch inlines the public
-    helpers without their input checks, on the invariants the module
-    docstring lists.
+    The engine passes the link's own views of the alive mask (``active``),
+    the residuals and the gains. This runs every round, so the ``cb_pa``
+    branch inlines the public helpers without their input checks, on the
+    invariants the module docstring lists.
     """
     weights = np.zeros(residuals.size)
-    active = alive_mask & member_mask
     n_alive = int(active.sum())
     if n_alive == 0 or target_snr == 0.0:
         return weights
@@ -258,9 +249,10 @@ def _static_stretch(residual, cost, rounds, buf):
 def run_lifetime(scenario, rng, record_nodes=False):
     """Simulate one cluster lifetime under a ScenarioConfig.
 
-    Setup draws happen in a fixed order (positions, per-link channels,
-    phase errors, initial energies), so identical rng seeds yield
-    bit-identical traces and scenarios sharing a seed share realizations.
+    Setup draws happen in a fixed order (node positions, which nothing
+    reads, per-link channels, phase errors, initial energies), so identical
+    rng seeds yield bit-identical traces and scenarios sharing a seed share
+    realizations.
     """
     n = scenario.n
     k = scenario.links
@@ -271,37 +263,26 @@ def run_lifetime(scenario, rng, record_nodes=False):
     ch_stats = lognormal_channel_stats(scenario.shadowing_sigma2_db, scenario.amplitude_divisor)
     strategy = scenario.strategy
 
-    # fixed draw order
-    points = deploy_cluster(n, scenario.disk_radius_wavelengths, rng)
+    # fixed draw order. The node layout's radius and azimuth draws stay,
+    # unused, so that every seed keeps its channel, phase-error and energy
+    # streams; one (2, n) draw takes the same numbers as two of n.
+    rng.random((2, n))
     link_of = partition_cluster(n, k)
-    range_wl = scenario.destinations.range_m / scenario.wavelength_m
-    dests = [
-        Destination(PolarPoint(range_wl, math.radians(az)), i)
-        for i, az in enumerate(scenario.destinations.azimuths_deg)
-    ]
     channels = [
         sample_channel(n, scenario.shadowing_sigma2_db, rng, scenario.amplitude_divisor)
         for _ in range(k)
     ]
     phase_errors = sample_phase_errors(n, math.radians(scenario.phase_error_deg_bound), rng)
 
-    # Residual phase toward each node's own destination: the carrier phase
-    # cancels the propagation phase by construction, leaving the error.
-    total_phase = np.empty(n)
-    for i, point in enumerate(points):
-        dest = dests[link_of[i]]
-        total_phase[i] = (
-            carrier_phase(point, dest)
-            + propagation_phase(point, dest.location.phi, dest.location.rho)
-            + phase_errors[i]
-        )
-
     # partition_cluster puts node i on link i % k, so each link's members
     # form a strided slice, which the round loop reads as views (all
     # nodes, slice(None), on a single link) instead of fancy-index copies.
+    # Each node pre-compensates its propagation phase toward its link's
+    # destination, so only the phase error is left in its channel.
     member_idx = [slice(l, None, k) for l in range(k)]
     link_sizes = [int((link_of == l).sum()) for l in range(k)]
-    coherent = [(channels[l] * np.exp(1j * total_phase))[member_idx[l]].copy() for l in range(k)]
+    phasors = np.exp(1j * phase_errors)
+    coherent = [(channels[l] * phasors)[member_idx[l]].copy() for l in range(k)]
 
     residual = sample_initial_energies(scenario.energy, n, rng)
     initial_total = float(residual.sum())
@@ -336,7 +317,6 @@ def run_lifetime(scenario, rng, record_nodes=False):
                 assigned[idx] = _strategy_weights(
                     strategy.kind,
                     alive[idx],
-                    True,
                     residual[idx],
                     channels[l][idx],
                     target_snr,

@@ -282,8 +282,7 @@ def _mini_scenario(seed):
     energy = EnergySpec(kind=energy_kind, e_max=1.0, mean=0.5, sigma=0.15)
     return ScenarioConfig(
         n=n,
-        disk_radius_wavelengths=100.0,
-        destinations=DestinationsSpec(range_m=1000.0, azimuths_deg=azimuths),
+        destinations=DestinationsSpec(azimuths_deg=azimuths),
         target_snr_db=None,
         target_rate_bits=rate,
         shadowing_sigma2_db=sigma2,

@@ -31,7 +31,6 @@ class TestDefaultsAndPresets:
         assert cfg.shadowing_sigma2_db == 16.0
         assert cfg.strategy.levels == 8
         assert cfg.phase_error_deg_bound == 5.0
-        assert cfg.disk_radius_wavelengths == 250.0
         assert cfg.energy.e_max == 1.0 and cfg.energy.mean == 0.5
 
     def test_all_presets_validate(self):
@@ -92,6 +91,20 @@ class TestFromDict:
     )
     def test_removed_convention_keys_rejected(self, data, path):
         # every workload ran one convention; manifests naming these keys no longer load
+        with pytest.raises(ConfigError, match=f"^{path}: unknown key"):
+            from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, path",
+        [
+            ({"wavelength_m": 0.125}, "wavelength_m"),
+            ({"disk_radius_wavelengths": 250.0}, "disk_radius_wavelengths"),
+            ({"destinations": {"range_m": 1000.0, "azimuths_deg": [0.0]}}, "destinations.range_m"),
+        ],
+    )
+    def test_inert_geometry_keys_rejected(self, data, path):
+        # the carrier phase cancels the propagation phase, so node positions and
+        # ranges never reached the SNR; manifests naming these keys no longer load
         with pytest.raises(ConfigError, match=f"^{path}: unknown key"):
             from_dict(data)
 
@@ -258,6 +271,10 @@ class TestCli:
             ({"shadowing_sigma2_db": 30000, "n": 10, "runs": 2, "max_rounds": 50}, "shadowing_sigma2_db"),
             ({"shadowing_sigma2_db": 1e8}, "shadowing_sigma2_db"),
             ({"master_seed": -1}, "master_seed"),
+            # once ran on NaN phases, and with a FarFieldWarning per node
+            ({"wavelength_m": 1e-300, "destinations": {"range_m": 1e10, "azimuths_deg": [0.0]}, "max_rounds": 50},
+             "wavelength_m"),
+            ({"disk_radius_wavelengths": 2000}, "disk_radius_wavelengths"),
         ],
     )
     def test_malformed_value_exits_with_key_path(self, tmp_path, capsys, data, path):

@@ -43,9 +43,7 @@ def small_scenario(**overrides):
     """A fast scenario with lifetimes of a few dozen rounds."""
     base = dict(
         n=12,
-        disk_radius_wavelengths=100.0,
-        wavelength_m=0.125,
-        destinations=DestinationsSpec(range_m=1000.0, azimuths_deg=(0.0,)),
+        destinations=DestinationsSpec(azimuths_deg=(0.0,)),
         target_snr_db=8.0,
         noise_db=-100.0,
         shadowing_sigma2_db=16.0,
@@ -137,7 +135,7 @@ class TestRateHelpers:
     def test_multi_link_total(self):
         # the engine's rate total sums bit_rate over the links still up
         cfg = small_scenario(
-            destinations=DestinationsSpec(range_m=1000.0, azimuths_deg=(0.0, 180.0)),
+            destinations=DestinationsSpec(azimuths_deg=(0.0, 180.0)),
             target_snr_db=5.0,
         )
         trace = run_lifetime(cfg, rng_for(7))
@@ -169,8 +167,7 @@ class TestRunLifetime:
         cost = w * w * t_slot
         cfg = ScenarioConfig(
             n=1,
-            disk_radius_wavelengths=0.0,
-            destinations=DestinationsSpec(range_m=1000.0, azimuths_deg=(0.0,)),
+            destinations=DestinationsSpec(azimuths_deg=(0.0,)),
             target_snr_db=10 * math.log10(gamma),
             noise_db=-100.0,
             shadowing_sigma2_db=0.0,
@@ -217,7 +214,7 @@ class TestRunLifetime:
 
     def test_multi_link_trace_structure(self):
         cfg = small_scenario(
-            destinations=DestinationsSpec(range_m=1000.0, azimuths_deg=(0.0, 180.0)),
+            destinations=DestinationsSpec(azimuths_deg=(0.0, 180.0)),
             target_snr_db=5.0,
         )
         trace = run_lifetime(cfg, rng_for(7))
@@ -336,6 +333,45 @@ def test_engine_matches_naive_replay_between_reallocations(strategy, seed):
     assert_matches_naive_replay(small_scenario(strategy=strategy), seed)
 
 
+@pytest.mark.parametrize("n, azimuths", [(100, (0.0, 180.0)), (99, (0.0, 120.0, 240.0))], ids=["2-links", "3-links"])
+@pytest.mark.parametrize("seed", range(3))
+def test_multi_link_round_one_snr_matches_setup_replay(n, azimuths, seed):
+    # A link's SNR sums its own funded members over their own channel draw,
+    # each rotated by nothing but its phase error. Replay the documented
+    # setup draws and the round-1 equal-power weight independently.
+    cfg = replace(
+        preset("multi-link"),
+        n=n,
+        destinations=DestinationsSpec(azimuths_deg=azimuths),
+        energy=EnergySpec(),
+        strategy=StrategySpec(kind="cb_epa", levels=0, period=1),
+    )
+    trace = run_lifetime(cfg, rng_for(cfg.master_seed, seed))
+
+    rng = rng_for(cfg.master_seed, seed)
+    k = len(azimuths)
+    noise = 10 ** (cfg.noise_db / 10.0)
+    s2 = cfg.shadowing_sigma2_db * (math.log(10) / cfg.amplitude_divisor) ** 2
+    m_a, v_a = math.exp(s2 / 2), (math.exp(s2) - 1) * math.exp(s2)
+    rng.random(n)  # radii
+    rng.random(n)  # azimuths
+    gains = [
+        10.0 ** (rng.normal(0.0, math.sqrt(cfg.shadowing_sigma2_db), n) / cfg.amplitude_divisor)
+        for _ in range(k)
+    ]
+    bound = math.radians(cfg.phase_error_deg_bound)
+    phases = rng.uniform(-bound, bound, n)
+    energies = rng.uniform(0.0, cfg.energy.e_max, n)
+    for l in range(k):
+        members = np.arange(l, n, k)
+        na = members.size
+        w = min(math.sqrt(cfg.target_snr_linear() * noise / (na * v_a + na * na * m_a * m_a)), math.sqrt(cfg.p_max))
+        funded = members[energies[members] >= w * w * cfg.t_slot_s]
+        field = np.sum(w * gains[l][funded] * np.exp(1j * phases[funded]))
+        expected = 10 * math.log10(abs(field) ** 2 / noise)
+        assert trace.snr_db[0, l] == pytest.approx(expected, rel=1e-12), f"link {l}"
+
+
 def helper_chain_weights(cfg, residuals, alive, up_links):
     """cb_pa weights of one round through the public, validating helpers."""
     e_max = cfg.energy.e_max
@@ -370,7 +406,7 @@ def test_engine_charges_match_helper_chain(levels, azimuths, seed):
     cfg = small_scenario(
         energy=EnergySpec(kind="gaussian", e_max=2.5, mean=1.25, sigma=0.5),
         strategy=StrategySpec(kind="cb_pa", levels=levels, period=1),
-        destinations=DestinationsSpec(range_m=1000.0, azimuths_deg=azimuths),
+        destinations=DestinationsSpec(azimuths_deg=azimuths),
         target_snr_db=5.0,
     )
     trace = run_lifetime(cfg, rng_for(cfg.master_seed, seed), record_nodes=True)
@@ -437,7 +473,7 @@ def clipped_uneven_links():
     e0 = 0.5
     cfg = small_scenario(
         n=13,
-        destinations=DestinationsSpec(range_m=1000.0, azimuths_deg=(0.0, 180.0)),
+        destinations=DestinationsSpec(azimuths_deg=(0.0, 180.0)),
         energy=EnergySpec(kind="gaussian", e_max=1.0, mean=e0, sigma=0.0),
         strategy=StrategySpec(kind="cb_pa", levels=0, period=4),
     )
@@ -456,7 +492,7 @@ def test_bulk_stepped_rounds_are_bit_exact(case, monkeypatch):
         cfg = small_scenario(strategy=StrategySpec(kind="cb_epa", levels=0, period=7))
     elif case == "link_down":
         cfg = one_shot(
-            destinations=DestinationsSpec(range_m=1000.0, azimuths_deg=(0.0, 180.0)),
+            destinations=DestinationsSpec(azimuths_deg=(0.0, 180.0)),
             target_snr_db=5.0,
         )
     elif case == "funded_link_down":
@@ -512,8 +548,7 @@ def test_stretch_stops_where_the_node_cannot_pay():
     # die in the first round it cannot pay, with every residual exact.
     cfg = ScenarioConfig(
         n=1,
-        disk_radius_wavelengths=0.0,
-        destinations=DestinationsSpec(range_m=1000.0, azimuths_deg=(0.0,)),
+        destinations=DestinationsSpec(azimuths_deg=(0.0,)),
         target_snr_db=6.0,
         shadowing_sigma2_db=0.0,
         phase_error_deg_bound=0.0,
