@@ -7,6 +7,7 @@ the cluster lasts.
 """
 
 import argparse
+from dataclasses import replace
 
 from beamlife import compare_strategies, preset
 
@@ -17,11 +18,9 @@ def main():
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
-    rate4 = preset("rate-4bit")
-    rate3 = preset("rate-3bit")
-    comparison = compare_strategies(
-        [rate4, rate3], runs=args.runs, workers=args.workers, labels=("4 bits", "3 bits")
-    )
+    rate4 = replace(preset("rate-4bit"), runs=args.runs)
+    rate3 = replace(preset("rate-3bit"), runs=args.runs)
+    comparison = compare_strategies([rate4, rate3], workers=args.workers, labels=("4 bits", "3 bits"))
 
     print(f"\n=== paired-seed comparison ({args.runs} runs) ===")
     print(f"{'target':<10} {'snr target dB':>14} {'mean lifetime':>14} {'wasted':>8} {'ratio':>7}")

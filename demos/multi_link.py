@@ -8,6 +8,7 @@ lower per-node drain extends the lifetime.
 """
 
 import argparse
+from dataclasses import replace
 
 from beamlife import preset, run_ensemble
 
@@ -18,8 +19,8 @@ def main():
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
-    single = run_ensemble(preset("single-link"), runs=args.runs, workers=args.workers)
-    multi = run_ensemble(preset("multi-link"), runs=args.runs, workers=args.workers)
+    single = run_ensemble(replace(preset("single-link"), runs=args.runs), workers=args.workers)
+    multi = run_ensemble(replace(preset("multi-link"), runs=args.runs), workers=args.workers)
 
     print(f"\n=== first-round operating point ({args.runs} runs) ===")
     print(f"{'':<22} {'single link':>12} {'two links':>12}")

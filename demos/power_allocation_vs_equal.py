@@ -7,6 +7,7 @@ fraction, the received SNR trajectory, and the wasted-energy summary.
 """
 
 import argparse
+from dataclasses import replace
 
 from beamlife import preset, run_ensemble
 
@@ -26,7 +27,7 @@ def main():
 
     results = {}
     for label, name in SCENARIOS:
-        results[label] = run_ensemble(preset(name), runs=args.runs, workers=args.workers)
+        results[label] = run_ensemble(replace(preset(name), runs=args.runs), workers=args.workers)
 
     print(f"\n=== lifetime and wasted energy ({args.runs} runs each) ===")
     print(f"{'scenario':<26} {'mean lifetime':>14} {'wasted energy':>14}")

@@ -8,6 +8,7 @@ extend the lifetime.
 """
 
 import argparse
+from dataclasses import replace
 
 from beamlife import preset, run_ensemble
 
@@ -19,7 +20,7 @@ def main():
     args = parser.parse_args()
 
     results = {
-        levels: run_ensemble(preset(f"quant-{levels}"), runs=args.runs, workers=args.workers)
+        levels: run_ensemble(replace(preset(f"quant-{levels}"), runs=args.runs), workers=args.workers)
         for levels in (2, 4, 8)
     }
 

@@ -25,7 +25,6 @@ from .allocation import (
 from .config import (
     ConfigError,
     DeathSpec,
-    DestinationsSpec,
     EnergySpec,
     ScenarioConfig,
     StrategySpec,

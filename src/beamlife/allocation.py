@@ -48,7 +48,7 @@ class ChannelStats:
             raise ValueError(f"gain variance must be non-negative, got {self.variance}")
 
 
-def lognormal_channel_stats(sigma2_db, amplitude_divisor=10):
+def lognormal_channel_stats(sigma2_db, amplitude_divisor):
     """Analytic amplitude-gain moments for log-normal shadowing.
 
     The log-amplitude is Gaussian with standard deviation

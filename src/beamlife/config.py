@@ -16,7 +16,6 @@ from .allocation import lognormal_channel_stats
 
 __all__ = [
     "ConfigError",
-    "DestinationsSpec",
     "EnergySpec",
     "StrategySpec",
     "DeathSpec",
@@ -35,13 +34,6 @@ NEVER_REALLOCATE = 10**9
 
 class ConfigError(ValueError):
     """A configuration file or dictionary failed validation."""
-
-
-@dataclass(frozen=True)
-class DestinationsSpec:
-    """Receivers, one link per azimuth entry; only their count matters."""
-
-    azimuths_deg: tuple = (0.0,)
 
 
 @dataclass(frozen=True)
@@ -74,7 +66,7 @@ class ScenarioConfig:
     """
 
     n: int = 100
-    destinations: DestinationsSpec = field(default_factory=DestinationsSpec)
+    links: int = 1               # destinations served; node i serves link i % links
     target_snr_db: float = 11.76
     target_rate_bits: float = None
     noise_db: float = -100.0
@@ -93,10 +85,6 @@ class ScenarioConfig:
     def __post_init__(self):
         validate(self)
 
-    @property
-    def links(self):
-        return len(self.destinations.azimuths_deg)
-
     def target_snr_linear(self):
         if self.target_rate_bits is not None:
             return 2.0 ** self.target_rate_bits - 1.0
@@ -108,7 +96,6 @@ class ScenarioConfig:
 
 
 _SECTIONS = {
-    "destinations": DestinationsSpec,
     "energy": EnergySpec,
     "strategy": StrategySpec,
     "death": DeathSpec,
@@ -124,11 +111,7 @@ def _reject_unknown(data, known, path):
 def _section(cls, data, path):
     known = {f.name for f in fields(cls)}
     _reject_unknown(data, known, path)
-    kwargs = dict(data)
-    angles = kwargs.get("azimuths_deg")
-    if isinstance(angles, list):  # validate rejects what does not convert
-        kwargs["azimuths_deg"] = tuple(float(a) if _is_finite_number(a) else a for a in angles)
-    return cls(**kwargs)
+    return cls(**data)
 
 
 def from_dict(data):
@@ -149,8 +132,6 @@ def from_dict(data):
         raise ConfigError("target_snr_db/target_rate_bits: set exactly one, not both")
     if has_rate:
         kwargs["target_snr_db"] = None
-    if has_snr:
-        kwargs["target_rate_bits"] = None
     try:
         return ScenarioConfig(**kwargs)
     except TypeError as exc:
@@ -183,9 +164,6 @@ def _check_types(spec, path):
                    f"must be an integer, got {value!r}")
         elif f.type == "float":
             _check(_is_finite_number(value), key, f"must be a finite number, got {value!r}")
-        elif f.type == "tuple":  # destinations.azimuths_deg
-            _check(isinstance(value, (list, tuple)) and all(map(_is_finite_number, value)), key,
-                   f"need a list of finite angles, got {value!r}")
         elif f.name in _SECTIONS:
             _check(isinstance(value, _SECTIONS[f.name]), key, "must be an object")
             _check_types(value, key + ".")
@@ -204,8 +182,7 @@ def validate(cfg):
     """Raise ConfigError with a key path on the first violated constraint."""
     _check_types(cfg, "")
     _check(cfg.n >= 1, "n", f"must be at least 1, got {cfg.n}")
-    k = cfg.links
-    _check(1 <= k <= cfg.n, "destinations.azimuths_deg", f"need between 1 and n={cfg.n} links, got {k}")
+    _check(1 <= cfg.links <= cfg.n, "links", f"must lie in [1, n={cfg.n}], got {cfg.links}")
     if (cfg.target_snr_db is None) == (cfg.target_rate_bits is None):
         raise ConfigError("target_snr_db/target_rate_bits: exactly one must be set")
     if cfg.target_rate_bits is not None:
@@ -282,14 +259,8 @@ _PRESETS = {
         replace(_DEFAULT, energy=_GAUSSIAN, target_snr_db=None, target_rate_bits=4.0),
     ),
     "multi-link": (
-        "two links at 2 bits/s/Hz each (opposite azimuths), gaussian energy",
-        replace(
-            _DEFAULT,
-            energy=_GAUSSIAN,
-            target_snr_db=None,
-            target_rate_bits=2.0,
-            destinations=DestinationsSpec(azimuths_deg=(0.0, 180.0)),
-        ),
+        "two links at 2 bits/s/Hz each, gaussian energy",
+        replace(_DEFAULT, energy=_GAUSSIAN, target_snr_db=None, target_rate_bits=2.0, links=2),
     ),
     "rate-4bit": (
         "single link targeting 4 bits/s/Hz, uniform energy",

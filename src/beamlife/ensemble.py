@@ -1,8 +1,11 @@
 """Seeded ensembles of lifetime runs and cross-scenario comparisons.
 
-Run i draws its generator from SeedSequence([master_seed, i]), so results
-are reproducible for a fixed master seed no matter how many workers
-execute the runs; the reduction is a fixed-order fold over run indices.
+The run count and the master seed are scenario settings
+(``ScenarioConfig.runs`` and ``.master_seed``), validated with the rest of
+the scenario. Run i draws its generator from
+SeedSequence([master_seed, i]), so results are reproducible for a fixed
+master seed no matter how many workers execute the runs; the reduction is
+a fixed-order fold over run indices.
 Round t of each curve averages the runs still alive in round t, and the
 SNR is averaged in the linear domain.
 """
@@ -64,18 +67,16 @@ def _per_run_link_mean_snr(trace):
         return linear_to_db(np.nanmean(10.0 ** (trace.snr_db / 10.0), axis=1))
 
 
-def run_ensemble(scenario, runs=None, master_seed=None, workers=1):
-    """Run an ensemble of independent seeded lifetimes and align the traces.
+def run_ensemble(scenario, workers=1):
+    """Run the scenario's ``runs`` seeded lifetimes and align the traces.
 
-    Round t of each curve averages the runs whose cluster was still alive
-    in round t; the surviving-run count is reported alongside.
+    Run i draws from SeedSequence([scenario.master_seed, i]); change the
+    run count or the seed with ``dataclasses.replace``. Round t of each
+    curve averages the runs whose cluster was still alive in round t; the
+    surviving-run count is reported alongside.
     """
-    runs = scenario.runs if runs is None else int(runs)
-    master_seed = scenario.master_seed if master_seed is None else int(master_seed)
-    if runs < 1:
-        raise ValueError(f"need at least 1 run, got {runs}")
-
-    jobs = [(scenario, master_seed, i) for i in range(runs)]
+    runs = scenario.runs
+    jobs = [(scenario, scenario.master_seed, i) for i in range(runs)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_run_indexed, jobs, chunksize=max(1, runs // (4 * workers))))
@@ -128,32 +129,30 @@ class ComparisonResult:
     wasted_pct_deltas: np.ndarray  # versus the first scenario
 
 
-def compare_strategies(scenarios, runs=None, master_seed=None, workers=1, labels=None):
-    """Run paired-seed ensembles over several scenarios of equal cluster size.
+def compare_strategies(scenarios, workers=1, labels=None):
+    """Run paired-seed ensembles over scenarios of one size, run count and seed.
 
-    All scenarios share the master seed and per-run seeds, so run i sees
+    All scenarios share ``n``, ``runs`` and ``master_seed``, so run i sees
     the same channel, phase-error and energy draws everywhere and the
-    comparison isolates the strategy and target differences. Scenarios of
-    different cluster sizes raise ConfigError (a ValueError) naming both
-    labels.
+    comparison isolates the strategy and target differences. Scenarios
+    that differ in one of them raise ConfigError (a ValueError) naming the
+    key and both labels.
     """
     scenarios = list(scenarios)
     if len(scenarios) < 2:
         raise ValueError("need at least 2 scenarios to compare")
     if labels is None:
         labels = tuple(f"scenario_{i}" for i in range(len(scenarios)))
-    n = scenarios[0].n
+    if len(labels) != len(scenarios):
+        raise ValueError(f"got {len(labels)} labels for {len(scenarios)} scenarios")
     for label, s in zip(labels[1:], scenarios[1:]):
-        if s.n != n:
-            raise ConfigError(
-                f"n: paired comparison needs one cluster size, got {n} for {labels[0]!r} "
-                f"and {s.n} for {label!r}"
-            )
-    if master_seed is None:
-        master_seed = scenarios[0].master_seed
-    ensembles = tuple(
-        run_ensemble(s, runs=runs, master_seed=master_seed, workers=workers) for s in scenarios
-    )
+        for key in ("n", "runs", "master_seed"):
+            a, b = getattr(scenarios[0], key), getattr(s, key)
+            if a != b:
+                raise ConfigError(
+                    f"{key}: paired scenarios must share it, got {a} for {labels[0]!r} and {b} for {label!r}"
+                )
+    ensembles = tuple(run_ensemble(s, workers=workers) for s in scenarios)
     means = np.array([e.lifetimes.mean() for e in ensembles])
     wasted = np.array([e.wasted_pct.mean() for e in ensembles])
     return ComparisonResult(

@@ -132,7 +132,7 @@ def carrier_phase(node, dest):
     return -propagation_phase(node, dest.location.phi, dest.location.rho)
 
 
-def sample_channel(n, sigma2_db, rng, amplitude_divisor=10):
+def sample_channel(n, sigma2_db, rng, amplitude_divisor):
     """Draw per-node amplitude gains from log-normal shadowing.
 
     Shadowing in dB is zero-mean Gaussian with variance ``sigma2_db``;

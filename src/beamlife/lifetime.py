@@ -13,8 +13,7 @@ built. The loop relies on these invariants:
   node pays only what it holds, so normalized weights lie in [0, 1];
 - ``strategy.levels`` is 0 or a power of two, so quantized weights need
   no clip;
-- node i serves link i % k (``partition_cluster``), so a link's members
-  form a strided slice;
+- ``partition_cluster`` gives each link's members as a strided slice;
 - a down link's members carry zero weight, so they stay funded and alive.
 
 Between reallocations the loop steps static stretches in bulk. After a
@@ -69,9 +68,10 @@ __all__ = [
 def partition_cluster(n, k):
     """Split ``n`` nodes round-robin into ``k`` disjoint link groups.
 
-    Returns the link index of each node. Group sizes are n/k when k
-    divides n; otherwise sizes differ by one and a warning flags the
-    uneven split.
+    Node i serves link i % k, so link l's members are the strided slice
+    ``slice(l, None, k)``; returns one slice per link. Group sizes are n/k
+    when k divides n; otherwise sizes differ by one and a warning flags
+    the uneven split.
     """
     if k < 1:
         raise ValueError(f"need at least 1 link, got {k}")
@@ -79,7 +79,7 @@ def partition_cluster(n, k):
         raise ValueError(f"cannot split {n} nodes into {k} links")
     if n % k:
         warnings.warn(f"{n} nodes do not split evenly into {k} links", stacklevel=2)
-    return np.arange(n) % k
+    return [slice(l, None, k) for l in range(k)]
 
 
 def evaluate_death(dead_fraction, realized_snr_db, criteria, nominal_snr_db):
@@ -267,20 +267,18 @@ def run_lifetime(scenario, rng, record_nodes=False):
     # unused, so that every seed keeps its channel, phase-error and energy
     # streams; one (2, n) draw takes the same numbers as two of n.
     rng.random((2, n))
-    link_of = partition_cluster(n, k)
+    member_idx = partition_cluster(n, k)
     channels = [
         sample_channel(n, scenario.shadowing_sigma2_db, rng, scenario.amplitude_divisor)
         for _ in range(k)
     ]
     phase_errors = sample_phase_errors(n, math.radians(scenario.phase_error_deg_bound), rng)
 
-    # partition_cluster puts node i on link i % k, so each link's members
-    # form a strided slice, which the round loop reads as views (all
-    # nodes, slice(None), on a single link) instead of fancy-index copies.
-    # Each node pre-compensates its propagation phase toward its link's
-    # destination, so only the phase error is left in its channel.
-    member_idx = [slice(l, None, k) for l in range(k)]
-    link_sizes = [int((link_of == l).sum()) for l in range(k)]
+    # The round loop reads each link's members through its slice as views
+    # (all nodes on a single link) instead of fancy-index copies. Each node
+    # pre-compensates its propagation phase toward its link's destination,
+    # so only the phase error is left in its channel.
+    link_sizes = [len(range(n)[idx]) for idx in member_idx]
     phasors = np.exp(1j * phase_errors)
     coherent = [(channels[l] * phasors)[member_idx[l]].copy() for l in range(k)]
 

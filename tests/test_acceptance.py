@@ -20,7 +20,7 @@ from beamlife.allocation import (
     solve_max_gain,
     solve_min_power,
 )
-from beamlife.config import DestinationsSpec, EnergySpec, ScenarioConfig, StrategySpec, preset
+from beamlife.config import EnergySpec, ScenarioConfig, StrategySpec, preset
 from beamlife.energy import LinkBudget, required_tx_power_db
 from beamlife.ensemble import compare_strategies, run_ensemble
 from beamlife.lifetime import run_lifetime
@@ -29,6 +29,10 @@ from test_allocation import grid_best_max_gain, grid_best_min_power
 
 RUNS = 200
 NOISE = 1e-10
+
+
+def preset_ensemble(name):
+    return run_ensemble(replace(preset(name), runs=RUNS))
 
 
 def check(criterion, description, value_text, ok):
@@ -45,21 +49,21 @@ def allocation_study():
         "pa-gaussian",
         "epa-gaussian",
     )
-    return {name: run_ensemble(preset(name), runs=RUNS) for name in names}
+    return {name: preset_ensemble(name) for name in names}
 
 
 @pytest.fixture(scope="module")
 def link_split_study():
     return {
-        "single": run_ensemble(preset("single-link"), runs=RUNS),
-        "multi": run_ensemble(preset("multi-link"), runs=RUNS),
+        "single": preset_ensemble("single-link"),
+        "multi": preset_ensemble("multi-link"),
     }
 
 
 @pytest.fixture(scope="module")
 def quantization_study():
     return {
-        levels: run_ensemble(preset(f"quant-{levels}"), runs=RUNS)
+        levels: preset_ensemble(f"quant-{levels}")
         for levels in (2, 4, 8)
     }
 
@@ -151,7 +155,7 @@ def test_criterion_3a_equal_power_uniform_wasted(allocation_study):
 def test_criterion_3a_identity_across_snr_drop(snr_drop_db):
     base = preset("epa-uniform")
     cfg = replace(base, death=replace(base.death, snr_drop_db=snr_drop_db))
-    ok, text = equal_power_stranded_check(run_ensemble(cfg, runs=100), cfg)
+    ok, text = equal_power_stranded_check(run_ensemble(replace(cfg, runs=100)), cfg)
     check("3a", f"equal power, uniform energy, {snr_drop_db:g} dB drop rule: "
           "mean wasted energy matches the SNR-drop identity", text, ok)
 
@@ -220,8 +224,7 @@ def test_criterion_5c_multi_link_lives_longer(link_split_study):
 
 def test_criterion_6_bit_rate_lifetime_ratio():
     cmp = compare_strategies(
-        [preset("rate-4bit"), preset("rate-3bit")],
-        runs=RUNS,
+        [replace(preset(name), runs=RUNS) for name in ("rate-4bit", "rate-3bit")],
         labels=("rate4", "rate3"),
     )
     ratio = float(cmp.lifetime_ratios[1])
@@ -278,11 +281,10 @@ def _mini_scenario(seed):
     gamma = 2.0**rate - 1.0
     stats = lognormal_channel_stats(sigma2, 20)
     w2 = cbepa_weight(gamma, max(n // links, 1), stats, NOISE) ** 2
-    azimuths = (0.0,) if links == 1 else (0.0, 180.0)
     energy = EnergySpec(kind=energy_kind, e_max=1.0, mean=0.5, sigma=0.15)
     return ScenarioConfig(
         n=n,
-        destinations=DestinationsSpec(azimuths_deg=azimuths),
+        links=links,
         target_snr_db=None,
         target_rate_bits=rate,
         shadowing_sigma2_db=sigma2,

@@ -54,7 +54,7 @@ class TestChannelStats:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            lognormal_channel_stats(-1.0)
+            lognormal_channel_stats(-1.0, 10)
         with pytest.raises(ValueError):
             ChannelStats(mean=0.0, variance=1.0)
 
@@ -122,7 +122,7 @@ class TestAnalyticAverageSnr:
         assert snr == pytest.approx(0.01**2 * 50**2 / NOISE, rel=1e-12)
 
     def test_zero_scale(self):
-        assert analytic_average_snr(0.0, 10, uniform_rei(), lognormal_channel_stats(16.0), NOISE) == 0.0
+        assert analytic_average_snr(0.0, 10, uniform_rei(), lognormal_channel_stats(16.0, 10), NOISE) == 0.0
 
     def test_monte_carlo_oracle(self):
         # Empirical mean of the realized SNR over independent energy and
@@ -170,7 +170,7 @@ class TestComputeWmax:
     def test_depleted_cluster_is_infeasible(self):
         rei = ReiStats(mean=0.0, variance=0.0, capacity=1.0)
         with pytest.raises(InfeasibleAllocationError):
-            compute_wmax(TARGET, 100, rei, lognormal_channel_stats(16.0), NOISE)
+            compute_wmax(TARGET, 100, rei, lognormal_channel_stats(16.0, 10), NOISE)
 
     def test_cap_flagging(self):
         # compute_wmax returns the uncapped scale; the engine raises when the
@@ -216,7 +216,7 @@ class TestComputeWmax:
         assert clipped
 
     def test_zero_target(self):
-        assert compute_wmax(0.0, 10, uniform_rei(), lognormal_channel_stats(16.0), NOISE) == 0.0
+        assert compute_wmax(0.0, 10, uniform_rei(), lognormal_channel_stats(16.0, 10), NOISE) == 0.0
 
 
 class TestEqualPowerWeight:

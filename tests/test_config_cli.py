@@ -99,12 +99,13 @@ class TestFromDict:
         [
             ({"wavelength_m": 0.125}, "wavelength_m"),
             ({"disk_radius_wavelengths": 250.0}, "disk_radius_wavelengths"),
-            ({"destinations": {"range_m": 1000.0, "azimuths_deg": [0.0]}}, "destinations.range_m"),
+            ({"destinations": {"range_m": 1000.0, "azimuths_deg": [0.0]}}, "destinations"),
         ],
     )
     def test_inert_geometry_keys_rejected(self, data, path):
-        # the carrier phase cancels the propagation phase, so node positions and
-        # ranges never reached the SNR; manifests naming these keys no longer load
+        # the carrier phase cancels the propagation phase, so node positions,
+        # ranges and bearings never reached the SNR; manifests naming these
+        # keys no longer load (the link count is the top-level ``links``)
         with pytest.raises(ConfigError, match=f"^{path}: unknown key"):
             from_dict(data)
 
@@ -233,7 +234,10 @@ class TestCli:
         assert (out1 / "rounds.csv").read_bytes() == (out2 / "rounds.csv").read_bytes()
 
     @pytest.mark.parametrize("command", ["run", "compare"])
-    @pytest.mark.parametrize("flag, value, path", [("--runs", "0", "runs"), ("--seed", "-5", "master_seed")])
+    @pytest.mark.parametrize(
+        "flag, value, path",
+        [("--runs", "0", "runs"), ("--seed", "-5", "master_seed"), ("--workers", "-3", "workers")],
+    )
     def test_bad_override_exits_with_key_path(self, tmp_path, capsys, command, flag, value, path):
         scenarios = ["--preset", "pa-uniform"] + (["--preset", "epa-uniform"] if command == "compare" else [])
         out = tmp_path / "out"
@@ -267,7 +271,7 @@ class TestCli:
             ({"runs": True}, "runs"),
             ({"n": "100"}, "n"),
             ({"n": 2.5}, "n"),
-            ({"destinations": {"azimuths_deg": ["x"]}}, "destinations.azimuths_deg"),
+            ({"links": 0}, "links"),
             ({"shadowing_sigma2_db": 30000, "n": 10, "runs": 2, "max_rounds": 50}, "shadowing_sigma2_db"),
             ({"shadowing_sigma2_db": 1e8}, "shadowing_sigma2_db"),
             ({"master_seed": -1}, "master_seed"),
@@ -275,6 +279,11 @@ class TestCli:
             ({"wavelength_m": 1e-300, "destinations": {"range_m": 1e10, "azimuths_deg": [0.0]}, "max_rounds": 50},
              "wavelength_m"),
             ({"disk_radius_wavelengths": 2000}, "disk_radius_wavelengths"),
+            ({"links": 101}, "links"),
+            ({"links": 1.5}, "links"),
+            ({"links": True}, "links"),
+            # a manifest written when links were given as a list of azimuths
+            ({"artifact_version": "0.1.0", "config": {"destinations": {"azimuths_deg": [0.0]}}}, "destinations"),
         ],
     )
     def test_malformed_value_exits_with_key_path(self, tmp_path, capsys, data, path):

@@ -1,10 +1,11 @@
-"""Smoke test of the demo scripts: each runs a small ensemble cleanly.
+"""Smoke tests of the demo scripts and the README's library example.
 
-The demos use only the public API, so a change that narrows it, or that
-makes a run warn, fails here.
+Each runs a small ensemble cleanly. Both use only the public API, so a
+change that narrows it, or that makes a run warn, fails here.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,13 @@ def test_demo_runs_cleanly(demo):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout
+
+
+def test_readme_library_block_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    small, cuts = re.subn(r"\bruns=\d+", "runs=3", block)
+    assert cuts, "the example sets no run count to cut"
+    exec(compile(small, "README.md", "exec"), {})
+    assert capsys.readouterr().out

@@ -96,7 +96,7 @@ class TestCarrierPhase:
 
 class TestSampleChannel:
     def test_zero_variance_gives_unit_gains(self):
-        gains = sample_channel(64, 0.0, np.random.default_rng(0))
+        gains = sample_channel(64, 0.0, np.random.default_rng(0), 10)
         np.testing.assert_array_equal(gains, np.ones(64))
 
     def test_log_gain_statistics(self):
@@ -115,19 +115,19 @@ class TestSampleChannel:
         assert abs(gains.var() / stats.variance - 1.0) < 0.02
 
     def test_deterministic_for_seed(self):
-        a = sample_channel(100, 16.0, np.random.default_rng(9))
-        b = sample_channel(100, 16.0, np.random.default_rng(9))
+        a = sample_channel(100, 16.0, np.random.default_rng(9), 10)
+        b = sample_channel(100, 16.0, np.random.default_rng(9), 10)
         np.testing.assert_array_equal(a, b)
 
     def test_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_channel(10, -1.0, rng)
+            sample_channel(10, -1.0, rng, 10)
         with pytest.raises(ValueError):
             sample_channel(10, 16.0, rng, amplitude_divisor=15)
         # a 10^4 dB shadowing spread underflows some gains to zero
         with pytest.raises(ValueError, match="positive"), np.errstate(over="ignore"):
-            sample_channel(1000, 1e8, rng)
+            sample_channel(1000, 1e8, rng, 10)
 
 
 def test_sample_phase_errors_bounded():

@@ -9,6 +9,7 @@ through the name the tracer counts run-rounds at.
 
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import beamlife.ensemble
@@ -40,7 +41,7 @@ def counted_ensemble(name, runs, monkeypatch):
         return trace
 
     monkeypatch.setattr(beamlife.ensemble, "run_lifetime", counting)
-    return beamlife.ensemble.run_ensemble(preset(name), runs=runs), lifetimes
+    return beamlife.ensemble.run_ensemble(replace(preset(name), runs=runs)), lifetimes
 
 
 def test_one_run_lifetime_return_per_run(monkeypatch):
