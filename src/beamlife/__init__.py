@@ -39,18 +39,7 @@ from .energy import (
     sample_initial_energies,
 )
 from .ensemble import ComparisonResult, EnsembleResult, compare_strategies, run_ensemble
-from .geometry import (
-    Destination,
-    FarFieldWarning,
-    PolarPoint,
-    carrier_phase,
-    db_to_linear,
-    deploy_cluster,
-    far_field_distance,
-    linear_to_db,
-    sample_channel,
-    sample_phase_errors,
-)
+from .geometry import db_to_linear, linear_to_db, sample_channel, sample_phase_errors
 from .lifetime import (
     LifetimeTrace,
     bit_rate,

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import AMPLITUDE_DB_DIVISOR
+
 LN10 = math.log(10.0)
 
 __all__ = [
@@ -48,17 +50,16 @@ class ChannelStats:
             raise ValueError(f"gain variance must be non-negative, got {self.variance}")
 
 
-def lognormal_channel_stats(sigma2_db, amplitude_divisor):
+def lognormal_channel_stats(sigma2_db):
     """Analytic amplitude-gain moments for log-normal shadowing.
 
     The log-amplitude is Gaussian with standard deviation
-    sqrt(sigma2_db) * ln(10) / amplitude_divisor.
+    sqrt(sigma2_db) * ln(10) / 20, as :func:`beamlife.geometry.sample_channel`
+    draws it.
     """
     if sigma2_db < 0:
         raise ValueError(f"shadowing variance must be non-negative, got {sigma2_db}")
-    if amplitude_divisor not in (10, 20):
-        raise ValueError(f"amplitude divisor must be 10 or 20, got {amplitude_divisor}")
-    s2 = sigma2_db * (LN10 / amplitude_divisor) ** 2
+    s2 = sigma2_db * (LN10 / AMPLITUDE_DB_DIVISOR) ** 2
     mean = math.exp(s2 / 2.0)
     variance = (math.exp(s2) - 1.0) * math.exp(s2)
     return ChannelStats(mean=mean, variance=variance)
@@ -66,27 +67,16 @@ def lognormal_channel_stats(sigma2_db, amplitude_divisor):
 
 @dataclass(frozen=True)
 class ReiStats:
-    """Residual-energy moments over alive nodes, plus the normalized view."""
+    """Moments over alive nodes of the normalized weights u = residual / e_max."""
 
     mean: float
     variance: float
-    capacity: float
 
     def __post_init__(self):
-        if self.capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
         if self.variance < 0:
             raise ValueError(f"variance must be non-negative, got {self.variance}")
-        if not 0 <= self.mean <= self.capacity * (1 + 1e-12):
-            raise ValueError(f"mean energy {self.mean} outside [0, capacity]")
-
-    @property
-    def mean_normalized(self):
-        return self.mean / self.capacity
-
-    @property
-    def variance_normalized(self):
-        return self.variance / self.capacity**2
+        if not 0 <= self.mean <= 1 + 1e-12:
+            raise ValueError(f"mean normalized weight {self.mean} outside [0, 1]")
 
 
 def cbpa_normalized_weights(residuals, capacity):
@@ -111,7 +101,7 @@ def analytic_average_snr(scale, n, rei, ch, noise_power):
         raise ValueError(f"need at least 1 node, got {n}")
     if noise_power <= 0:
         raise ValueError(f"noise power must be positive, got {noise_power}")
-    m_u, var_u = rei.mean_normalized, rei.variance_normalized
+    m_u, var_u = rei.mean, rei.variance
     m_a, var_a = ch.mean, ch.variance
     self_terms = n * (var_u + m_u**2) * (var_a + m_a**2)
     cross_terms = n * (n - 1) * m_u**2 * m_a**2
@@ -139,7 +129,7 @@ def compute_wmax(target_snr, n, rei, ch, noise_power):
         raise ValueError(f"target SNR must be non-negative, got {target_snr}")
     if target_snr == 0:
         return 0.0
-    denom = _scale_denominator(n, rei.mean_normalized, rei.variance_normalized, ch)
+    denom = _scale_denominator(n, rei.mean, rei.variance, ch)
     if denom <= 0:
         raise InfeasibleAllocationError(
             "residual-energy statistics are all zero; the cluster cannot transmit"

@@ -71,7 +71,6 @@ class ScenarioConfig:
     target_rate_bits: float = None
     noise_db: float = -100.0
     shadowing_sigma2_db: float = 16.0
-    amplitude_divisor: int = 20
     phase_error_deg_bound: float = 5.0
     energy: EnergySpec = field(default_factory=EnergySpec)
     strategy: StrategySpec = field(default_factory=StrategySpec)
@@ -172,7 +171,7 @@ def _check_types(spec, path):
 def _channel_moments_finite(cfg):
     """The gain moments and the closed-form denominator n·var + n²·mean² are finite."""
     try:
-        ch = lognormal_channel_stats(cfg.shadowing_sigma2_db, cfg.amplitude_divisor)
+        ch = lognormal_channel_stats(cfg.shadowing_sigma2_db)
         return math.isfinite(cfg.n * ch.variance + cfg.n**2 * ch.mean**2)
     except OverflowError:
         return False
@@ -188,9 +187,8 @@ def validate(cfg):
     if cfg.target_rate_bits is not None:
         _check(cfg.target_rate_bits >= 0, "target_rate_bits", "must be non-negative")
     _check(cfg.shadowing_sigma2_db >= 0, "shadowing_sigma2_db", "must be non-negative")
-    _check(cfg.amplitude_divisor in (10, 20), "amplitude_divisor", "must be 10 or 20")
     _check(_channel_moments_finite(cfg), "shadowing_sigma2_db",
-           f"too large: the channel gain moments overflow at amplitude_divisor={cfg.amplitude_divisor}, n={cfg.n}")
+           f"too large: the channel gain moments overflow at n={cfg.n}")
     _check(cfg.phase_error_deg_bound >= 0, "phase_error_deg_bound", "must be non-negative")
     _check(cfg.energy.kind in ("uniform", "gaussian"), "energy.kind", f"unknown kind {cfg.energy.kind!r}")
     _check(cfg.energy.e_max > 0, "energy.e_max", "must be positive")

@@ -77,6 +77,9 @@ def run_ensemble(scenario, workers=1):
     """
     runs = scenario.runs
     jobs = [(scenario, scenario.master_seed, i) for i in range(runs)]
+    # Workers beyond the run count would sit idle, and a fork-based pool
+    # starts every one of them at the first submit.
+    workers = min(workers, runs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_run_indexed, jobs, chunksize=max(1, runs // (4 * workers))))

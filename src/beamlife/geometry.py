@@ -20,6 +20,9 @@ TWO_PI = 2.0 * math.pi
 # first-order path-length expansion noticeably.
 FAR_FIELD_MIN_RATIO = 10.0
 
+# Shadowing is a power figure in dB, so the amplitude gain is 10**(A / 20).
+AMPLITUDE_DB_DIVISOR = 20
+
 __all__ = [
     "PolarPoint",
     "Destination",
@@ -132,22 +135,20 @@ def carrier_phase(node, dest):
     return -propagation_phase(node, dest.location.phi, dest.location.rho)
 
 
-def sample_channel(n, sigma2_db, rng, amplitude_divisor):
+def sample_channel(n, sigma2_db, rng):
     """Draw per-node amplitude gains from log-normal shadowing.
 
-    Shadowing in dB is zero-mean Gaussian with variance ``sigma2_db``;
-    the amplitude is ``10**(A / amplitude_divisor)``. The divisor 10 keeps
-    the dB figure on the amplitude itself; 20 is the conventional mapping
-    of a power-dB figure to an amplitude.
+    Shadowing in dB is a zero-mean Gaussian power figure A with variance
+    ``sigma2_db``; the amplitude is ``10**(A / 20)``. A spread quoted on
+    the amplitude itself, ``10**(A / 10)``, is the same channel at four
+    times the variance.
     """
     if n < 1:
         raise ValueError(f"need at least 1 node, got {n}")
     if sigma2_db < 0:
         raise ValueError(f"shadowing variance must be non-negative, got {sigma2_db}")
-    if amplitude_divisor not in (10, 20):
-        raise ValueError(f"amplitude divisor must be 10 or 20, got {amplitude_divisor}")
     shadow_db = rng.normal(0.0, math.sqrt(sigma2_db), n)
-    gains = 10.0 ** (shadow_db / amplitude_divisor)
+    gains = 10.0 ** (shadow_db / AMPLITUDE_DB_DIVISOR)
     if not np.all(gains > 0):
         raise ValueError("all channel gains must be positive")
     return gains

@@ -120,7 +120,6 @@ class LifetimeTrace:
     wasted_pct: float
     consumed_j: float
     initial_j: float               # realized total initial energy
-    nominal_snr_db: np.ndarray     # (links,) first-round SNR, the SNR criterion's reference
     node_residuals: np.ndarray = None  # (rounds, n) when recorded
     node_alive: np.ndarray = None      # (rounds, n) when recorded
 
@@ -176,12 +175,11 @@ def _strategy_weights(
         # moments fed to the closed form are those of the (possibly
         # quantized) normalized weights. These are the float operations of
         # u.mean() and u.var(), and of compute_wmax on a ReiStats built
-        # from them: the round trip (m·e_max)/e_max is kept because it is
-        # not the identity for every e_max ≠ 1.
+        # from them.
         m = float(u.sum() / n_alive)
         d = u - m
         v = float((d * d).sum() / n_alive)
-        denom = _scale_denominator(n_alive, (m * e_max) / e_max, (v * e_max**2) / e_max**2, ch_stats)
+        denom = _scale_denominator(n_alive, m, v, ch_stats)
         if denom <= 0:
             if first_round:
                 raise InfeasibleAllocationError(
@@ -260,7 +258,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
     slot = scenario.t_slot_s
     noise_power = db_to_linear(scenario.noise_db)
     target_snr = scenario.target_snr_linear()
-    ch_stats = lognormal_channel_stats(scenario.shadowing_sigma2_db, scenario.amplitude_divisor)
+    ch_stats = lognormal_channel_stats(scenario.shadowing_sigma2_db)
     strategy = scenario.strategy
 
     # fixed draw order. The node layout's radius and azimuth draws stay,
@@ -268,10 +266,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
     # streams; one (2, n) draw takes the same numbers as two of n.
     rng.random((2, n))
     member_idx = partition_cluster(n, k)
-    channels = [
-        sample_channel(n, scenario.shadowing_sigma2_db, rng, scenario.amplitude_divisor)
-        for _ in range(k)
-    ]
+    channels = [sample_channel(n, scenario.shadowing_sigma2_db, rng) for _ in range(k)]
     phase_errors = sample_phase_errors(n, math.radians(scenario.phase_error_deg_bound), rng)
 
     # The round loop reads each link's members through its slice as views
@@ -407,7 +402,6 @@ def run_lifetime(scenario, rng, record_nodes=False):
         wasted_pct=wasted_pct,
         consumed_j=consumed,
         initial_j=initial_total,
-        nominal_snr_db=nominal_db.copy(),
         node_residuals=np.array(node_rows) if record_nodes else None,
         node_alive=np.array(node_alive_rows) if record_nodes else None,
     )

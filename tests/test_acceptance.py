@@ -25,7 +25,7 @@ from beamlife.energy import LinkBudget, required_tx_power_db
 from beamlife.ensemble import compare_strategies, run_ensemble
 from beamlife.lifetime import run_lifetime
 
-from test_allocation import grid_best_max_gain, grid_best_min_power
+from test_allocation import SPREADS, grid_best_max_gain, grid_best_min_power
 
 RUNS = 200
 NOISE = 1e-10
@@ -75,12 +75,12 @@ def test_criterion_1_link_budget():
           f"{value:.12f} dB vs 11.76 dB", abs(value - 11.76) < 1e-9)
 
 
-def _empirical_mean_snr(seed, n, sigma2, divisor, scale, with_energy, draws=100_000):
+def _empirical_mean_snr(seed, n, sigma2, scale, with_energy, draws=100_000):
     rng = np.random.default_rng(seed)
     total = 0.0
     chunk = draws // 10
     for _ in range(10):
-        gains = 10.0 ** (rng.normal(0.0, math.sqrt(sigma2), (chunk, n)) / divisor)
+        gains = 10.0 ** (rng.normal(0.0, math.sqrt(sigma2), (chunk, n)) / 20.0)
         if with_energy:
             u = rng.uniform(0.0, 1.0, (chunk, n))
             amplitude = scale * (u * gains).sum(axis=1)
@@ -90,19 +90,19 @@ def _empirical_mean_snr(seed, n, sigma2, divisor, scale, with_energy, draws=100_
     return total / draws / NOISE
 
 
-@pytest.mark.parametrize("divisor", [10, 20])
-def test_criterion_2_analytic_vs_empirical_snr(divisor):
+@SPREADS
+def test_criterion_2_analytic_vs_empirical_snr(sigma2):
     target = 10 ** 1.176
-    n, sigma2 = 100, 16.0
-    ch = lognormal_channel_stats(sigma2, divisor)
+    n = 100
+    ch = lognormal_channel_stats(sigma2)
     w_equal = cbepa_weight(target, n, ch, NOISE)
-    equal = _empirical_mean_snr(101, n, sigma2, divisor, w_equal, with_energy=False)
-    rei = ReiStats(mean=0.5, variance=1.0 / 12.0, capacity=1.0)
+    equal = _empirical_mean_snr(101, n, sigma2, w_equal, with_energy=False)
+    rei = ReiStats(mean=0.5, variance=1.0 / 12.0)
     scale = compute_wmax(target, n, rei, ch, NOISE)
-    prop = _empirical_mean_snr(103, n, sigma2, divisor, scale, with_energy=True)
+    prop = _empirical_mean_snr(103, n, sigma2, scale, with_energy=True)
     err_equal = abs(equal / target - 1.0)
     err_prop = abs(prop / target - 1.0)
-    check(2, f"empirical mean SNR vs closed forms (divisor {divisor}, 1e5 draws)",
+    check(2, f"empirical mean SNR vs closed forms (shadowing {sigma2:g} dB², 1e5 draws)",
           f"equal-power off by {100 * err_equal:.2f}%, proportional off by {100 * err_prop:.2f}%",
           err_equal < 0.02 and err_prop < 0.02)
 
@@ -119,7 +119,7 @@ def equal_power_stranded_pct(cfg):
     overshoots it by about one node's size-biased gain share,
     (1 + cv^2) / (2n), where cv^2 = variance / mean^2 of the amplitude gain.
     """
-    stats = lognormal_channel_stats(cfg.shadowing_sigma2_db, cfg.amplitude_divisor)
+    stats = lognormal_channel_stats(cfg.shadowing_sigma2_db)
     cv2 = stats.variance / stats.mean**2
     alive_share = 10.0 ** (-cfg.death.snr_drop_db / 20.0) - (1.0 + cv2) / (2.0 * cfg.n)
     return 100.0 * alive_share**2
@@ -279,7 +279,7 @@ def _mini_scenario(seed):
     sigma2 = float(rng.choice([4.0, 16.0]))
     links = 2 if n >= 2 and n % 2 == 0 and rng.random() < 0.3 else 1
     gamma = 2.0**rate - 1.0
-    stats = lognormal_channel_stats(sigma2, 20)
+    stats = lognormal_channel_stats(sigma2)
     w2 = cbepa_weight(gamma, max(n // links, 1), stats, NOISE) ** 2
     energy = EnergySpec(kind=energy_kind, e_max=1.0, mean=0.5, sigma=0.15)
     return ScenarioConfig(
@@ -288,7 +288,6 @@ def _mini_scenario(seed):
         target_snr_db=None,
         target_rate_bits=rate,
         shadowing_sigma2_db=sigma2,
-        amplitude_divisor=20,
         energy=energy,
         strategy=StrategySpec(kind=kind, levels=levels, period=int(rng.choice([1, 3]))),
         t_slot_s=1.0 / (20.0 * w2),

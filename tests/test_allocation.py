@@ -30,31 +30,36 @@ NOISE = 1e-10
 TARGET = 10 ** 1.176  # 11.76 dB
 
 
-def hp_channel_stats(sigma2_db, divisor):
+def hp_channel_stats(sigma2_db):
     """Independent high-precision evaluation of the log-normal moments."""
     mp.mp.dps = 40
-    s2 = mp.mpf(sigma2_db) * (mp.log(10) / divisor) ** 2
+    s2 = mp.mpf(sigma2_db) * (mp.log(10) / 20) ** 2
     mean = mp.e ** (s2 / 2)
     variance = (mp.e**s2 - 1) * mp.e**s2
     return float(mean), float(variance)
 
 
+# A 16 dB² spread quoted on the amplitude (id "10": gain 10**(A/10)) is
+# 64 dB² of power shadowing; quoted on the power (id "20") it is 16 dB².
+SPREADS = pytest.mark.parametrize("sigma2", [64.0, 16.0], ids=["10", "20"])
+
+
 class TestChannelStats:
-    @pytest.mark.parametrize("divisor", [10, 20])
-    def test_matches_high_precision(self, divisor):
-        stats = lognormal_channel_stats(16.0, divisor)
-        mean, variance = hp_channel_stats(16.0, divisor)
+    @SPREADS
+    def test_matches_high_precision(self, sigma2):
+        stats = lognormal_channel_stats(sigma2)
+        mean, variance = hp_channel_stats(sigma2)
         assert stats.mean == pytest.approx(mean, rel=1e-14)
         assert stats.variance == pytest.approx(variance, rel=1e-14)
 
     def test_frozen_values_divisor_10(self):
-        stats = lognormal_channel_stats(16.0, 10)
+        stats = lognormal_channel_stats(64.0)
         assert stats.mean == pytest.approx(1.5282936457798481, rel=1e-12)
         assert stats.variance == pytest.approx(3.1197264509712586, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            lognormal_channel_stats(-1.0, 10)
+            lognormal_channel_stats(-1.0)
         with pytest.raises(ValueError):
             ChannelStats(mean=0.0, variance=1.0)
 
@@ -83,22 +88,22 @@ class TestNormalizedWeights:
 
 
 class TestReiStats:
-    # The engine builds ReiStats from the alive nodes' normalized weights u
-    # as mean(u) * e_max and the population variance var(u) * e_max^2.
+    # The engine builds ReiStats from the alive nodes' normalized weights
+    # u = residual / e_max: their mean and population variance.
     @staticmethod
-    def from_residuals(residuals, capacity):
-        u = np.asarray(residuals, dtype=float) / capacity
-        return ReiStats(mean=float(u.mean()) * capacity, variance=float(u.var()) * capacity**2, capacity=capacity)
+    def from_residuals(residuals, e_max):
+        u = np.asarray(residuals, dtype=float) / e_max
+        return ReiStats(mean=float(u.mean()), variance=float(u.var()))
 
     def test_constant_residuals(self):
         stats = self.from_residuals(np.full(10, 0.5), 1.0)
-        assert stats.mean_normalized == pytest.approx(0.5)
-        assert stats.variance_normalized == 0.0
+        assert stats.mean == pytest.approx(0.5)
+        assert stats.variance == 0.0
 
     def test_two_point(self):
         stats = self.from_residuals(np.array([0.0, 2.0]), 2.0)
-        assert stats.mean_normalized == pytest.approx(0.5)
-        assert stats.variance_normalized == pytest.approx(0.25)
+        assert stats.mean == pytest.approx(0.5)
+        assert stats.variance == pytest.approx(0.25)
 
     def test_two_pass_variance_oracle(self):
         rng = np.random.default_rng(37)
@@ -109,26 +114,34 @@ class TestReiStats:
         assert stats.mean == pytest.approx(mean, rel=1e-12)
         assert stats.variance == pytest.approx(var, rel=1e-12)
 
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            ReiStats(mean=0.5, variance=-1e-3)
+        with pytest.raises(ValueError):
+            ReiStats(mean=1.01, variance=0.0)
+        with pytest.raises(ValueError):
+            ReiStats(mean=-0.01, variance=0.0)
+
 
 def uniform_rei():
-    return ReiStats(mean=0.5, variance=1.0 / 12.0, capacity=1.0)
+    return ReiStats(mean=0.5, variance=1.0 / 12.0)
 
 
 class TestAnalyticAverageSnr:
     def test_deterministic_array_gain(self):
-        rei = ReiStats(mean=1.0, variance=0.0, capacity=1.0)
+        rei = ReiStats(mean=1.0, variance=0.0)
         ch = ChannelStats(mean=1.0, variance=0.0)
         snr = analytic_average_snr(0.01, 50, rei, ch, NOISE)
         assert snr == pytest.approx(0.01**2 * 50**2 / NOISE, rel=1e-12)
 
     def test_zero_scale(self):
-        assert analytic_average_snr(0.0, 10, uniform_rei(), lognormal_channel_stats(16.0, 10), NOISE) == 0.0
+        assert analytic_average_snr(0.0, 10, uniform_rei(), lognormal_channel_stats(64.0), NOISE) == 0.0
 
     def test_monte_carlo_oracle(self):
         # Empirical mean of the realized SNR over independent energy and
         # gain draws must track the closed form within 2%.
         n, draws = 100, 100_000
-        ch = lognormal_channel_stats(16.0, 10)
+        ch = lognormal_channel_stats(64.0)
         scale = 5e-7
         expected = analytic_average_snr(scale, n, uniform_rei(), ch, NOISE)
         rng = np.random.default_rng(41)
@@ -147,14 +160,14 @@ class TestComputeWmax:
         rng = np.random.default_rng(43)
         for _ in range(25):
             n = int(rng.integers(1, 200))
-            rei = ReiStats(mean=rng.uniform(0.05, 1.0), variance=rng.uniform(0, 0.08), capacity=1.0)
+            rei = ReiStats(mean=rng.uniform(0.05, 1.0), variance=rng.uniform(0, 0.08))
             ch = ChannelStats(mean=rng.uniform(0.2, 3.0), variance=rng.uniform(0, 4.0))
             target = rng.uniform(0.1, 100.0)
             scale = compute_wmax(target, n, rei, ch, NOISE)
             assert analytic_average_snr(scale, n, rei, ch, NOISE) == pytest.approx(target, rel=1e-12)
 
     def test_deterministic_reduction(self):
-        rei = ReiStats(mean=1.0, variance=0.0, capacity=1.0)
+        rei = ReiStats(mean=1.0, variance=0.0)
         ch = ChannelStats(mean=1.0, variance=0.0)
         scale = compute_wmax(4.0, 20, rei, ch, NOISE)
         assert scale == pytest.approx(math.sqrt(4.0 * NOISE) / 20, rel=1e-12)
@@ -162,15 +175,16 @@ class TestComputeWmax:
     def test_headline_operating_point_high_precision(self):
         # Frozen from a 40-digit evaluation of the closed form at the
         # headline operating point (uniform energies, 16 dB^2 shadowing
-        # mapped with divisor 10, 100 nodes, 11.76 dB target).
-        ch = lognormal_channel_stats(16.0, 10)
+        # on the amplitude, i.e. 64 dB^2 on the power, 100 nodes, 11.76 dB
+        # target).
+        ch = lognormal_channel_stats(64.0)
         scale = compute_wmax(TARGET, 100, uniform_rei(), ch, NOISE)
         assert scale == pytest.approx(5.015104990745574e-07, rel=1e-12)
 
     def test_depleted_cluster_is_infeasible(self):
-        rei = ReiStats(mean=0.0, variance=0.0, capacity=1.0)
+        rei = ReiStats(mean=0.0, variance=0.0)
         with pytest.raises(InfeasibleAllocationError):
-            compute_wmax(TARGET, 100, rei, lognormal_channel_stats(16.0, 10), NOISE)
+            compute_wmax(TARGET, 100, rei, lognormal_channel_stats(64.0), NOISE)
 
     def test_cap_flagging(self):
         # compute_wmax returns the uncapped scale; the engine raises when the
@@ -184,7 +198,7 @@ class TestComputeWmax:
         from beamlife.lifetime import run_lifetime
 
         n, e_max, e0 = 20, 1.0, 0.5
-        ch = lognormal_channel_stats(16.0, 20)
+        ch = lognormal_channel_stats(16.0)
         cfg = ScenarioConfig(
             n=n,
             energy=EnergySpec(kind="gaussian", e_max=e_max, mean=e0, sigma=0.0),
@@ -195,7 +209,7 @@ class TestComputeWmax:
         gamma, noise = cfg.target_snr_linear(), db_to_linear(cfg.noise_db)
 
         def scale(u):
-            rei = ReiStats(mean=float(u.mean()) * e_max, variance=float(u.var()) * e_max**2, capacity=e_max)
+            rei = ReiStats(mean=float(u.mean()), variance=float(u.var()))
             return compute_wmax(gamma, u.size, rei, ch, noise)
 
         def rng():
@@ -216,7 +230,7 @@ class TestComputeWmax:
         assert clipped
 
     def test_zero_target(self):
-        assert compute_wmax(0.0, 10, uniform_rei(), lognormal_channel_stats(16.0, 10), NOISE) == 0.0
+        assert compute_wmax(0.0, 10, uniform_rei(), lognormal_channel_stats(64.0), NOISE) == 0.0
 
 
 class TestEqualPowerWeight:
@@ -225,14 +239,14 @@ class TestEqualPowerWeight:
         assert w == pytest.approx(math.sqrt(4.0 * NOISE) / 20, rel=1e-12)
 
     def test_consistent_with_average_snr_at_unit_weights(self):
-        ch = lognormal_channel_stats(16.0, 10)
+        ch = lognormal_channel_stats(64.0)
         w = cbepa_weight(TARGET, 100, ch, NOISE)
-        rei = ReiStats(mean=1.0, variance=0.0, capacity=1.0)
+        rei = ReiStats(mean=1.0, variance=0.0)
         assert analytic_average_snr(w, 100, rei, ch, NOISE) == pytest.approx(TARGET, rel=1e-12)
 
     def test_monte_carlo_oracle(self):
         n, draws = 100, 100_000
-        ch = lognormal_channel_stats(16.0, 10)
+        ch = lognormal_channel_stats(64.0)
         w = cbepa_weight(TARGET, n, ch, NOISE)
         rng = np.random.default_rng(47)
         total = 0.0

@@ -87,6 +87,7 @@ class TestFromDict:
             ({"snr_average": "db"}, "snr_average"),
             ({"ensemble_conditioning": "zero_fill"}, "ensemble_conditioning"),
             ({"wasted_percent_of_realized": True}, "wasted_percent_of_realized"),
+            ({"amplitude_divisor": 20}, "amplitude_divisor"),
         ],
     )
     def test_removed_convention_keys_rejected(self, data, path):

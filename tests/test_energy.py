@@ -123,7 +123,7 @@ class TestWastedEnergy:
         w = cbepa_weight(
             cfg.target_snr_linear(),
             cfg.n,
-            lognormal_channel_stats(cfg.shadowing_sigma2_db, cfg.amplitude_divisor),
+            lognormal_channel_stats(cfg.shadowing_sigma2_db),
             db_to_linear(cfg.noise_db),
         )
         monkeypatch.setattr(lifetime, "sample_initial_energies", lambda spec, n, rng: np.full(n, w * w * cfg.t_slot_s))

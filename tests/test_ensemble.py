@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import beamlife.ensemble
 from beamlife.config import ConfigError, StrategySpec
 from beamlife.ensemble import compare_strategies, run_ensemble
 from beamlife.lifetime import run_lifetime
@@ -39,6 +40,32 @@ class TestRunEnsemble:
         np.testing.assert_array_equal(serial.lifetimes, parallel.lifetimes)
         np.testing.assert_array_equal(serial.alive_fraction, parallel.alive_fraction)
         np.testing.assert_array_equal(serial.residual_total, parallel.residual_total)
+
+    def test_pool_never_exceeds_run_count(self, monkeypatch):
+        # A fork-based pool starts all its workers at the first submit, so
+        # the pool is sized to the runs; this stand-in runs jobs inline.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(beamlife.ensemble, "ProcessPoolExecutor", RecordingPool)
+        cfg = small_scenario()
+        pooled = run_ensemble(replace(cfg, runs=3), workers=64)
+        assert sizes == [3]
+        np.testing.assert_array_equal(pooled.lifetimes, run_ensemble(replace(cfg, runs=3)).lifetimes)
+        run_ensemble(replace(cfg, runs=1), workers=64)
+        assert sizes == [3]
 
     def test_surviving_runs_non_increasing(self):
         result = run_ensemble(small_scenario(runs=12, master_seed=11))

@@ -18,6 +18,8 @@ from beamlife.geometry import (
 )
 from beamlife.allocation import lognormal_channel_stats
 
+from test_allocation import SPREADS
+
 
 def test_polar_point_wraps_and_validates():
     p = PolarPoint(1.0, 2 * math.pi + 0.5)
@@ -96,38 +98,44 @@ class TestCarrierPhase:
 
 class TestSampleChannel:
     def test_zero_variance_gives_unit_gains(self):
-        gains = sample_channel(64, 0.0, np.random.default_rng(0), 10)
+        gains = sample_channel(64, 0.0, np.random.default_rng(0))
         np.testing.assert_array_equal(gains, np.ones(64))
 
     def test_log_gain_statistics(self):
-        # ln(gain) = A * ln(10)/10 with A zero-mean Gaussian of variance 16.
-        gains = sample_channel(1_000_000, 16.0, np.random.default_rng(5), amplitude_divisor=10)
+        # ln(gain) = A * ln(10)/20 with A zero-mean Gaussian of variance 64.
+        gains = sample_channel(1_000_000, 64.0, np.random.default_rng(5))
         log_gains = np.log(gains)
-        expected_var = 16.0 * (math.log(10.0) / 10.0) ** 2
+        expected_var = 64.0 * (math.log(10.0) / 20.0) ** 2
         assert abs(log_gains.mean()) < 0.01 * math.sqrt(expected_var)
         assert abs(log_gains.var() / expected_var - 1.0) < 0.01
 
-    @pytest.mark.parametrize("divisor", [10, 20])
-    def test_analytic_moments_match_monte_carlo(self, divisor):
-        gains = sample_channel(1_000_000, 16.0, np.random.default_rng(6), amplitude_divisor=divisor)
-        stats = lognormal_channel_stats(16.0, divisor)
+    @SPREADS
+    def test_analytic_moments_match_monte_carlo(self, sigma2):
+        gains = sample_channel(1_000_000, sigma2, np.random.default_rng(6))
+        stats = lognormal_channel_stats(sigma2)
         assert abs(gains.mean() / stats.mean - 1.0) < 0.02
         assert abs(gains.var() / stats.variance - 1.0) < 0.02
 
+    @pytest.mark.parametrize("sigma2", [0.5, 4.0, 9.0, 16.0, 100.0])
+    def test_amplitude_db_spread_is_four_times_the_power_spread(self, sigma2):
+        # A spread quoted on the amplitude, gain 10**(A/10), is the same
+        # channel as sample_channel at four times the variance, draw for draw.
+        amplitude_db = np.random.default_rng(12).normal(0.0, math.sqrt(sigma2), 500)
+        gains = sample_channel(500, 4.0 * sigma2, np.random.default_rng(12))
+        np.testing.assert_array_equal(gains, 10.0 ** (amplitude_db / 10.0))
+
     def test_deterministic_for_seed(self):
-        a = sample_channel(100, 16.0, np.random.default_rng(9), 10)
-        b = sample_channel(100, 16.0, np.random.default_rng(9), 10)
+        a = sample_channel(100, 64.0, np.random.default_rng(9))
+        b = sample_channel(100, 64.0, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
     def test_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_channel(10, -1.0, rng, 10)
-        with pytest.raises(ValueError):
-            sample_channel(10, 16.0, rng, amplitude_divisor=15)
-        # a 10^4 dB shadowing spread underflows some gains to zero
+            sample_channel(10, -1.0, rng)
+        # a 2·10^4 dB shadowing spread underflows some gains to zero
         with pytest.raises(ValueError, match="positive"), np.errstate(over="ignore"):
-            sample_channel(1000, 1e8, rng, 10)
+            sample_channel(1000, 4e8, rng)
 
 
 def test_sample_phase_errors_bounded():

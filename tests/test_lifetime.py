@@ -46,7 +46,6 @@ def small_scenario(**overrides):
         target_snr_db=8.0,
         noise_db=-100.0,
         shadowing_sigma2_db=16.0,
-        amplitude_divisor=20,
         phase_error_deg_bound=5.0,
         energy=EnergySpec(kind="uniform", e_max=1.0, mean=0.5, sigma=0.15),
         strategy=StrategySpec(kind="cb_pa", levels=8, period=1),
@@ -61,7 +60,7 @@ def small_scenario(**overrides):
             gamma = 2.0 ** base["target_rate_bits"] - 1.0
         else:
             gamma = 10 ** (base["target_snr_db"] / 10.0)
-        stats = lognormal_channel_stats(base["shadowing_sigma2_db"], base["amplitude_divisor"])
+        stats = lognormal_channel_stats(base["shadowing_sigma2_db"])
         ref = max(gamma, 1.0)
         w2 = cbepa_weight(ref, base["n"], stats, 10 ** (base["noise_db"] / 10.0)) ** 2
         base.setdefault("t_slot_s", base["energy"].e_max / (30.0 * w2))
@@ -251,13 +250,13 @@ def naive_single_link_replay(cfg, rng):
     n = cfg.n
     noise = 10 ** (cfg.noise_db / 10.0)
     gamma = cfg.target_snr_linear()
-    s2 = cfg.shadowing_sigma2_db * (math.log(10) / cfg.amplitude_divisor) ** 2
+    s2 = cfg.shadowing_sigma2_db * (math.log(10) / 20) ** 2
     m_a, v_a = math.exp(s2 / 2), (math.exp(s2) - 1) * math.exp(s2)
     # setup draws in the engine's documented order
     rng.random(n)  # radii
     rng.random(n)  # azimuths
     shadow = rng.normal(0.0, math.sqrt(cfg.shadowing_sigma2_db), n)
-    gains = 10.0 ** (shadow / cfg.amplitude_divisor)
+    gains = 10.0 ** (shadow / 20)
     bound = math.radians(cfg.phase_error_deg_bound)
     phases = rng.uniform(-bound, bound, n) if bound > 0 else np.zeros(n)
     energies = rng.uniform(0.0, cfg.energy.e_max, n)
@@ -353,12 +352,12 @@ def test_multi_link_round_one_snr_matches_setup_replay(n, k, seed):
 
     rng = rng_for(cfg.master_seed, seed)
     noise = 10 ** (cfg.noise_db / 10.0)
-    s2 = cfg.shadowing_sigma2_db * (math.log(10) / cfg.amplitude_divisor) ** 2
+    s2 = cfg.shadowing_sigma2_db * (math.log(10) / 20) ** 2
     m_a, v_a = math.exp(s2 / 2), (math.exp(s2) - 1) * math.exp(s2)
     rng.random(n)  # radii
     rng.random(n)  # azimuths
     gains = [
-        10.0 ** (rng.normal(0.0, math.sqrt(cfg.shadowing_sigma2_db), n) / cfg.amplitude_divisor)
+        10.0 ** (rng.normal(0.0, math.sqrt(cfg.shadowing_sigma2_db), n) / 20)
         for _ in range(k)
     ]
     bound = math.radians(cfg.phase_error_deg_bound)
@@ -379,7 +378,7 @@ def helper_chain_weights(cfg, residuals, alive, up_links):
     e_max = cfg.energy.e_max
     noise = db_to_linear(cfg.noise_db)
     gamma = cfg.target_snr_linear()
-    ch = lognormal_channel_stats(cfg.shadowing_sigma2_db, cfg.amplitude_divisor)
+    ch = lognormal_channel_stats(cfg.shadowing_sigma2_db)
     idx = partition_cluster(cfg.n, cfg.links)
     w = np.zeros(cfg.n)
     for l in up_links:
@@ -390,7 +389,7 @@ def helper_chain_weights(cfg, residuals, alive, up_links):
         u = cbpa_normalized_weights(residuals[active], e_max)
         if cfg.strategy.levels:
             u = quantize_weights(u, cfg.strategy.levels)
-        stats = ReiStats(mean=float(u.mean()) * e_max, variance=float(u.var()) * e_max**2, capacity=e_max)
+        stats = ReiStats(mean=float(u.mean()), variance=float(u.var()))
         try:
             scale = compute_wmax(gamma, n_alive, stats, ch, noise)
         except InfeasibleAllocationError:
@@ -438,7 +437,7 @@ def round_charges(cfg, trace, t, initial):
     if cfg.strategy.kind == "cb_pa":
         w = helper_chain_weights(cfg, residuals, alive, up)
     else:
-        ch = lognormal_channel_stats(cfg.shadowing_sigma2_db, cfg.amplitude_divisor)
+        ch = lognormal_channel_stats(cfg.shadowing_sigma2_db)
         idx = partition_cluster(cfg.n, cfg.links)
         w = np.zeros(cfg.n)
         for l in up:
@@ -479,7 +478,7 @@ def clipped_uneven_links():
         energy=EnergySpec(kind="gaussian", e_max=1.0, mean=e0, sigma=0.0),
         strategy=StrategySpec(kind="cb_pa", levels=0, period=4),
     )
-    ch = lognormal_channel_stats(cfg.shadowing_sigma2_db, cfg.amplitude_divisor)
+    ch = lognormal_channel_stats(cfg.shadowing_sigma2_db)
     w6 = cbepa_weight(cfg.target_snr_linear(), 6, ch, db_to_linear(cfg.noise_db))
     return replace(cfg, p_max=(1.01 * w6 / e0) ** 2, t_slot_s=e0 / (30 * w6**2))
 
@@ -560,7 +559,7 @@ def test_stretch_stops_where_the_node_cannot_pay():
         p_max=1.0,
         max_rounds=100,
     )
-    w = cbepa_weight(cfg.target_snr_linear(), 1, lognormal_channel_stats(0.0, 20), db_to_linear(cfg.noise_db))
+    w = cbepa_weight(cfg.target_snr_linear(), 1, lognormal_channel_stats(0.0), db_to_linear(cfg.noise_db))
     cost = w * w * cfg.t_slot_s
 
     def residuals(budget):
