@@ -12,7 +12,6 @@ SNR is averaged in the linear domain.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +80,9 @@ def run_ensemble(scenario, workers=1):
     # starts every one of them at the first submit.
     workers = min(workers, runs)
     if workers > 1:
+        # imported here: the pool's modules add to every command's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_run_indexed, jobs, chunksize=max(1, runs // (4 * workers))))
     else:

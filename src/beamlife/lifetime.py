@@ -16,16 +16,24 @@ built. The loop relies on these invariants:
 - ``partition_cluster`` gives each link's members as a strided slice;
 - a down link's members carry zero weight, so they stay funded and alive.
 
-Between reallocations the loop steps static stretches in bulk. After a
-round in which every node was funded and no link went down, the next round
-sees the same ``alive``, ``assigned`` and funded weights, so its slot costs,
-SNR, rate and death test repeat exactly and only the residuals move. Such
-rounds are advanced together in a buffer whose rows are the residuals that
-in-place ``residual -= cost`` steps give, bit for bit, and whose row sums
-are the per-round ``residual.sum()``. A stretch ends before the first round
-in which some node's residual is below its cost, before the next
-reallocation and at ``max_rounds``; every round that changes state runs the
-normal path.
+Only ``cb_pa`` reads the residuals, so it reallocates at every period
+boundary. The ``cb_epa`` weight depends on the alive count and the
+centralized baselines on the alive nodes' fixed gains; the alive set only
+shrinks, so these kinds reallocate at a boundary only if a node has died
+since their last allocation, as a repeat would give the same weights.
+
+The loop steps static stretches in bulk. After a round in which no link
+went down, the next round's weights ``where(alive, assigned, 0)`` equal
+this round's funded weights bit for bit, unless it reallocates with new
+inputs; its slot costs, payment, SNR, rate and death test then repeat
+exactly and only the residuals move. Such rounds are advanced together in a
+buffer whose rows are the residuals that in-place ``residual -= cost``
+steps give, bit for bit, and whose row sums are the per-round
+``residual.sum()``. A stretch ends before the first round in which some
+node's residual is below its cost, at ``max_rounds``, and before the next
+boundary that reallocates with new inputs: every boundary for ``cb_pa``,
+and for the other kinds the first one after a death. Every round that
+changes state runs the normal path.
 """
 
 from __future__ import annotations
@@ -293,14 +301,18 @@ def run_lifetime(scenario, rng, record_nodes=False):
     alive_rows, snr_rows, rate_rows, residual_rows = [], [], [], []
     node_rows = [] if record_nodes else None
     node_alive_rows = [] if record_nodes else None
-    # Only a reallocation period above 1 leaves rounds to step in bulk.
-    stretch_buf = np.empty((_STRETCH_ELEMENTS // n + 1, n)) if strategy.period > 1 else None
+    reads_residuals = strategy.kind == "cb_pa"
+    # cb_pa at period 1 reallocates with new inputs every round, so it leaves
+    # no round to step in bulk and skips that bookkeeping.
+    stepping = strategy.period > 1 or not reads_residuals
+    stale = True  # the weights predate the current alive set
+    stretch_buf = None  # allocated by the first stretch
 
     t = 0
     while t < scenario.max_rounds:
         t += 1
-        reallocate = (t - 1) % strategy.period == 0
-        if reallocate:
+        if (t - 1) % strategy.period == 0 and (reads_residuals or stale):
+            stale = False
             # Each link up writes all its members; a down link's members
             # were zeroed when it went down.
             for l in range(k):
@@ -359,17 +371,22 @@ def run_lifetime(scenario, rng, record_nodes=False):
         if not any(link_alive):
             break
 
-        # A round that funded every node and took no link down leaves the
-        # next one static until a node cannot pay or weights are reallocated
-        # (module docstring): step those rounds in bulk and repeat this row.
-        if stretch_buf is not None and t % strategy.period != 0 and not link_down and funded.all():
-            rounds = min(
-                strategy.period - t % strategy.period,  # rounds before the next reallocation
-                scenario.max_rounds - t,
-                len(stretch_buf) - 1,
-            )
+        # A round that took no link down leaves the next ones static until a
+        # node cannot pay or weights are reallocated with new inputs (module
+        # docstring): step those rounds in bulk and repeat this row.
+        if stepping:
+            stale = stale or not funded.all()
+            rounds = scenario.max_rounds - t
+            if reads_residuals or stale:
+                rounds = min(rounds, -t % strategy.period)  # rounds before the next boundary
+            if link_down or rounds < 1:
+                continue
+            if stretch_buf is None:
+                stretch_buf = np.empty((_STRETCH_ELEMENTS // n + 1, n))
             # the slot costs gate_and_charge just charged, computed as it does
-            stepped = _static_stretch(residual, funded_w * funded_w * slot, rounds, stretch_buf)
+            stepped = _static_stretch(
+                residual, funded_w * funded_w * slot, min(rounds, len(stretch_buf) - 1), stretch_buf
+            )
             m = len(stepped)
             for _ in range(m):
                 consumed += paid  # one addition per round: m * paid rounds differently

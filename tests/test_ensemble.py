@@ -1,11 +1,11 @@
 """Ensemble alignment, determinism, and comparison tests."""
 
+import concurrent.futures
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import beamlife.ensemble
 from beamlife.config import ConfigError, StrategySpec
 from beamlife.ensemble import compare_strategies, run_ensemble
 from beamlife.lifetime import run_lifetime
@@ -59,7 +59,8 @@ class TestRunEnsemble:
             def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(beamlife.ensemble, "ProcessPoolExecutor", RecordingPool)
+        # run_ensemble imports the pool from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = small_scenario()
         pooled = run_ensemble(replace(cfg, runs=3), workers=64)
         assert sizes == [3]

@@ -21,6 +21,8 @@ from beamlife.allocation import (
     compute_wmax,
     lognormal_channel_stats,
     quantize_weights,
+    solve_max_gain,
+    solve_min_power,
 )
 from beamlife.config import (
     ConfigError,
@@ -30,7 +32,7 @@ from beamlife.config import (
     StrategySpec,
     preset,
 )
-from beamlife.geometry import db_to_linear
+from beamlife.geometry import db_to_linear, sample_channel
 from beamlife.lifetime import bit_rate, evaluate_death, partition_cluster, run_lifetime
 
 
@@ -273,9 +275,18 @@ def naive_single_link_replay(cfg, rng):
             na = int(alive.sum())
             w = np.zeros(n)
             if na and gamma > 0:
+                w_epa = math.sqrt(gamma * noise / (na * v_a + na * na * m_a * m_a))
                 if cfg.strategy.kind == "cb_epa":
-                    w0 = min(math.sqrt(gamma * noise / (na * v_a + na * na * m_a * m_a)), cap)
-                    w[alive] = w0
+                    w[alive] = min(w_epa, cap)
+                elif cfg.strategy.kind == "centralized_min_power":
+                    try:
+                        w[alive] = solve_min_power(gains[alive], gamma, noise, cfg.p_max)
+                    except InfeasibleAllocationError:
+                        if t == 1:
+                            raise
+                        w[alive] = cap
+                elif cfg.strategy.kind == "centralized_max_gain":
+                    w[alive] = solve_max_gain(gains[alive], min(na * w_epa**2, na * cfg.p_max), cfg.p_max)
                 else:
                     u = e[alive] / cfg.energy.e_max
                     if cfg.strategy.levels:
@@ -313,7 +324,7 @@ def assert_matches_naive_replay(cfg, seed):
         assert trace.residual_total[t] == pytest.approx(residual, rel=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["cb_epa", "cb_pa"])
+@pytest.mark.parametrize("kind", ["cb_epa", "cb_pa", "centralized_min_power", "centralized_max_gain"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_engine_matches_naive_replay(kind, seed):
     cfg = small_scenario(strategy=StrategySpec(kind=kind, levels=8 if kind == "cb_pa" else 0, period=1))
@@ -326,8 +337,15 @@ def test_engine_matches_naive_replay(kind, seed):
         StrategySpec(kind="cb_epa", levels=0, period=7),
         StrategySpec(kind="cb_epa", levels=0, period=10**9),
         StrategySpec(kind="cb_pa", levels=8, period=5),
+        StrategySpec(kind="centralized_min_power", levels=0, period=3),
+        StrategySpec(kind="centralized_min_power", levels=0, period=10**9),
+        StrategySpec(kind="centralized_max_gain", levels=0, period=3),
+        StrategySpec(kind="centralized_max_gain", levels=0, period=10**9),
     ],
-    ids=["cb_epa-7", "cb_epa-one-shot", "cb_pa-5"],
+    ids=[
+        "cb_epa-7", "cb_epa-one-shot", "cb_pa-5",
+        "min_power-3", "min_power-one-shot", "max_gain-3", "max_gain-one-shot",
+    ],
 )
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_engine_matches_naive_replay_between_reallocations(strategy, seed):
@@ -421,12 +439,20 @@ def test_engine_charges_match_helper_chain(levels, links, seed):
         assert np.array_equal(trace.node_residuals[t - 1], expected), f"round {t}"
 
 
-def round_charges(cfg, trace, t, initial):
+def setup_gains(cfg, seed):
+    """Each link's channel draw, replayed in the engine's documented setup order."""
+    rng = rng_for(cfg.master_seed, seed)
+    rng.random((2, cfg.n))  # radii and azimuths
+    return [sample_channel(cfg.n, cfg.shadowing_sigma2_db, rng) for _ in range(cfg.links)]
+
+
+def round_charges(cfg, trace, t, initial, gains):
     """Slot cost of every node in round t >= 2, from public helpers.
 
-    Weights come from the last reallocation at or before round t (``initial``
-    holds the residuals of round 1); nodes dead by round t and links down
-    before it pay nothing.
+    Weights come from the last reallocation boundary at or before round t,
+    recomputed there whether or not the engine had to (``initial`` holds the
+    residuals of round 1, ``gains`` each link's channel draw); nodes dead by
+    round t and links down before it pay nothing.
     """
     reallocated = t - (t - 1) % cfg.strategy.period
     if reallocated == 1:
@@ -440,10 +466,20 @@ def round_charges(cfg, trace, t, initial):
         ch = lognormal_channel_stats(cfg.shadowing_sigma2_db)
         idx = partition_cluster(cfg.n, cfg.links)
         w = np.zeros(cfg.n)
+        gamma, noise, cap = cfg.target_snr_linear(), db_to_linear(cfg.noise_db), math.sqrt(cfg.p_max)
         for l in up:
             active = alive & link_mask(cfg.n, idx[l])
-            w0 = cbepa_weight(cfg.target_snr_linear(), int(active.sum()), ch, db_to_linear(cfg.noise_db))
-            w[active] = min(w0, math.sqrt(cfg.p_max))
+            na = int(active.sum())
+            w0 = cbepa_weight(gamma, na, ch, noise)
+            if cfg.strategy.kind == "cb_epa":
+                w[active] = min(w0, cap)
+            elif cfg.strategy.kind == "centralized_min_power":
+                try:
+                    w[active] = solve_min_power(gains[l][active], gamma, noise, cfg.p_max)
+                except InfeasibleAllocationError:
+                    w[active] = cap
+            else:
+                w[active] = solve_max_gain(gains[l][active], min(na * w0**2, na * cfg.p_max), cfg.p_max)
     w[~trace.node_alive[t - 2]] = 0.0
     return w * w * cfg.t_slot_s
 
@@ -484,7 +520,10 @@ def clipped_uneven_links():
 
 
 @pytest.mark.filterwarnings("ignore:13 nodes do not split evenly")
-@pytest.mark.parametrize("case", ["unfunded", "reallocation", "max_rounds", "link_down", "funded_link_down"])
+@pytest.mark.parametrize(
+    "case",
+    ["unfunded", "reallocation", "max_rounds", "link_down", "funded_link_down", "min_power-1", "max_gain-1"],
+)
 def test_bulk_stepped_rounds_are_bit_exact(case, monkeypatch):
     # Every round charges exactly what gate_and_charge would, whether the
     # engine ran it or stepped it in bulk, around each way a stretch ends.
@@ -498,6 +537,10 @@ def test_bulk_stepped_rounds_are_bit_exact(case, monkeypatch):
         )
     elif case == "funded_link_down":
         cfg = clipped_uneven_links()
+    elif case in ("min_power-1", "max_gain-1"):
+        # period 1, but the weights only change after a death
+        kind = "centralized_" + case[:-2]
+        cfg = small_scenario(strategy=StrategySpec(kind=kind, levels=0, period=1))
     elif case == "max_rounds":
         cfg = replace(cfg, t_slot_s=cfg.t_slot_s / 10)  # longer stretches
         full, normal = run_with_normal_rounds(cfg, 0, monkeypatch)
@@ -508,7 +551,8 @@ def test_bulk_stepped_rounds_are_bit_exact(case, monkeypatch):
     assert stepped
 
     initial = np.full(cfg.n, cfg.energy.mean)  # only read for cb_pa, whose budgets are equal
-    charges = [None, None] + [round_charges(cfg, trace, t, initial) for t in range(2, trace.lifetime + 1)]
+    gains = setup_gains(cfg, 0)
+    charges = [None, None] + [round_charges(cfg, trace, t, initial, gains) for t in range(2, trace.lifetime + 1)]
     for t in range(2, trace.lifetime + 1):
         prev = trace.node_residuals[t - 2]
         expected = np.where(prev >= charges[t], prev - charges[t], prev)
@@ -533,12 +577,56 @@ def test_bulk_stepped_rounds_are_bit_exact(case, monkeypatch):
     elif case == "link_down":
         assert first_down < trace.lifetime
         assert stepped & set(range(first_down + 1, trace.lifetime + 1))
-    else:
+    elif case == "funded_link_down":
         # the link went down with every node funded, before a round that
         # reallocates nothing, and that round still ran the normal path
         assert trace.node_alive.all() and first_down % cfg.strategy.period
         assert first_down < trace.lifetime and first_down + 1 in normal
         assert stepped & set(range(first_down + 2, trace.lifetime + 1))
+    else:
+        # after the round that reallocates for a death, stepping resumes
+        alive_counts = trace.node_alive.sum(axis=1)
+        first_death = int(np.flatnonzero(alive_counts < cfg.n)[0]) + 1
+        assert stepped & set(range(first_death + 2, trace.lifetime + 1))
+
+
+def counted_calls(monkeypatch, name):
+    """Replace ``beamlife.lifetime.<name>`` with a wrapper; return its call log."""
+    calls = []
+    fn = getattr(beamlife.lifetime, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(beamlife.lifetime, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kind, solver",
+    [("centralized_min_power", "solve_min_power"), ("centralized_max_gain", "solve_max_gain")],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_period_one_centralized_solves_only_after_deaths(kind, solver, seed, monkeypatch):
+    # The gains are fixed and the alive set only shrinks, so the weights are
+    # solved in round 1 and again only in the rounds that follow a death.
+    calls = counted_calls(monkeypatch, solver)
+    cfg = small_scenario(strategy=StrategySpec(kind=kind, levels=0, period=1))
+    trace = run_lifetime(cfg, rng_for(cfg.master_seed, seed), record_nodes=True)
+    alive_after = trace.node_alive.sum(axis=1)
+    alive_before = np.concatenate(([cfg.n], alive_after[:-1]))
+    followed_deaths = np.count_nonzero((alive_after < alive_before)[:-1])
+    assert followed_deaths >= 1
+    assert len(calls) == 1 + followed_deaths < trace.lifetime
+
+
+def test_cb_pa_period_one_runs_every_round_on_the_normal_path(monkeypatch):
+    # cb_pa reads the residuals, so each round reallocates with new inputs.
+    calls = counted_calls(monkeypatch, "gate_and_charge")
+    cfg = preset("pa-uniform")
+    trace = run_lifetime(cfg, rng_for(cfg.master_seed))
+    assert len(calls) == trace.lifetime
 
 
 def test_stretch_stops_where_the_node_cannot_pay():
