@@ -47,6 +47,12 @@ def _fmt(value):
     return str(value)
 
 
+def _causes_line(result):
+    """How the links of an ensemble's runs died, e.g. ``causes: nodes 0, snr 200, max_rounds 0``."""
+    causes = [cause for run in result.causes for cause in run]
+    return "causes: " + ", ".join(f"{c} {causes.count(c)}" for c in ("nodes", "snr", "max_rounds"))
+
+
 def _write_ensemble_dir(out, result, cfg):
     """Write one ensemble's rounds.csv, summary.csv and manifest.json into ``out``."""
     out.mkdir(parents=True, exist_ok=True)
@@ -91,6 +97,7 @@ def _cmd_run(args):
         f"{cfg.runs} runs: mean lifetime {summary['lifetime_mean_rounds']:.1f} rounds, "
         f"mean wasted energy {summary['wasted_pct_mean']:.1f}% -> {out}"
     )
+    print(_causes_line(result))
     return 0
 
 
@@ -134,6 +141,7 @@ def _cmd_compare(args):
             f"(ratio {comparison.lifetime_ratios[i]:.2f}), "
             f"wasted {comparison.wasted_pct_means[i]:.1f}%"
         )
+        print(f"  {_causes_line(comparison.ensembles[i])}")
     return 0
 
 

@@ -67,14 +67,18 @@ def gate_and_charge(residual, weights, slot_length):
 
     Returns (funded_mask, funded_weights, consumed). A node whose residual
     cannot cover its assigned slot energy transmits nothing and pays
-    nothing; zero-weight nodes are trivially funded at zero cost.
+    nothing; zero-weight nodes are trivially funded at zero cost. When
+    every node is funded, ``funded_weights`` is ``weights`` itself (given as
+    a float array); otherwise it is a new array, zero at the unfunded nodes,
+    and ``weights`` is left as it was. The round loop relies on both.
     """
     w = np.asarray(weights, dtype=float)
-    cost = w * w * slot_length
+    cost = w * w
+    cost *= slot_length
     funded = residual >= cost
     if funded.all():
         residual -= cost
-        return funded, w, float(cost.sum())
+        return funded, w, float(np.add.reduce(cost))
     funded_w = np.where(funded, w, 0.0)
     pay = np.where(funded, cost, 0.0)
     residual -= pay

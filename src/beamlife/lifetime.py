@@ -14,7 +14,15 @@ built. The loop relies on these invariants:
 - ``strategy.levels`` is 0 or a power of two, so quantized weights need
   no clip;
 - ``partition_cluster`` gives each link's members as a strided slice;
-- a down link's members carry zero weight, so they stay funded and alive.
+- the assigned weights are zero at every dead node and at every member
+  of a down link, so the round gates them as they are and those nodes
+  stay funded at zero cost. ``gate_and_charge`` returns its input when
+  every node paid; after a round in which some node could not, the loop
+  marks the new dead and keeps the funded weights, zero there, as the
+  assigned ones;
+- the alive set changes only in such a round, so the per-link alive
+  counts are taken then and handed to the allocation, not recounted in
+  every round.
 
 Only ``cb_pa`` reads the residuals, so it reallocates at every period
 boundary. The ``cb_epa`` weight depends on the alive count and the
@@ -23,17 +31,17 @@ shrinks, so these kinds reallocate at a boundary only if a node has died
 since their last allocation, as a repeat would give the same weights.
 
 The loop steps static stretches in bulk. After a round in which no link
-went down, the next round's weights ``where(alive, assigned, 0)`` equal
-this round's funded weights bit for bit, unless it reallocates with new
-inputs; its slot costs, payment, SNR, rate and death test then repeat
-exactly and only the residuals move. Such rounds are advanced together in a
-buffer whose rows are the residuals that in-place ``residual -= cost``
-steps give, bit for bit, and whose row sums are the per-round
-``residual.sum()``. A stretch ends before the first round in which some
-node's residual is below its cost, at ``max_rounds``, and before the next
-boundary that reallocates with new inputs: every boundary for ``cb_pa``,
-and for the other kinds the first one after a death. Every round that
-changes state runs the normal path.
+went down, the next round's assigned weights equal this round's funded
+weights bit for bit, unless it reallocates with new inputs; its slot
+costs, payment, SNR, rate and death test then repeat exactly and only the
+residuals move. Such rounds are advanced together in a buffer whose rows
+are the residuals that in-place ``residual -= cost`` steps give, bit for
+bit, and whose row sums are the per-round ``residual.sum()``. A stretch
+ends before the first round in which some node's residual is below its
+cost, at ``max_rounds``, and before the next boundary that reallocates
+with new inputs: every boundary for ``cb_pa``, and for the other kinds the
+first one after a death. Every round that changes state runs the normal
+path.
 """
 
 from __future__ import annotations
@@ -135,6 +143,7 @@ class LifetimeTrace:
 def _strategy_weights(
     kind,
     active,
+    n_alive,
     residuals,
     gains,
     target_snr,
@@ -148,32 +157,23 @@ def _strategy_weights(
     """Assigned amplitude per node of one link, zero for its dead nodes.
 
     The engine passes the link's own views of the alive mask (``active``),
-    the residuals and the gains. This runs every round, so the ``cb_pa``
-    branch inlines the public helpers without their input checks, on the
-    invariants the module docstring lists.
+    the residuals and the gains, and the link's alive count. This runs every
+    round, so the ``cb_pa`` branch inlines the public helpers without their
+    input checks, on the invariants the module docstring lists.
     """
-    weights = np.zeros(residuals.size)
-    n_alive = int(active.sum())
     if n_alive == 0 or target_snr == 0.0:
-        return weights
+        return np.zeros(residuals.size)
     cap_amp = math.sqrt(p_max)
 
-    if kind == "cb_epa":
-        w = cbepa_weight(target_snr, n_alive, ch_stats, noise_power)
-        if w > cap_amp:
-            if first_round:
-                raise InfeasibleAllocationError(
-                    f"equal-power weight {w:.3e} exceeds the cap amplitude {cap_amp:.3e} "
-                    f"for {n_alive} nodes; target SNR unreachable"
-                )
-            w = cap_amp
-        weights[active] = w
-        return weights
-
     if kind == "cb_pa":
-        # cbpa_normalized_weights, then quantize_weights, in place
-        u = residuals[active]
-        u /= e_max
+        # cbpa_normalized_weights, then quantize_weights, in place. With
+        # every member alive the gather residuals[active] is the identity.
+        everyone = n_alive == residuals.size
+        if everyone:
+            u = np.divide(residuals, e_max)
+        else:
+            u = residuals[active]
+            u /= e_max
         if levels > 0:
             u *= levels
             u += 0.5
@@ -184,16 +184,17 @@ def _strategy_weights(
         # quantized) normalized weights. These are the float operations of
         # u.mean() and u.var(), and of compute_wmax on a ReiStats built
         # from them.
-        m = float(u.sum() / n_alive)
+        m = float(np.add.reduce(u) / n_alive)
         d = u - m
-        v = float((d * d).sum() / n_alive)
+        d *= d
+        v = float(np.add.reduce(d) / n_alive)
         denom = _scale_denominator(n_alive, m, v, ch_stats)
         if denom <= 0:
             if first_round:
                 raise InfeasibleAllocationError(
                     "residual-energy statistics are all zero; the cluster cannot transmit"
                 )
-            return weights  # every weight quantized to zero: nothing can transmit
+            return np.zeros(residuals.size)  # every weight quantized to zero: nothing can transmit
         scale = math.sqrt(target_snr * noise_power / denom)
         if scale > cap_amp:
             if first_round:
@@ -202,7 +203,24 @@ def _strategy_weights(
                     f"for {n_alive} nodes; target SNR unreachable"
                 )
             scale = cap_amp
-        weights[active] = scale * u
+        u *= scale
+        if everyone:
+            return u
+        weights = np.zeros(residuals.size)
+        weights[active] = u
+        return weights
+
+    weights = np.zeros(residuals.size)
+    if kind == "cb_epa":
+        w = cbepa_weight(target_snr, n_alive, ch_stats, noise_power)
+        if w > cap_amp:
+            if first_round:
+                raise InfeasibleAllocationError(
+                    f"equal-power weight {w:.3e} exceeds the cap amplitude {cap_amp:.3e} "
+                    f"for {n_alive} nodes; target SNR unreachable"
+                )
+            w = cap_amp
+        weights[active] = w
         return weights
 
     if kind == "centralized_min_power":
@@ -288,14 +306,16 @@ def run_lifetime(scenario, rng, record_nodes=False):
     residual = sample_initial_energies(scenario.energy, n, rng)
     initial_total = float(residual.sum())
     alive = np.ones(n, dtype=bool)
-    # Alive members per link, counted once per round after gating. A down
-    # link's last count stands, so the counts also sum to the alive total.
+    # Alive members per link, recounted only after a round in which some node
+    # could not pay: nothing else changes the alive set. A down link's
+    # members keep zero weight and so stay alive, and the counts always sum
+    # to the alive total.
     up_counts = list(link_sizes)
     link_alive = [True] * k
     link_lifetimes = np.zeros(k, dtype=int)
     causes = [None] * k
     nominal_db = np.empty(k)  # every link is up in round 1, which sets it
-    assigned = np.zeros(n)
+    assigned = np.zeros(n)  # zero at dead nodes and at down links' members
     consumed = 0.0
 
     alive_rows, snr_rows, rate_rows, residual_rows = [], [], [], []
@@ -322,6 +342,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
                 assigned[idx] = _strategy_weights(
                     strategy.kind,
                     alive[idx],
+                    up_counts[l],
                     residual[idx],
                     channels[l][idx],
                     target_snr,
@@ -333,10 +354,16 @@ def run_lifetime(scenario, rng, record_nodes=False):
                     first_round=(t == 1),
                 )
 
-        w = np.where(alive, assigned, 0.0)
-        funded, funded_w, paid = gate_and_charge(residual, w, slot)
-        alive &= funded
+        funded, funded_w, paid = gate_and_charge(residual, assigned, slot)
         consumed += paid
+        # gate_and_charge returns ``assigned`` itself when every node paid,
+        # and otherwise a fresh copy zeroed where a node could not: those
+        # nodes die, and keeping that copy zeroes them in ``assigned``.
+        deaths = funded_w is not assigned
+        if deaths:
+            alive &= funded
+            assigned = funded_w
+            up_counts = [int(np.count_nonzero(alive[idx])) for idx in member_idx]
 
         snr_row = [math.nan] * k
         rate_total = 0.0
@@ -345,13 +372,12 @@ def run_lifetime(scenario, rng, record_nodes=False):
             if not link_alive[l]:
                 continue
             idx = member_idx[l]
-            snr = float(abs((funded_w[idx] * coherent[l]).sum()) ** 2) / noise_power
+            snr = float(abs(np.add.reduce(funded_w[idx] * coherent[l])) ** 2) / noise_power
             snr_db = 10.0 * math.log10(snr) if snr > 0 else -math.inf
             if t == 1:
                 nominal_db[l] = snr_db
             snr_row[l] = snr_db
             rate_total += bit_rate(snr)
-            up_counts[l] = int(alive[idx].sum())
             dead_fraction = 1.0 - up_counts[l] / link_sizes[l]
             cause = evaluate_death(dead_fraction, snr_db, scenario.death, nominal_db[l])
             if cause is not None:
@@ -364,7 +390,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
         alive_rows.append(sum(up_counts) / n)
         snr_rows.append(snr_row)
         rate_rows.append(rate_total)
-        residual_rows.append(float(residual.sum()))
+        residual_rows.append(float(np.add.reduce(residual)))
         if record_nodes:
             node_rows.append(residual.copy())
             node_alive_rows.append(alive.copy())
@@ -375,7 +401,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
         # node cannot pay or weights are reallocated with new inputs (module
         # docstring): step those rounds in bulk and repeat this row.
         if stepping:
-            stale = stale or not funded.all()
+            stale = stale or deaths
             rounds = scenario.max_rounds - t
             if reads_residuals or stale:
                 rounds = min(rounds, -t % strategy.period)  # rounds before the next boundary

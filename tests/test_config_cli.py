@@ -312,6 +312,27 @@ class TestCli:
         assert (out / "a" / "rounds.csv").exists()
         assert (out / "b" / "rounds.csv").exists()
 
+    def test_summaries_print_death_causes(self, tmp_path, capsys):
+        # one causes line per ensemble, counting every link of every run
+        def printed_causes():
+            found = re.findall(r"causes: nodes (\d+), snr (\d+), max_rounds (\d+)", capsys.readouterr().out)
+            return [tuple(int(c) for c in counts) for counts in found]
+
+        cfg_path = tmp_path / "two_links.json"
+        cfg_path.write_text(json.dumps(tiny_config_dict(links=2)))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        (counts,) = printed_causes()
+        assert sum(counts) == 3 * 2
+        causes = [c for run in run_ensemble(load_config(cfg_path)).causes for c in run]
+        assert counts == tuple(causes.count(c) for c in ("nodes", "snr", "max_rounds"))
+
+        capped = tmp_path / "capped.json"
+        capped.write_text(json.dumps(tiny_config_dict(max_rounds=3)))
+        assert main(["compare", "--config", str(cfg_path), "--config", str(capped), "--out", str(tmp_path / "cmp")]) == 0
+        two_links, one_link = printed_causes()
+        assert sum(two_links) == 3 * 2
+        assert one_link == (0, 0, 3)
+
     def test_compare_rejects_duplicate_labels(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()

@@ -88,6 +88,23 @@ class TestChargeRound:
         np.testing.assert_array_equal(funded_w, [0.0])
         assert consumed == 0.0
 
+    def test_all_funded_returns_the_weights_array_itself(self):
+        # The round loop takes "funded_w is weights" to mean nobody died.
+        weights = np.array([0.1, 0.0, 0.2])
+        funded, funded_w, _ = gate_and_charge(np.ones(3), weights, 1.0)
+        assert funded.all()
+        assert funded_w is weights
+
+    def test_unfunded_node_gets_a_fresh_weights_array(self):
+        # The round loop keeps this array as its zero-at-the-dead weights,
+        # so it must not share memory with the input, which stays unchanged.
+        weights = np.array([0.1, 0.5, 0.2])
+        funded, funded_w, _ = gate_and_charge(np.array([1.0, 0.1, 1.0]), weights, 1.0)
+        np.testing.assert_array_equal(funded, [True, False, True])
+        assert funded_w is not weights and not np.shares_memory(funded_w, weights)
+        np.testing.assert_array_equal(funded_w, [0.1, 0.0, 0.2])
+        np.testing.assert_array_equal(weights, [0.1, 0.5, 0.2])
+
     def test_zero_weights_leave_state_unchanged(self):
         residual = np.array([0.3, 0.7])
         funded, _, consumed = gate_and_charge(residual, np.zeros(2), 1.0)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from beamlife.config import ConfigError, StrategySpec
+from beamlife.config import ConfigError, StrategySpec, preset, preset_names
 from beamlife.ensemble import compare_strategies, run_ensemble
 from beamlife.lifetime import run_lifetime
 
@@ -138,3 +138,80 @@ class TestCompareStrategies:
         # one label per scenario
         with pytest.raises(ValueError, match="labels"):
             compare_strategies([small_scenario(runs=2)] * 3, labels=("x",))
+
+
+# Each preset's ensemble at 8 runs, recorded from an engine whose outputs
+# every speed-up must keep bit for bit: per-run lifetimes, death
+# causes (per run, links joined by "/"), and the sums of the residual, rate
+# and SNR curves, the last over its finite rounds, followed by the number of
+# rounds whose mean SNR is -inf (every weight quantized to zero).
+FROZEN_PRESETS = {
+    'pa-uniform': (
+        [151, 154, 121, 144, 143, 159, 158, 160],
+        'snr snr snr snr snr snr snr snr',
+        (4233.712733360582, 632.9213944130338, 1865.9497043058138, 0),
+    ),
+    'epa-uniform': (
+        [143, 134, 79, 107, 124, 158, 155, 125],
+        'snr snr snr snr snr snr snr snr',
+        (5407.83417055795, 551.9507842048192, 1602.099052048648, 0),
+    ),
+    'pa-gaussian': (
+        [165, 171, 163, 172, 164, 177, 181, 162],
+        'snr snr snr snr snr snr snr snr',
+        (4756.853746994475, 714.2299674629094, 2102.8025087023857, 0),
+    ),
+    'epa-gaussian': (
+        [159, 162, 168, 180, 163, 177, 182, 174],
+        'snr snr snr snr snr snr snr snr',
+        (5133.4868327357735, 681.0336194112758, 1991.4917043524665, 0),
+    ),
+    'single-link': (
+        [165, 171, 163, 172, 164, 177, 181, 162],
+        'snr snr snr snr snr snr snr snr',
+        (4755.95536380232, 714.1786083051456, 2102.8058895271674, 0),
+    ),
+    'multi-link': (
+        [211, 209, 224, 213, 223, 206, 208, 215],
+        'snr/snr snr/snr snr/snr snr/snr snr/snr snr/snr snr/snr snr/snr',
+        (5869.760145095397, 846.8855015706437, 1039.8478864275457, 0),
+    ),
+    'rate-4bit': (
+        [151, 154, 121, 144, 143, 159, 158, 160],
+        'snr snr snr snr snr snr snr snr',
+        (4233.003280518111, 632.7733102817987, 1865.517104446127, 0),
+    ),
+    'rate-3bit': (
+        [319, 325, 252, 305, 303, 340, 335, 339],
+        'snr snr snr snr snr snr snr snr',
+        (9084.38313393003, 1018.7190164265725, 2879.7904563259885, 0),
+    ),
+    'quant-2': (
+        [69, 73, 48, 63, 61, 76, 77, 72],
+        'snr snr snr snr snr snr snr snr',
+        (2771.065115204067, 300.3508445762395, 894.5565648199489, 1),
+    ),
+    'quant-4': (
+        [118, 121, 89, 109, 109, 129, 126, 124],
+        'snr snr snr snr snr snr snr snr',
+        (3848.1624400947435, 513.18882826033, 1514.2892412070921, 0),
+    ),
+    'quant-8': (
+        [151, 154, 121, 144, 143, 159, 158, 160],
+        'snr snr snr snr snr snr snr snr',
+        (4233.712733360582, 632.9213944130338, 1865.9497043058138, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_preset_results_are_frozen(name):
+    lifetimes, causes, (residual, rate, snr, silent) = FROZEN_PRESETS[name]
+    result = run_ensemble(replace(preset(name), runs=8))
+    assert result.lifetimes.tolist() == lifetimes
+    assert " ".join("/".join(run) for run in result.causes) == causes
+    finite = np.isfinite(result.snr_db)
+    assert int((~finite).sum()) == silent
+    assert float(result.residual_total.sum()) == pytest.approx(residual, rel=1e-9)
+    assert float(result.rate_total.sum()) == pytest.approx(rate, rel=1e-9)
+    assert float(result.snr_db[finite].sum()) == pytest.approx(snr, rel=1e-9)

@@ -324,10 +324,29 @@ def assert_matches_naive_replay(cfg, seed):
         assert trace.residual_total[t] == pytest.approx(residual, rel=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["cb_epa", "cb_pa", "centralized_min_power", "centralized_max_gain"])
+@pytest.mark.parametrize(
+    "case",
+    ["cb_epa", "cb_pa", "centralized_min_power", "centralized_max_gain", "cb_pa-n100-8", "cb_pa-n100-0"],
+)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_engine_matches_naive_replay(kind, seed):
-    cfg = small_scenario(strategy=StrategySpec(kind=kind, levels=8 if kind == "cb_pa" else 0, period=1))
+def test_engine_matches_naive_replay(case, seed):
+    if case.startswith("cb_pa-n100"):
+        # A slot long enough that nodes die while the link stays up: cb_pa
+        # reallocates both with every member alive (round 2) and after
+        # deaths, the engine's two ways of normalizing the residuals. Its
+        # charges must also equal the helper chain's.
+        cfg = small_scenario(n=100)
+        cfg = replace(
+            cfg,
+            t_slot_s=4 * cfg.t_slot_s,
+            death=DeathSpec(max_dead_fraction=1.0, snr_drop_db=60.0),
+            strategy=StrategySpec(kind="cb_pa", levels=int(case.rsplit("-", 1)[1]), period=1),
+        )
+        trace = run_lifetime(cfg, rng_for(cfg.master_seed, seed), record_nodes=True)
+        assert trace.alive_fraction[0] == 1.0 and trace.alive_fraction[:-1].min() < 1.0
+        assert_charges_match_helper_chain(cfg, trace)
+    else:
+        cfg = small_scenario(strategy=StrategySpec(kind=case, levels=8 if case == "cb_pa" else 0, period=1))
     assert_matches_naive_replay(cfg, seed)
 
 
@@ -416,6 +435,17 @@ def helper_chain_weights(cfg, residuals, alive, up_links):
     return w
 
 
+def assert_charges_match_helper_chain(cfg, trace):
+    """Each round's charges equal those of the cb_pa helper chain exactly."""
+    for t in range(2, trace.lifetime + 1):
+        prev = trace.node_residuals[t - 2]
+        up = [l for l in range(cfg.links) if trace.link_lifetimes[l] >= t]
+        w = helper_chain_weights(cfg, prev, trace.node_alive[t - 2], up)
+        cost = w * w * cfg.t_slot_s
+        expected = np.where(prev >= cost, prev - cost, prev)
+        assert np.array_equal(trace.node_residuals[t - 1], expected), f"round {t}"
+
+
 @pytest.mark.parametrize("levels", [0, 8])
 @pytest.mark.parametrize("links", [1, 2], ids=["azimuths0", "azimuths1"])  # the suite's long-standing ids
 @pytest.mark.parametrize("seed", range(5))
@@ -430,13 +460,7 @@ def test_engine_charges_match_helper_chain(levels, links, seed):
     )
     trace = run_lifetime(cfg, rng_for(cfg.master_seed, seed), record_nodes=True)
     assert trace.lifetime >= 3
-    for t in range(2, trace.lifetime + 1):
-        prev = trace.node_residuals[t - 2]
-        up = [l for l in range(cfg.links) if trace.link_lifetimes[l] >= t]
-        w = helper_chain_weights(cfg, prev, trace.node_alive[t - 2], up)
-        cost = w * w * cfg.t_slot_s
-        expected = np.where(prev >= cost, prev - cost, prev)
-        assert np.array_equal(trace.node_residuals[t - 1], expected), f"round {t}"
+    assert_charges_match_helper_chain(cfg, trace)
 
 
 def setup_gains(cfg, seed):
