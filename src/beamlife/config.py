@@ -13,6 +13,7 @@ import numbers
 from dataclasses import dataclass, field, fields, replace
 
 from .allocation import lognormal_channel_stats
+from .geometry import db_to_linear
 
 __all__ = [
     "ConfigError",
@@ -177,6 +178,14 @@ def _channel_moments_finite(cfg):
         return False
 
 
+def _linear_or_inf(compute):
+    """``compute()``, a power converted from dB, or inf where it overflows."""
+    try:
+        return compute()
+    except OverflowError:
+        return math.inf
+
+
 def validate(cfg):
     """Raise ConfigError with a key path on the first violated constraint."""
     _check_types(cfg, "")
@@ -186,6 +195,12 @@ def validate(cfg):
         raise ConfigError("target_snr_db/target_rate_bits: exactly one must be set")
     if cfg.target_rate_bits is not None:
         _check(cfg.target_rate_bits >= 0, "target_rate_bits", "must be non-negative")
+    target_key = "target_snr_db" if cfg.target_rate_bits is None else "target_rate_bits"
+    _check(math.isfinite(_linear_or_inf(cfg.target_snr_linear)), target_key,
+           "too large: the linear target SNR overflows")
+    noise = _linear_or_inf(lambda: db_to_linear(cfg.noise_db))
+    _check(0 < noise < math.inf, "noise_db",
+           f"the linear noise power of {cfg.noise_db} dB must be finite and positive, got {noise}")
     _check(cfg.shadowing_sigma2_db >= 0, "shadowing_sigma2_db", "must be non-negative")
     _check(_channel_moments_finite(cfg), "shadowing_sigma2_db",
            f"too large: the channel gain moments overflow at n={cfg.n}")
@@ -202,8 +217,8 @@ def validate(cfg):
     _check(cfg.energy.sigma >= 0, "energy.sigma", "must be non-negative")
     _check(cfg.strategy.kind in STRATEGY_KINDS, "strategy.kind", f"unknown kind {cfg.strategy.kind!r}")
     levels = cfg.strategy.levels
-    _check(levels >= 0 and (levels == 0 or levels & (levels - 1) == 0), "strategy.levels",
-           f"must be 0 or a power of two, got {levels}")
+    _check(0 <= levels < 2**1024 and (levels == 0 or levels & (levels - 1) == 0), "strategy.levels",
+           f"must be 0 or a power of two below 2**1024 (a finite float), got {levels}")
     _check(cfg.strategy.period >= 1, "strategy.period", "must be at least 1")
     _check(0 < cfg.death.max_dead_fraction <= 1, "death.max_dead_fraction", "must lie in (0, 1]")
     _check(cfg.death.snr_drop_db > 0, "death.snr_drop_db", "must be positive")

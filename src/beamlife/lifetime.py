@@ -22,7 +22,11 @@ built. The loop relies on these invariants:
   assigned ones;
 - the alive set changes only in such a round, so the per-link alive
   counts are taken then and handed to the allocation, not recounted in
-  every round.
+  every round. The per-link views of the residuals, alive mask and gains
+  are made once per run, those of the assigned weights again after such
+  a round. The allocation writes each link's weights into its view of
+  the assigned array; ``cb_pa`` with every member alive computes them
+  there, with no gather and no copy.
 
 Only ``cb_pa`` reads the residuals, so it reallocates at every period
 boundary. The ``cb_epa`` weight depends on the alive count and the
@@ -30,18 +34,30 @@ centralized baselines on the alive nodes' fixed gains; the alive set only
 shrinks, so these kinds reallocate at a boundary only if a node has died
 since their last allocation, as a repeat would give the same weights.
 
+Each run has one buffer of at most ``_ROW_ELEMENTS`` residuals: row j
+holds the residual vector after a round, written by the normal path and
+by the stretches below alike. When it is full, and when the run ends, it
+is flushed: ``np.add.reduce(rows, axis=1)`` gives the rounds'
+``residual_total`` (axis-1 row sums have the bits of the 1-D
+``residual.sum()``), and a recorded run keeps a copy of the rows.
+
 The loop steps static stretches in bulk. After a round in which no link
 went down, the next round's assigned weights equal this round's funded
 weights bit for bit, unless it reallocates with new inputs; its slot
 costs, payment, SNR, rate and death test then repeat exactly and only the
-residuals move. Such rounds are advanced together in a buffer whose rows
+residuals move. Such rounds are stepped into the row buffer, whose rows
 are the residuals that in-place ``residual -= cost`` steps give, bit for
-bit, and whose row sums are the per-round ``residual.sum()``. A stretch
+bit; a stretch that fills the buffer flushes it and goes on. A stretch
 ends before the first round in which some node's residual is below its
-cost, at ``max_rounds``, and before the next boundary that reallocates
-with new inputs: every boundary for ``cb_pa``, and for the other kinds the
-first one after a death. Every round that changes state runs the normal
-path.
+cost, at ``max_rounds``, after ``_STRETCH_ELEMENTS // n`` rounds, and
+before the next boundary that reallocates with new inputs: every boundary
+for ``cb_pa``, and for the other kinds the first one after a death. Its
+length is estimated from residual / cost, which near a whole ratio can
+promise a round too many. A residual never rises (``fl(r - c) <= r`` for
+``c >= 0``), so the rounds that can pay are a prefix of the stepped ones:
+the stretch tests the last stepped round's start and, only if that fails,
+searches back, instead of testing every row. Every round that changes
+state runs the normal path.
 """
 
 from __future__ import annotations
@@ -141,6 +157,7 @@ class LifetimeTrace:
 
 
 def _strategy_weights(
+    out,
     kind,
     active,
     n_alive,
@@ -149,20 +166,26 @@ def _strategy_weights(
     target_snr,
     noise_power,
     ch_stats,
-    e_max,
+    divisor,
+    factor,
     levels,
     p_max,
     first_round,
 ):
-    """Assigned amplitude per node of one link, zero for its dead nodes.
+    """Write one link's assigned amplitude per node into ``out``.
 
-    The engine passes the link's own views of the alive mask (``active``),
-    the residuals and the gains, and the link's alive count. This runs every
-    round, so the ``cb_pa`` branch inlines the public helpers without their
-    input checks, on the invariants the module docstring lists.
+    The engine passes the link's own views of the assigned weights
+    (``out``), the alive mask (``active``), the residuals and the gains, and
+    the link's alive count, and ``_quantization_grid``'s divisor and factor.
+    ``out`` is zero at the link's dead nodes (module docstring), so only the
+    alive ones are written. This runs every round
+    for ``cb_pa``, so that branch inlines the public helpers without their
+    input checks, on the invariants the module docstring lists, and with
+    every member alive computes the weights in ``out`` itself.
     """
     if n_alive == 0 or target_snr == 0.0:
-        return np.zeros(residuals.size)
+        out.fill(0.0)
+        return
     cap_amp = math.sqrt(p_max)
 
     if kind == "cb_pa":
@@ -170,12 +193,13 @@ def _strategy_weights(
         # every member alive the gather residuals[active] is the identity.
         everyone = n_alive == residuals.size
         if everyone:
-            u = np.divide(residuals, e_max)
+            u = np.divide(residuals, divisor, out=out)
         else:
             u = residuals[active]
-            u /= e_max
+            u /= divisor
         if levels > 0:
-            u *= levels
+            if factor != 1:
+                u *= factor
             u += 0.5
             np.floor(u, out=u)
             u /= levels
@@ -183,18 +207,19 @@ def _strategy_weights(
         # moments fed to the closed form are those of the (possibly
         # quantized) normalized weights. These are the float operations of
         # u.mean() and u.var(), and of compute_wmax on a ReiStats built
-        # from them.
-        m = float(np.add.reduce(u) / n_alive)
+        # from them; the divisions are Python's, as numpy scalar ones are slow.
+        m = float(np.add.reduce(u)) / n_alive
         d = u - m
         d *= d
-        v = float(np.add.reduce(d) / n_alive)
+        v = float(np.add.reduce(d)) / n_alive
         denom = _scale_denominator(n_alive, m, v, ch_stats)
         if denom <= 0:
             if first_round:
                 raise InfeasibleAllocationError(
                     "residual-energy statistics are all zero; the cluster cannot transmit"
                 )
-            return np.zeros(residuals.size)  # every weight quantized to zero: nothing can transmit
+            out.fill(0.0)  # every weight quantized to zero: nothing can transmit
+            return
         scale = math.sqrt(target_snr * noise_power / denom)
         if scale > cap_amp:
             if first_round:
@@ -204,13 +229,10 @@ def _strategy_weights(
                 )
             scale = cap_amp
         u *= scale
-        if everyone:
-            return u
-        weights = np.zeros(residuals.size)
-        weights[active] = u
-        return weights
+        if not everyone:
+            out[active] = u
+        return
 
-    weights = np.zeros(residuals.size)
     if kind == "cb_epa":
         w = cbepa_weight(target_snr, n_alive, ch_stats, noise_power)
         if w > cap_amp:
@@ -220,54 +242,71 @@ def _strategy_weights(
                     f"for {n_alive} nodes; target SNR unreachable"
                 )
             w = cap_amp
-        weights[active] = w
-        return weights
+        out[active] = w
+        return
 
     if kind == "centralized_min_power":
         try:
-            weights[active] = solve_min_power(gains[active], target_snr, noise_power, p_max)
+            out[active] = solve_min_power(gains[active], target_snr, noise_power, p_max)
         except InfeasibleAllocationError:
             if first_round:
                 raise
-            weights[active] = cap_amp  # best effort: everyone at the cap
-        return weights
+            out[active] = cap_amp  # best effort: everyone at the cap
+        return
 
     # centralized_max_gain: spend the equal-power budget optimally
     budget = min(n_alive * cbepa_weight(target_snr, n_alive, ch_stats, noise_power) ** 2, n_alive * p_max)
-    weights[active] = solve_max_gain(gains[active], budget, p_max)
-    return weights
+    out[active] = solve_max_gain(gains[active], budget, p_max)
 
 
-# Elements of the bulk-step buffer (1 MB of float64). It bounds the rounds
-# one stretch steps, so memory grows with neither n nor the stretch length.
+def _quantization_grid(e_max, levels):
+    """Divisor and factor that take residuals to ``levels`` times their
+    normalized value, the first step of ``quantize_weights``.
+
+    Where ``e_max / levels`` is exact and ``levels`` at most 2**1000, one
+    division by it does both steps: ``r / (e_max / levels)`` is the number
+    ``(r / e_max) * levels`` rounded once, as the power-of-two factor scales
+    without rounding. Only where ``r / e_max`` is subnormal can the two
+    differ, and both are then below 2**-22 and quantize to 0.
+    """
+    if levels and levels <= 2**1000 and e_max / levels * levels == e_max:
+        return e_max / levels, 1
+    return e_max, levels
+
+
+# Elements of a run's residual-row buffer (512 KB of float64), so its memory
+# grows with neither n nor the run length.
+_ROW_ELEMENTS = 2**16
+# A stretch steps at most _STRETCH_ELEMENTS // n rounds; the round after it
+# runs the normal path even if nothing changed.
 _STRETCH_ELEMENTS = 2**17
 
 
-def _static_stretch(residual, cost, rounds, buf):
-    """Step up to ``rounds`` rounds in which every node pays ``cost``.
+def _static_stretch(residual, cost, rows):
+    """Step up to ``len(rows) >= 1`` rounds in which every node pays ``cost``.
 
-    Returns the residual rows after each stepped round, a view into ``buf``,
-    and leaves ``residual`` at the last one. Stepping stops before the first
-    round whose starting residuals do not cover ``cost`` everywhere (the test
-    of ``gate_and_charge``), so that round runs the normal path.
+    Writes the residuals after each stepped round into ``rows``, leaves
+    ``residual`` at the last one and returns how many rounds were stepped.
+    Stepping stops before the first round whose starting residuals do not
+    cover ``cost`` everywhere (the test of ``gate_and_charge``), so that
+    round runs the normal path.
     """
-    charged = cost > 0
-    if charged.any():
-        # Only sizes the stretch; the stepped rows decide which rounds count.
-        rounds = min(rounds, int((residual[charged] / cost[charged]).min()))
-    if rounds < 1:
-        return buf[:0]
-    acc = buf[: rounds + 1]
-    acc[0] = residual
     # Row by row, as ``residual -= cost`` would: np.subtract.accumulate
     # along axis 0 gives the same bits but walks the buffer column by
     # column, 2-4x slower per row at n = 500-1000.
-    for prev, row in zip(acc[:-1], acc[1:]):
+    np.subtract(residual, cost, out=rows[0])
+    for prev, row in zip(rows[:-1], rows[1:]):
         np.subtract(prev, cost, out=row)
-    funded = (acc[:-1] >= cost).all(axis=1)
-    stepped = rounds if funded.all() else int(funded.argmin())
-    residual[:] = acc[stepped]
-    return acc[1 : stepped + 1]
+    # A residual never rises (fl(r - c) <= r for c >= 0), so the rounds whose
+    # starting residuals cover the cost are a prefix: if the last stepped
+    # round's start does, all do; otherwise search back from it.
+    stepped = len(rows)
+    while stepped > 1 and not (rows[stepped - 2] >= cost).all():
+        stepped -= 1
+    if stepped == 1 and not (residual >= cost).all():
+        return 0
+    residual[:] = rows[stepped - 1]
+    return stepped
 
 
 def run_lifetime(scenario, rng, record_nodes=False):
@@ -280,12 +319,12 @@ def run_lifetime(scenario, rng, record_nodes=False):
     """
     n = scenario.n
     k = scenario.links
-    e_max = scenario.energy.e_max
     slot = scenario.t_slot_s
     noise_power = db_to_linear(scenario.noise_db)
     target_snr = scenario.target_snr_linear()
     ch_stats = lognormal_channel_stats(scenario.shadowing_sigma2_db)
     strategy = scenario.strategy
+    divisor, factor = _quantization_grid(scenario.energy.e_max, strategy.levels)
 
     # fixed draw order. The node layout's radius and azimuth draws stay,
     # unused, so that every seed keeps its channel, phase-error and energy
@@ -314,19 +353,36 @@ def run_lifetime(scenario, rng, record_nodes=False):
     link_alive = [True] * k
     link_lifetimes = np.zeros(k, dtype=int)
     causes = [None] * k
-    nominal_db = np.empty(k)  # every link is up in round 1, which sets it
+    nominal_db = [math.nan] * k  # every link is up in round 1, which sets it
     assigned = np.zeros(n)  # zero at dead nodes and at down links' members
     consumed = 0.0
 
-    alive_rows, snr_rows, rate_rows, residual_rows = [], [], [], []
-    node_rows = [] if record_nodes else None
+    residual_at = [residual[idx] for idx in member_idx]
+    alive_at = [alive[idx] for idx in member_idx]
+    gains_at = [channels[l][idx] for l, idx in enumerate(member_idx)]
+    assigned_at = [assigned[idx] for idx in member_idx]
+    products = [np.empty(size, dtype=complex) for size in link_sizes]
+
+    # residual rows, flushed into their sums (module docstring)
+    rows = np.empty((max(min(scenario.max_rounds, _ROW_ELEMENTS // n), 1), n))
+    j = 0
+    row_sums = []
+    node_chunks = [] if record_nodes else None
+
+    def flush():
+        nonlocal j
+        row_sums.append(np.add.reduce(rows[:j], axis=1))
+        if record_nodes:
+            node_chunks.append(rows[:j].copy())
+        j = 0
+
+    alive_rows, snr_rows, rate_rows = [], [], []
     node_alive_rows = [] if record_nodes else None
     reads_residuals = strategy.kind == "cb_pa"
     # cb_pa at period 1 reallocates with new inputs every round, so it leaves
     # no round to step in bulk and skips that bookkeeping.
     stepping = strategy.period > 1 or not reads_residuals
     stale = True  # the weights predate the current alive set
-    stretch_buf = None  # allocated by the first stretch
 
     t = 0
     while t < scenario.max_rounds:
@@ -338,17 +394,18 @@ def run_lifetime(scenario, rng, record_nodes=False):
             for l in range(k):
                 if not link_alive[l]:
                     continue
-                idx = member_idx[l]
-                assigned[idx] = _strategy_weights(
+                _strategy_weights(
+                    assigned_at[l],
                     strategy.kind,
-                    alive[idx],
+                    alive_at[l],
                     up_counts[l],
-                    residual[idx],
-                    channels[l][idx],
+                    residual_at[l],
+                    gains_at[l],
                     target_snr,
                     noise_power,
                     ch_stats,
-                    e_max,
+                    divisor,
+                    factor,
                     strategy.levels,
                     scenario.p_max,
                     first_round=(t == 1),
@@ -363,7 +420,8 @@ def run_lifetime(scenario, rng, record_nodes=False):
         if deaths:
             alive &= funded
             assigned = funded_w
-            up_counts = [int(np.count_nonzero(alive[idx])) for idx in member_idx]
+            assigned_at = [assigned[idx] for idx in member_idx]
+            up_counts = [int(np.count_nonzero(view)) for view in alive_at]
 
         snr_row = [math.nan] * k
         rate_total = 0.0
@@ -371,8 +429,8 @@ def run_lifetime(scenario, rng, record_nodes=False):
         for l in range(k):
             if not link_alive[l]:
                 continue
-            idx = member_idx[l]
-            snr = float(abs(np.add.reduce(funded_w[idx] * coherent[l])) ** 2) / noise_power
+            product = np.multiply(assigned_at[l], coherent[l], out=products[l])
+            snr = float(abs(np.add.reduce(product)) ** 2) / noise_power
             snr_db = 10.0 * math.log10(snr) if snr > 0 else -math.inf
             if t == 1:
                 nominal_db[l] = snr_db
@@ -384,15 +442,17 @@ def run_lifetime(scenario, rng, record_nodes=False):
                 link_alive[l] = False
                 link_lifetimes[l] = t
                 causes[l] = cause
-                assigned[idx] = 0.0
+                assigned_at[l].fill(0.0)
                 link_down = True
 
         alive_rows.append(sum(up_counts) / n)
         snr_rows.append(snr_row)
         rate_rows.append(rate_total)
-        residual_rows.append(float(np.add.reduce(residual)))
+        if j == len(rows):
+            flush()
+        rows[j] = residual
+        j += 1
         if record_nodes:
-            node_rows.append(residual.copy())
             node_alive_rows.append(alive.copy())
         if not any(link_alive):
             break
@@ -402,28 +462,36 @@ def run_lifetime(scenario, rng, record_nodes=False):
         # docstring): step those rounds in bulk and repeat this row.
         if stepping:
             stale = stale or deaths
-            rounds = scenario.max_rounds - t
+            rounds = min(scenario.max_rounds - t, _STRETCH_ELEMENTS // n)
             if reads_residuals or stale:
                 rounds = min(rounds, -t % strategy.period)  # rounds before the next boundary
             if link_down or rounds < 1:
                 continue
-            if stretch_buf is None:
-                stretch_buf = np.empty((_STRETCH_ELEMENTS // n + 1, n))
             # the slot costs gate_and_charge just charged, computed as it does
-            stepped = _static_stretch(
-                residual, funded_w * funded_w * slot, min(rounds, len(stretch_buf) - 1), stretch_buf
-            )
-            m = len(stepped)
+            cost = assigned * assigned * slot
+            charged = cost > 0
+            if charged.any():
+                # Only sizes the stretch; the stepped rows decide which rounds count.
+                rounds = min(rounds, int((residual[charged] / cost[charged]).min()))
+            m = 0
+            while m < rounds:
+                if j == len(rows):
+                    flush()
+                room = min(rounds - m, len(rows) - j)
+                stepped = _static_stretch(residual, cost, rows[j : j + room])
+                j += stepped
+                m += stepped
+                if stepped < room:
+                    break
             for _ in range(m):
                 consumed += paid  # one addition per round: m * paid rounds differently
             alive_rows.extend([alive_rows[-1]] * m)
             snr_rows.extend([snr_row] * m)
             rate_rows.extend([rate_total] * m)
-            residual_rows.extend(stepped.sum(axis=1).tolist())
             if record_nodes:
-                node_rows.extend(stepped.copy())
                 node_alive_rows.extend([alive.copy()] * m)
             t += m
+    flush()
 
     for l in range(k):
         if link_alive[l]:
@@ -437,7 +505,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
         alive_fraction=np.array(alive_rows),
         snr_db=np.array(snr_rows),
         rate_total=np.array(rate_rows),
-        residual_total=np.array(residual_rows),
+        residual_total=np.concatenate(row_sums),
         lifetime=len(alive_rows),
         link_lifetimes=link_lifetimes,
         causes=tuple(causes),
@@ -445,6 +513,6 @@ def run_lifetime(scenario, rng, record_nodes=False):
         wasted_pct=wasted_pct,
         consumed_j=consumed,
         initial_j=initial_total,
-        node_residuals=np.array(node_rows) if record_nodes else None,
+        node_residuals=np.concatenate(node_chunks) if record_nodes else None,
         node_alive=np.array(node_alive_rows) if record_nodes else None,
     )

@@ -285,6 +285,12 @@ class TestCli:
             ({"links": True}, "links"),
             # a manifest written when links were given as a list of azimuths
             ({"artifact_version": "0.1.0", "config": {"destinations": {"azimuths_deg": [0.0]}}}, "destinations"),
+            # the linear noise power or target SNR overflows, or the noise underflows to 0
+            ({"noise_db": 4000, "runs": 1}, "noise_db"),
+            ({"target_snr_db": 4000, "runs": 1}, "target_snr_db"),
+            ({"target_rate_bits": 2000, "target_snr_db": None, "runs": 1}, "target_rate_bits"),
+            ({"noise_db": -4000, "max_rounds": 5, "runs": 1}, "noise_db"),
+            ({"strategy": {"levels": 2**1024}, "runs": 1, "max_rounds": 5}, "strategy.levels"),
         ],
     )
     def test_malformed_value_exits_with_key_path(self, tmp_path, capsys, data, path):

@@ -546,12 +546,24 @@ def clipped_uneven_links():
 @pytest.mark.filterwarnings("ignore:13 nodes do not split evenly")
 @pytest.mark.parametrize(
     "case",
-    ["unfunded", "reallocation", "max_rounds", "link_down", "funded_link_down", "min_power-1", "max_gain-1"],
+    [
+        "unfunded",
+        "reallocation",
+        "max_rounds",
+        "link_down",
+        "funded_link_down",
+        "min_power-1",
+        "max_gain-1",
+        "chunk_flush",
+    ],
 )
 def test_bulk_stepped_rounds_are_bit_exact(case, monkeypatch):
     # Every round charges exactly what gate_and_charge would, whether the
-    # engine ran it or stepped it in bulk, around each way a stretch ends.
+    # engine ran it or stepped it in bulk, around each way a stretch ends,
+    # and every round's residual row and total survive the row buffer's
+    # flushes.
     cfg = one_shot()
+    chunk = 32  # rows of the residual-row buffer in the chunk_flush case
     if case == "reallocation":
         cfg = small_scenario(strategy=StrategySpec(kind="cb_epa", levels=0, period=7))
     elif case == "link_down":
@@ -570,6 +582,12 @@ def test_bulk_stepped_rounds_are_bit_exact(case, monkeypatch):
         full, normal = run_with_normal_rounds(cfg, 0, monkeypatch)
         inside = [t for t in range(3, full.lifetime) if not {t - 2, t - 1, t, t + 1} & normal]
         cfg = replace(cfg, max_rounds=inside[0])
+    elif case == "chunk_flush":
+        monkeypatch.setattr(beamlife.lifetime, "_ROW_ELEMENTS", chunk * cfg.n)
+        cfg = replace(cfg, t_slot_s=cfg.t_slot_s / 10)
+        full, normal = run_with_normal_rounds(cfg, 0, monkeypatch)
+        inside = [t for t in range(3, full.lifetime) if not {t - 2, t - 1, t, t + 1} & normal]
+        cfg = replace(cfg, max_rounds=[t for t in inside if t % chunk][-1])
     trace, normal = run_with_normal_rounds(cfg, 0, monkeypatch)
     stepped = set(range(1, trace.lifetime + 1)) - normal
     assert stepped
@@ -598,6 +616,16 @@ def test_bulk_stepped_rounds_are_bit_exact(case, monkeypatch):
         assert trace.lifetime == cfg.max_rounds and cfg.max_rounds in stepped
         assert trace.causes == ("max_rounds",)
         assert trace.consumed_j + trace.wasted_j == pytest.approx(trace.initial_j, rel=1e-12)
+    elif case == "chunk_flush":
+        # the buffer flushes after rounds chunk, 2 * chunk, ...
+        flushes = range(chunk, trace.lifetime, chunk)
+        both = [b for b in flushes
+                if all(normal & set(r) and stepped & set(r)
+                       for r in (range(b - chunk + 1, b + 1), range(b + 1, b + chunk + 1)))]
+        assert both, "normal rounds and stretches on both sides of a flush"
+        assert [b for b in flushes if {b, b + 1} <= stepped], "a stretch across a flush"
+        assert trace.lifetime == cfg.max_rounds and cfg.max_rounds % chunk and cfg.max_rounds in stepped
+        assert trace.causes == ("max_rounds",)
     elif case == "link_down":
         assert first_down < trace.lifetime
         assert stepped & set(range(first_down + 1, trace.lifetime + 1))
@@ -689,3 +717,88 @@ def test_stretch_stops_where_the_node_cannot_pay():
     assert trace.lifetime == len(rows)
     assert trace.causes == ("nodes",)
     assert trace.residual_total.tolist() == rows[1:] + [rows[-1]]
+
+
+def all_rows_stretch(residual, cost, rounds):
+    """Rows of a stretch of ``rounds`` rounds, ended by testing every stepped
+    row: the rounds whose starting residuals cover ``cost`` everywhere, up to
+    the first that does not."""
+    acc = np.empty((rounds + 1, residual.size))
+    acc[0] = residual
+    for prev, row in zip(acc[:-1], acc[1:]):
+        np.subtract(prev, cost, out=row)
+    funded = (acc[:-1] >= cost).all(axis=1)
+    stepped = rounds if funded.all() else int(funded.argmin())
+    return acc[1 : stepped + 1]
+
+
+def stretch_inputs(rng):
+    """A residual/cost pair with zero costs, ties, exact multiples or costs
+    too small to move the residual, and the engine's estimate of its length."""
+    n = int(rng.integers(1, 7))
+    residual = rng.random(n)
+    cost = rng.random(n) * 10.0 ** -rng.integers(0, 3)
+    for i in range(n):
+        pick = rng.integers(6)
+        if pick == 0:
+            cost[i] = 0.0
+        elif pick == 1:
+            cost[i] = residual[i]  # r == c: one round, then nothing left
+        elif pick == 2:
+            cost[i] = 2.0 ** -int(rng.integers(2, 6))
+            residual[i] = cost[i] * int(rng.integers(0, 30))  # ties after every exact step
+        elif pick == 3:
+            cost[i] = residual[i] * 2.0**-60  # fl(r - c) == r
+        elif pick == 4:
+            cost[i] = residual[i] / int(rng.integers(1, 40))  # near a whole ratio
+    charged = cost > 0
+    estimate = int((residual[charged] / cost[charged]).min()) if charged.any() else 40
+    return residual, cost, min(estimate, 40)
+
+
+def test_stretch_ends_like_a_test_of_every_row():
+    # _static_stretch tests only the last stepped round's start and searches
+    # back, relying on residuals never rising; it must step the same rounds
+    # and rows as testing every row does, whatever the estimate of the length.
+    rng = np.random.default_rng(2024)
+    overshoots = set()
+    for _ in range(3000):
+        residual, cost, estimate = stretch_inputs(rng)
+        rounds = max(estimate + int(rng.integers(-2, 6)), 1)
+        expected = all_rows_stretch(residual, cost, rounds)
+        overshoots.add(rounds - len(expected))
+        start = residual.copy()
+        rows = np.full((rounds, residual.size), np.nan)
+        stepped = beamlife.lifetime._static_stretch(residual, cost, rows)
+        assert stepped == len(expected)
+        assert rows[:stepped].tobytes() == expected.tobytes()
+        assert residual.tobytes() == (expected[-1] if stepped else start).tobytes()
+    assert {0, 1, 2, 5} <= overshoots
+
+
+@pytest.mark.parametrize("levels", [1, 2, 8, 2**20, 2**52, 2**1000, 2**1001, 2**1023])
+def test_one_division_quantizes_like_divide_then_scale(levels):
+    # The engine divides the residuals by _quantization_grid's divisor and
+    # multiplies by its factor; the grid points must be those of dividing by
+    # e_max and multiplying by levels, for every e_max the schema accepts
+    # (any positive finite float), tiny residuals and half-way ties included.
+    rng = np.random.default_rng(levels % 1009)
+    e_maxes = [5e-324, 2.0**-1070, 1e-310, 2.0**-1022, 1e-300, 3e-10, 1.0, 3.7, 1e300, np.finfo(float).max]
+    e_maxes += list(10.0 ** rng.uniform(-323, 308, 100))
+    for e_max in e_maxes:
+        ties = (np.arange(min(levels, 64)) + 0.5) / levels * e_max
+        r = np.concatenate([
+            [0.0, e_max, e_max / 2, 5e-324],
+            rng.random(40) * e_max,
+            rng.random(40) * e_max * 2.0 ** -rng.integers(0, 1100, 40).astype(float),
+            ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
+        ])
+        r = np.clip(r, 0.0, e_max)
+        divisor, factor = beamlife.lifetime._quantization_grid(e_max, levels)
+        u = r / divisor
+        if factor != 1:
+            u *= factor
+        expected = r / e_max
+        expected *= levels
+        assert np.floor(u + 0.5).tobytes() == np.floor(expected + 0.5).tobytes(), e_max
+    assert beamlife.lifetime._quantization_grid(1.0, levels)[1] == (1 if levels <= 2**1000 else levels)
