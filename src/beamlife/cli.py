@@ -15,6 +15,8 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .allocation import InfeasibleAllocationError
 from .config import ConfigError, load_config, preset, preset_description, preset_names
@@ -47,6 +49,24 @@ def _fmt(value):
     return str(value)
 
 
+def _float_texts(column):
+    """The cells csv writes for a float64 column, with one ``repr`` per run of
+    bit-identical neighbours.
+
+    Bits, not values, decide a run, so ``-0.0`` beside ``0.0`` and every NaN
+    keep their own text. A column with no repeats is returned as floats,
+    which csv writes as their repr.
+    """
+    bits = column.view(np.int64)
+    new_run = np.ones(column.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    if starts.size == column.size:
+        return column.tolist()
+    texts = np.array([repr(v) for v in column[starts].tolist()], dtype=object)
+    return np.repeat(texts, np.diff(starts, append=column.size)).tolist()
+
+
 def _causes_line(result):
     """How the links of an ensemble's runs died, e.g. ``causes: nodes 0, snr 200, max_rounds 0``."""
     causes = [cause for run in result.causes for cause in run]
@@ -54,7 +74,12 @@ def _causes_line(result):
 
 
 def _write_ensemble_dir(out, result, cfg):
-    """Write one ensemble's rounds.csv, summary.csv and manifest.json into ``out``."""
+    """Write one ensemble's rounds.csv, summary.csv and manifest.json into ``out``.
+
+    Each float column of rounds.csv is formatted with one ``repr`` per run of
+    equal values (``_float_texts``), which writes the same bytes as csv's own
+    repr of every cell.
+    """
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "rounds.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -63,10 +88,10 @@ def _write_ensemble_dir(out, result, cfg):
         writer.writerows(
             zip(
                 range(1, result.rounds + 1),
-                result.alive_fraction.tolist(),
-                result.snr_db.tolist(),
-                result.rate_total.tolist(),
-                result.residual_total.tolist(),
+                _float_texts(result.alive_fraction),
+                _float_texts(result.snr_db),
+                _float_texts(result.rate_total),
+                _float_texts(result.residual_total),
                 result.surviving_runs.tolist(),
             )
         )

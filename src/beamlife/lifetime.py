@@ -47,9 +47,9 @@ weights bit for bit, unless it reallocates with new inputs; its slot
 costs, payment, SNR, rate and death test then repeat exactly and only the
 residuals move. Such rounds are stepped into the row buffer, whose rows
 are the residuals that in-place ``residual -= cost`` steps give, bit for
-bit; a stretch that fills the buffer flushes it and goes on. A stretch
-ends before the first round in which some node's residual is below its
-cost, at ``max_rounds``, after ``_STRETCH_ELEMENTS // n`` rounds, and
+bit; a stretch that fills the buffer flushes it and goes on, so no
+bound on its length is needed. A stretch ends before the first round in
+which some node's residual is below its cost, at ``max_rounds``, and
 before the next boundary that reallocates with new inputs: every boundary
 for ``cb_pa``, and for the other kinds the first one after a death. Its
 length is estimated from residual / cost, which near a whole ratio can
@@ -58,6 +58,12 @@ promise a round too many. A residual never rises (``fl(r - c) <= r`` for
 the stretch tests the last stepped round's start and, only if that fails,
 searches back, instead of testing every row. Every round that changes
 state runs the normal path.
+
+A normal round records its alive fraction, SNR row and rate (and, when
+nodes are recorded, its alive mask) once. A stretch of m stepped rounds
+repeats that record exactly, so it adds m to the record's repeat count
+instead of copying it; the trace's per-round arrays are expanded by one
+``np.repeat`` per field when the run ends.
 """
 
 from __future__ import annotations
@@ -277,9 +283,6 @@ def _quantization_grid(e_max, levels):
 # Elements of a run's residual-row buffer (512 KB of float64), so its memory
 # grows with neither n nor the run length.
 _ROW_ELEMENTS = 2**16
-# A stretch steps at most _STRETCH_ELEMENTS // n rounds; the round after it
-# runs the normal path even if nothing changed.
-_STRETCH_ELEMENTS = 2**17
 
 
 def _static_stretch(residual, cost, rows):
@@ -376,8 +379,11 @@ def run_lifetime(scenario, rng, record_nodes=False):
             node_chunks.append(rows[:j].copy())
         j = 0
 
+    # one record per normal round; (record index, m) for each stretch of m
+    # stepped rounds that repeat it (module docstring)
     alive_rows, snr_rows, rate_rows = [], [], []
     node_alive_rows = [] if record_nodes else None
+    repeats = []
     reads_residuals = strategy.kind == "cb_pa"
     # cb_pa at period 1 reallocates with new inputs every round, so it leaves
     # no round to step in bulk and skips that bookkeeping.
@@ -462,17 +468,17 @@ def run_lifetime(scenario, rng, record_nodes=False):
         # docstring): step those rounds in bulk and repeat this row.
         if stepping:
             stale = stale or deaths
-            rounds = min(scenario.max_rounds - t, _STRETCH_ELEMENTS // n)
+            rounds = scenario.max_rounds - t
             if reads_residuals or stale:
                 rounds = min(rounds, -t % strategy.period)  # rounds before the next boundary
             if link_down or rounds < 1:
                 continue
             # the slot costs gate_and_charge just charged, computed as it does
             cost = assigned * assigned * slot
-            charged = cost > 0
-            if charged.any():
-                # Only sizes the stretch; the stepped rows decide which rounds count.
-                rounds = min(rounds, int((residual[charged] / cost[charged]).min()))
+            # Only sizes the stretch; the stepped rows decide which rounds count.
+            ratio = np.divide(residual, cost, out=np.full(n, np.inf), where=cost > 0).min()
+            if ratio < rounds:
+                rounds = int(ratio)
             m = 0
             while m < rounds:
                 if j == len(rows):
@@ -485,13 +491,13 @@ def run_lifetime(scenario, rng, record_nodes=False):
                     break
             for _ in range(m):
                 consumed += paid  # one addition per round: m * paid rounds differently
-            alive_rows.extend([alive_rows[-1]] * m)
-            snr_rows.extend([snr_row] * m)
-            rate_rows.extend([rate_total] * m)
-            if record_nodes:
-                node_alive_rows.extend([alive.copy()] * m)
+            if m:
+                repeats.append((len(alive_rows) - 1, m))
             t += m
     flush()
+    counts = np.ones(len(alive_rows), dtype=np.intp)
+    for index, m in repeats:
+        counts[index] += m
 
     for l in range(k):
         if link_alive[l]:
@@ -502,11 +508,11 @@ def run_lifetime(scenario, rng, record_nodes=False):
     wasted_pct = 100.0 * wasted_j / (n * scenario.energy.mean)
 
     return LifetimeTrace(
-        alive_fraction=np.array(alive_rows),
-        snr_db=np.array(snr_rows),
-        rate_total=np.array(rate_rows),
+        alive_fraction=np.array(alive_rows).repeat(counts),
+        snr_db=np.array(snr_rows).repeat(counts, axis=0),
+        rate_total=np.array(rate_rows).repeat(counts),
         residual_total=np.concatenate(row_sums),
-        lifetime=len(alive_rows),
+        lifetime=int(counts.sum()),
         link_lifetimes=link_lifetimes,
         causes=tuple(causes),
         wasted_j=wasted_j,
@@ -514,5 +520,5 @@ def run_lifetime(scenario, rng, record_nodes=False):
         consumed_j=consumed,
         initial_j=initial_total,
         node_residuals=np.concatenate(node_chunks) if record_nodes else None,
-        node_alive=np.array(node_alive_rows) if record_nodes else None,
+        node_alive=np.array(node_alive_rows).repeat(counts, axis=0) if record_nodes else None,
     )

@@ -1,14 +1,17 @@
 """Configuration loading, presets, and the command line front end."""
 
+import csv
+import io
 import json
 import math
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from beamlife.cli import main
+from beamlife.cli import _float_texts, _fmt, main
 from beamlife.ensemble import run_ensemble
 from beamlife.config import (
     ConfigError,
@@ -175,6 +178,33 @@ def tiny_config_dict(**overrides):
     return data
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.25],
+        [0.5] * 7,
+        [0.1, 0.2, 0.3, -1.5, 1e300],
+        [0.0, -0.0, -0.0, 0.0],
+        [math.nan, math.nan, 1.0, math.nan, math.nan, math.nan],
+        [math.inf, math.inf, -math.inf, -math.inf],
+        [0.0, 5e-324, 5e-324, 0.0, 2.2250738585072e-308, -5e-324, -0.0],
+        [1.0, 2.0] * 5,
+        [],
+    ],
+)
+def test_float_texts_are_the_cells_csv_writes(values):
+    column = np.array(values, dtype=float)
+    assert [_fmt(v) for v in _float_texts(column)] == [repr(v) for v in column.tolist()]
+
+
+def test_float_texts_keep_every_nan_and_zero_sign():
+    # the runs are taken on the bits, so NaNs with other payloads and signed
+    # zeros are formatted apart and still give repr's text
+    column = np.array([math.nan, -math.nan, -math.nan, 0.0, -0.0])
+    column[0:1].view(np.int64)[0] |= 1  # a NaN with another payload
+    assert [_fmt(v) for v in _float_texts(column)] == ["nan", "nan", "nan", "0.0", "-0.0"]
+
+
 class TestCli:
     def test_presets_listing(self, capsys):
         assert main(["presets"]) == 0
@@ -204,6 +234,26 @@ class TestCli:
         assert (out / "rounds.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["n"] == 100
+
+    def test_rounds_csv_is_csv_of_the_ensemble(self, tmp_path):
+        # rounds.csv holds the bytes csv.writer gives for the result's floats
+        out = tmp_path / "out"
+        assert main(["run", "--preset", "epa-uniform", "--runs", "3", "--out", str(out)]) == 0
+        result = run_ensemble(replace(preset("epa-uniform"), runs=3))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["round", "alive_fraction", "snr_db", "rate_bits", "residual_total_j", "surviving_runs"])
+        writer.writerows(
+            zip(
+                range(1, result.rounds + 1),
+                result.alive_fraction.tolist(),
+                result.snr_db.tolist(),
+                result.rate_total.tolist(),
+                result.residual_total.tolist(),
+                result.surviving_runs.tolist(),
+            )
+        )
+        assert (out / "rounds.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -6,7 +6,7 @@ whole traces.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -33,7 +33,7 @@ from beamlife.config import (
     preset,
 )
 from beamlife.geometry import db_to_linear, sample_channel
-from beamlife.lifetime import bit_rate, evaluate_death, partition_cluster, run_lifetime
+from beamlife.lifetime import LifetimeTrace, bit_rate, evaluate_death, partition_cluster, run_lifetime
 
 
 def rng_for(seed, index=0):
@@ -640,6 +640,60 @@ def test_bulk_stepped_rounds_are_bit_exact(case, monkeypatch):
         alive_counts = trace.node_alive.sum(axis=1)
         first_death = int(np.flatnonzero(alive_counts < cfg.n)[0]) + 1
         assert stepped & set(range(first_death + 2, trace.lifetime + 1))
+
+
+def stepping_case(case, monkeypatch):
+    """Scenario of one ``test_bulk_stepping_is_invisible`` case."""
+    if case == "epa-one-shot":
+        return one_shot()
+    if case == "epa-period-7":
+        return small_scenario(strategy=StrategySpec(kind="cb_epa", levels=0, period=7))
+    if case == "pa-period-5":
+        return small_scenario(strategy=StrategySpec(kind="cb_pa", levels=8, period=5))
+    if case in ("min_power-1", "max_gain-1"):
+        kind = "centralized_" + case[:-2]
+        return small_scenario(strategy=StrategySpec(kind=kind, levels=0, period=1))
+    if case == "link_down":
+        return one_shot(links=2, target_snr_db=5.0)
+    cfg = one_shot()
+    cfg = replace(cfg, t_slot_s=cfg.t_slot_s / 10)  # longer stretches
+    if case == "chunk_flush":
+        monkeypatch.setattr(beamlife.lifetime, "_ROW_ELEMENTS", 32 * cfg.n)
+    full, normal = run_with_normal_rounds(cfg, 0, monkeypatch)
+    inside = [t for t in range(3, full.lifetime) if not {t - 1, t, t + 1} & normal]
+    return replace(cfg, max_rounds=inside[len(inside) // 2])
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["epa-one-shot", "epa-period-7", "pa-period-5", "min_power-1", "max_gain-1", "link_down", "max_rounds",
+     "chunk_flush"],
+)
+def test_bulk_stepping_is_invisible(case, monkeypatch):
+    # A run that steps static stretches in bulk and one that runs every round
+    # on the normal path give the same trace, bit for bit: the repeated
+    # records of stepped rounds included, not only the residuals.
+    cfg = stepping_case(case, monkeypatch)
+    gate_calls = counted_calls(monkeypatch, "gate_and_charge")
+    stepped = run_lifetime(cfg, rng_for(cfg.master_seed), record_nodes=True)
+    assert len(gate_calls) < stepped.lifetime
+    monkeypatch.setattr(beamlife.lifetime, "_static_stretch", lambda residual, cost, rows: 0)
+    del gate_calls[:]
+    normal = run_lifetime(cfg, rng_for(cfg.master_seed), record_nodes=True)
+    assert len(gate_calls) == normal.lifetime
+
+    for field in fields(LifetimeTrace):
+        a, b = getattr(stepped, field.name), getattr(normal, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert np.array_equal(a, b, equal_nan=field.name == "snr_db"), field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+    if case == "link_down":
+        assert stepped.link_lifetimes.min() < stepped.lifetime
+    elif case in ("max_rounds", "chunk_flush"):
+        assert stepped.lifetime == cfg.max_rounds and stepped.causes == ("max_rounds",)
 
 
 def counted_calls(monkeypatch, name):
