@@ -15,14 +15,14 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .allocation import InfeasibleAllocationError
 from .config import ConfigError, load_config, preset, preset_description, preset_names
 from .ensemble import compare_strategies, run_ensemble
 
 ROUNDS_COLUMNS = ["round", "alive_fraction", "snr_db", "rate_bits", "residual_total_j", "surviving_runs"]
+# rounds.csv rows converted to Python objects at once, which bounds the writer's memory
+_ROUNDS_BLOCK = 2**14
 
 
 def _resolve_scenario(args):
@@ -43,30 +43,6 @@ def _with_overrides(cfg, runs, seed):
     return replace(cfg, runs=cfg.runs if runs is None else runs, master_seed=seed)
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _float_texts(column):
-    """The cells csv writes for a float64 column, with one ``repr`` per run of
-    bit-identical neighbours.
-
-    Bits, not values, decide a run, so ``-0.0`` beside ``0.0`` and every NaN
-    keep their own text. A column with no repeats is returned as floats,
-    which csv writes as their repr.
-    """
-    bits = column.view(np.int64)
-    new_run = np.ones(column.size, dtype=bool)
-    np.not_equal(bits[1:], bits[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    if starts.size == column.size:
-        return column.tolist()
-    texts = np.array([repr(v) for v in column[starts].tolist()], dtype=object)
-    return np.repeat(texts, np.diff(starts, append=column.size)).tolist()
-
-
 def _causes_line(result):
     """How the links of an ensemble's runs died, e.g. ``causes: nodes 0, snr 200, max_rounds 0``."""
     causes = [cause for run in result.causes for cause in run]
@@ -76,30 +52,25 @@ def _causes_line(result):
 def _write_ensemble_dir(out, result, cfg):
     """Write one ensemble's rounds.csv, summary.csv and manifest.json into ``out``.
 
-    Each float column of rounds.csv is formatted with one ``repr`` per run of
-    equal values (``_float_texts``), which writes the same bytes as csv's own
-    repr of every cell.
+    Every rounds.csv cell is a number, which needs no quoting, so its rows
+    are written as text directly: a float as its repr and CRLF line ends,
+    the bytes ``csv.writer`` gives.
     """
     out.mkdir(parents=True, exist_ok=True)
+    columns = (result.alive_fraction, result.snr_db, result.rate_total, result.residual_total, result.surviving_runs)
     with open(out / "rounds.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROUNDS_COLUMNS)
-        # csv writes a Python float as its repr, as _fmt does
-        writer.writerows(
-            zip(
-                range(1, result.rounds + 1),
-                _float_texts(result.alive_fraction),
-                _float_texts(result.snr_db),
-                _float_texts(result.rate_total),
-                _float_texts(result.residual_total),
-                result.surviving_runs.tolist(),
+        fh.write(",".join(ROUNDS_COLUMNS) + "\r\n")
+        for start in range(0, result.rounds, _ROUNDS_BLOCK):
+            stop = start + _ROUNDS_BLOCK
+            blocks = [column[start:stop].tolist() for column in columns]
+            fh.writelines(
+                f"{t},{a},{s},{r},{e},{c}\r\n" for t, a, s, r, e, c in zip(range(start + 1, stop + 1), *blocks)
             )
-        )
     summary = result.summary()
     with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(summary))
-        writer.writerow([_fmt(v) for v in summary.values()])
+        writer.writerow(summary.values())
     manifest = {
         "artifact_version": __version__,
         "config": asdict(cfg),
@@ -150,16 +121,16 @@ def _cmd_compare(args):
         writer.writerow(
             ["scenario", "lifetime_mean_rounds", "lifetime_ratio", "wasted_pct_mean", "wasted_pct_delta"]
         )
-        for i, label in enumerate(labels):
-            writer.writerow(
-                [
-                    label,
-                    _fmt(float(comparison.lifetime_means[i])),
-                    _fmt(float(comparison.lifetime_ratios[i])),
-                    _fmt(float(comparison.wasted_pct_means[i])),
-                    _fmt(float(comparison.wasted_pct_deltas[i])),
-                ]
+        # csv quotes a label that needs it and writes each float as its repr
+        writer.writerows(
+            zip(
+                labels,
+                comparison.lifetime_means.tolist(),
+                comparison.lifetime_ratios.tolist(),
+                comparison.wasted_pct_means.tolist(),
+                comparison.wasted_pct_deltas.tolist(),
             )
+        )
     for i, label in enumerate(labels):
         print(
             f"{label}: mean lifetime {comparison.lifetime_means[i]:.1f} rounds "

@@ -7,7 +7,12 @@ SeedSequence([master_seed, i]), so results are reproducible for a fixed
 master seed no matter how many workers execute the runs; the reduction is
 a fixed-order fold over run indices.
 Round t of each curve averages the runs still alive in round t, and the
-SNR is averaged in the linear domain.
+SNR is averaged in the linear domain. Each run's curves are added into
+round-indexed sums in run order, which is the sum ``np.nanmean(axis=0)``
+takes over the NaN-padded ``(runs, rounds)`` matrix (a finished run's pad
+adds +0.0), divided by the same count, so the means have nanmean's bits
+whenever the longest run lasts more than one round. With a single round
+nanmean sums the one column pairwise, which can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -62,8 +67,7 @@ def _run_indexed(args):
 
 def _per_run_link_mean_snr(trace):
     """Per-round scalar SNR for one run: linear average over links still up."""
-    with np.errstate(invalid="ignore"):
-        return linear_to_db(np.nanmean(10.0 ** (trace.snr_db / 10.0), axis=1))
+    return linear_to_db(np.nanmean(10.0 ** (trace.snr_db / 10.0), axis=1))
 
 
 def run_ensemble(scenario, workers=1):
@@ -90,30 +94,22 @@ def run_ensemble(scenario, workers=1):
 
     lifetimes = np.array([t.lifetime for t in traces])
     max_rounds = int(lifetimes.max())
-    alive = np.full((runs, max_rounds), np.nan)
-    snr = np.full((runs, max_rounds), np.nan)
-    rate = np.full((runs, max_rounds), np.nan)
-    residual = np.full((runs, max_rounds), np.nan)
-    for i, trace in enumerate(traces):
+    surviving = np.zeros(max_rounds, dtype=int)
+    alive, snr, rate, residual = (np.zeros(max_rounds) for _ in range(4))
+    for trace in traces:
         rounds_i = trace.lifetime
-        alive[i, :rounds_i] = trace.alive_fraction
-        snr[i, :rounds_i] = _per_run_link_mean_snr(trace)
-        rate[i, :rounds_i] = trace.rate_total
-        residual[i, :rounds_i] = trace.residual_total
-
-    surviving = np.sum(lifetimes[:, None] >= np.arange(1, max_rounds + 1)[None, :], axis=0)
-    with np.errstate(invalid="ignore"):
-        mean_alive = np.nanmean(alive, axis=0)
-        mean_rate = np.nanmean(rate, axis=0)
-        mean_residual = np.nanmean(residual, axis=0)
-        mean_snr = linear_to_db(np.nanmean(10.0 ** (snr / 10.0), axis=0))
+        surviving[:rounds_i] += 1
+        alive[:rounds_i] += trace.alive_fraction
+        snr[:rounds_i] += 10.0 ** (_per_run_link_mean_snr(trace) / 10.0)
+        rate[:rounds_i] += trace.rate_total
+        residual[:rounds_i] += trace.residual_total
 
     return EnsembleResult(
         rounds=max_rounds,
-        alive_fraction=mean_alive,
-        snr_db=mean_snr,
-        rate_total=mean_rate,
-        residual_total=mean_residual,
+        alive_fraction=alive / surviving,
+        snr_db=linear_to_db(snr / surviving),
+        rate_total=rate / surviving,
+        residual_total=residual / surviving,
         surviving_runs=surviving,
         lifetimes=lifetimes,
         wasted_j=np.array([t.wasted_j for t in traces]),

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamlife.cli import _float_texts, _fmt, main
-from beamlife.ensemble import run_ensemble
+import beamlife.cli
+from beamlife.cli import _write_ensemble_dir, main
+from beamlife.ensemble import EnsembleResult, run_ensemble
 from beamlife.config import (
     ConfigError,
     ScenarioConfig,
@@ -178,31 +179,76 @@ def tiny_config_dict(**overrides):
     return data
 
 
-@pytest.mark.parametrize(
-    "values",
-    [
-        [0.25],
-        [0.5] * 7,
-        [0.1, 0.2, 0.3, -1.5, 1e300],
-        [0.0, -0.0, -0.0, 0.0],
-        [math.nan, math.nan, 1.0, math.nan, math.nan, math.nan],
-        [math.inf, math.inf, -math.inf, -math.inf],
-        [0.0, 5e-324, 5e-324, 0.0, 2.2250738585072e-308, -5e-324, -0.0],
-        [1.0, 2.0] * 5,
-        [],
-    ],
-)
-def test_float_texts_are_the_cells_csv_writes(values):
-    column = np.array(values, dtype=float)
-    assert [_fmt(v) for v in _float_texts(column)] == [repr(v) for v in column.tolist()]
+def _nan_with_payload():
+    value = np.array([math.nan])
+    value.view(np.int64)[0] |= 1
+    return value[0]
 
 
-def test_float_texts_keep_every_nan_and_zero_sign():
-    # the runs are taken on the bits, so NaNs with other payloads and signed
-    # zeros are formatted apart and still give repr's text
-    column = np.array([math.nan, -math.nan, -math.nan, 0.0, -0.0])
-    column[0:1].view(np.int64)[0] |= 1  # a NaN with another payload
-    assert [_fmt(v) for v in _float_texts(column)] == ["nan", "nan", "nan", "0.0", "-0.0"]
+SPECIAL_COLUMNS = [
+    [0.25],
+    [0.5] * 7,
+    [0.1, 0.2, 0.3, -1.5, 1e300],
+    [0.0, -0.0, -0.0, 0.0],
+    [math.nan, math.nan, 1.0, math.nan, math.nan, math.nan],
+    [math.inf, math.inf, -math.inf, -math.inf],
+    [0.0, 5e-324, 5e-324, 0.0, 2.2250738585072e-308, -5e-324, -0.0],
+    [1.0, 2.0] * 5,
+    [_nan_with_payload(), -math.nan, -math.nan, 0.0, -0.0],
+]
+
+
+def ensemble_of_columns(alive, snr, rate, residual):
+    """An EnsembleResult holding the given curves, as from runs of 1 to ``rounds`` rounds."""
+    rounds = len(alive)
+    return EnsembleResult(
+        rounds=rounds,
+        alive_fraction=np.array(alive, dtype=float),
+        snr_db=np.array(snr, dtype=float),
+        rate_total=np.array(rate, dtype=float),
+        residual_total=np.array(residual, dtype=float),
+        surviving_runs=np.arange(rounds, 0, -1),
+        lifetimes=np.arange(1, rounds + 1),
+        wasted_j=np.zeros(rounds),
+        wasted_pct=np.zeros(rounds),
+        causes=(("snr",),) * rounds,
+    )
+
+
+def csv_writer_rounds(result):
+    """The rounds.csv bytes csv.writer gives for the result's columns."""
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["round", "alive_fraction", "snr_db", "rate_bits", "residual_total_j", "surviving_runs"])
+    writer.writerows(
+        zip(
+            range(1, result.rounds + 1),
+            result.alive_fraction.tolist(),
+            result.snr_db.tolist(),
+            result.rate_total.tolist(),
+            result.residual_total.tolist(),
+            result.surviving_runs.tolist(),
+        )
+    )
+    return expected.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("values", SPECIAL_COLUMNS)
+def test_rounds_csv_writes_special_values_as_csv_does(tmp_path, values):
+    # signed zeros, NaNs with any sign or payload, infinities and subnormals
+    # are written with csv's text, in every float column
+    result = ensemble_of_columns(values, values[::-1], values, values[::-1])
+    _write_ensemble_dir(tmp_path, result, ScenarioConfig())
+    assert (tmp_path / "rounds.csv").read_bytes() == csv_writer_rounds(result)
+
+
+def test_rounds_csv_rows_span_blocks(tmp_path, monkeypatch):
+    # a table of several row blocks, the last one partial, is written whole
+    monkeypatch.setattr(beamlife.cli, "_ROUNDS_BLOCK", 4)
+    values = np.random.default_rng(1).normal(size=(4, 11)) * 10.0 ** np.arange(-5, 6)
+    result = ensemble_of_columns(*values.tolist())
+    _write_ensemble_dir(tmp_path, result, ScenarioConfig())
+    assert (tmp_path / "rounds.csv").read_bytes() == csv_writer_rounds(result)
 
 
 class TestCli:
@@ -240,20 +286,7 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--preset", "epa-uniform", "--runs", "3", "--out", str(out)]) == 0
         result = run_ensemble(replace(preset("epa-uniform"), runs=3))
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(["round", "alive_fraction", "snr_db", "rate_bits", "residual_total_j", "surviving_runs"])
-        writer.writerows(
-            zip(
-                range(1, result.rounds + 1),
-                result.alive_fraction.tolist(),
-                result.snr_db.tolist(),
-                result.rate_total.tolist(),
-                result.residual_total.tolist(),
-                result.surviving_runs.tolist(),
-            )
-        )
-        assert (out / "rounds.csv").read_bytes() == expected.getvalue().encode("utf-8")
+        assert (out / "rounds.csv").read_bytes() == csv_writer_rounds(result)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -367,6 +400,18 @@ class TestCli:
         assert float(first[2]) == 1.0
         assert (out / "a" / "rounds.csv").exists()
         assert (out / "b" / "rounds.csv").exists()
+
+    def test_compare_quotes_labels(self, tmp_path):
+        # a label is a file stem, which may hold csv's delimiter or quote
+        a, b = tmp_path / "a,b.json", tmp_path / 'say "hi".json'
+        a.write_text(json.dumps(tiny_config_dict()))
+        b.write_text(json.dumps(tiny_config_dict(target_snr_db=5.0)))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(a), "--config", str(b), "--out", str(out)]) == 0
+        with open(out / "comparison.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:]] == ["a,b", 'say "hi"']
+        assert all(len(row) == 5 for row in rows)
 
     def test_summaries_print_death_causes(self, tmp_path, capsys):
         # one causes line per ensemble, counting every link of every run

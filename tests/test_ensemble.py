@@ -8,6 +8,7 @@ import pytest
 
 from beamlife.config import ConfigError, StrategySpec, preset, preset_names
 from beamlife.ensemble import compare_strategies, run_ensemble
+from beamlife.geometry import linear_to_db
 from beamlife.lifetime import run_lifetime
 
 from test_lifetime import rng_for, small_scenario
@@ -96,6 +97,60 @@ class TestRunEnsemble:
             small_scenario(runs=0)
         with pytest.raises(TypeError):
             run_ensemble(small_scenario(), runs=3)
+
+
+def nanmean_reduction(traces):
+    """The curves as NaN-padded (runs, rounds) matrices averaged by nanmean."""
+    lifetimes = np.array([t.lifetime for t in traces])
+    max_rounds = int(lifetimes.max())
+    alive, snr, rate, residual = (np.full((len(traces), max_rounds), np.nan) for _ in range(4))
+    for i, trace in enumerate(traces):
+        rounds_i = trace.lifetime
+        alive[i, :rounds_i] = trace.alive_fraction
+        with np.errstate(invalid="ignore"):
+            snr[i, :rounds_i] = linear_to_db(np.nanmean(10.0 ** (trace.snr_db / 10.0), axis=1))
+        rate[i, :rounds_i] = trace.rate_total
+        residual[i, :rounds_i] = trace.residual_total
+    surviving = np.sum(lifetimes[:, None] >= np.arange(1, max_rounds + 1)[None, :], axis=0)
+    with np.errstate(invalid="ignore"):
+        return (
+            np.nanmean(alive, axis=0),
+            linear_to_db(np.nanmean(10.0 ** (snr / 10.0), axis=0)),
+            np.nanmean(rate, axis=0),
+            np.nanmean(residual, axis=0),
+            surviving,
+        )
+
+
+@pytest.mark.parametrize(
+    "name, runs, workers",
+    [("pa-uniform", 40, 1), ("epa-uniform", 40, 1), ("multi-link", 40, 1), ("pa-uniform", 1, 1), ("pa-uniform", 6, 2)],
+)
+def test_run_order_fold_has_nanmean_bits(name, runs, workers):
+    # adding each run's curves in run order is nanmean's axis-0 sum over the
+    # padded matrix, so every curve keeps its bits
+    cfg = replace(preset(name), runs=runs)
+    traces = [run_lifetime(cfg, rng_for(cfg.master_seed, i)) for i in range(runs)]
+    if name == "multi-link":
+        # a link that went down first leaves NaN in its SNR column
+        assert any(np.isnan(t.snr_db).any() for t in traces)
+    result = run_ensemble(cfg, workers=workers)
+    got = (result.alive_fraction, result.snr_db, result.rate_total, result.residual_total, result.surviving_runs)
+    for fold, reference in zip(got, nanmean_reduction(traces)):
+        assert fold.dtype == reference.dtype
+        assert fold.tobytes() == reference.tobytes()
+
+
+def test_single_round_ensemble_sums_in_run_order():
+    # With one round nanmean sums the single column pairwise; the fold keeps
+    # adding in run order there too. At this seed the two orders differ in
+    # the last bit of both curves.
+    cfg = small_scenario(runs=9, master_seed=7, max_rounds=1)
+    traces = [run_lifetime(cfg, rng_for(7, i)) for i in range(9)]
+    result = run_ensemble(cfg)
+    assert result.rounds == 1
+    for curve, field in ((result.rate_total, "rate_total"), (result.residual_total, "residual_total")):
+        assert curve[0] == sum(float(getattr(t, field)[0]) for t in traces) / 9
 
 
 class TestCompareStrategies:
