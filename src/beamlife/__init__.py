@@ -9,6 +9,8 @@ multi-destination operation.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .allocation import (
     ChannelStats,
     InfeasibleAllocationError,
@@ -48,4 +50,5 @@ from .lifetime import (
     run_lifetime,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules that importing them bound
+__all__ = sorted(name for name, value in globals().items() if not (name[0] == "_" or isinstance(value, _ModuleType)))

@@ -63,26 +63,24 @@ def required_tx_power_db(budget, target_snr_db):
 
 
 def gate_and_charge(residual, weights, slot_length):
-    """In-place fundability gating and charging on a raw residual vector.
+    """Gate out the nodes that cannot fund their slot; charge the rest.
 
-    Returns (funded_mask, funded_weights, consumed). A node whose residual
-    cannot cover its assigned slot energy transmits nothing and pays
-    nothing; zero-weight nodes are trivially funded at zero cost. When
-    every node is funded, ``funded_weights`` is ``weights`` itself (given as
-    a float array); otherwise it is a new array, zero at the unfunded nodes,
-    and ``weights`` is left as it was. The round loop relies on both, as
-    its per-link views of the weights stay valid until a node cannot pay.
+    ``residual`` and ``weights`` are writable float64 arrays of one shape,
+    updated in place: a node whose residual cannot cover its slot energy
+    ``w * w * slot_length`` gets weight zero, keeps its residual and pays
+    nothing (as zero-weight nodes pay nothing). Returns (charge, unfunded,
+    consumed): the per-node charge, zero where unfunded; the unfunded
+    mask, or None when every node paid; and the charge's total.
     The all-funded test counts the mask: on the engine's 100-node arrays
     that is faster than ``funded.all()``.
     """
-    w = np.asarray(weights, dtype=float)
-    cost = w * w
-    cost *= slot_length
-    funded = residual >= cost
-    if np.count_nonzero(funded) == funded.size:
-        residual -= cost
-        return funded, w, float(np.add.reduce(cost))
-    funded_w = np.where(funded, w, 0.0)
-    pay = np.where(funded, cost, 0.0)
-    residual -= pay
-    return funded, funded_w, float(pay.sum())
+    charge = weights * weights
+    charge *= slot_length
+    funded = residual >= charge
+    unfunded = None
+    if np.count_nonzero(funded) < funded.size:
+        unfunded = ~funded
+        weights[unfunded] = 0.0
+        charge[unfunded] = 0.0
+    residual -= charge
+    return charge, unfunded, float(np.add.reduce(charge))

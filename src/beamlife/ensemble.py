@@ -4,15 +4,15 @@ The run count and the master seed are scenario settings
 (``ScenarioConfig.runs`` and ``.master_seed``), validated with the rest of
 the scenario. Run i draws its generator from
 SeedSequence([master_seed, i]), so results are reproducible for a fixed
-master seed no matter how many workers execute the runs; the reduction is
-a fixed-order fold over run indices.
+master seed no matter how many workers execute the runs.
 Round t of each curve averages the runs still alive in round t, and the
 SNR is averaged in the linear domain. Each run's curves are added into
-round-indexed sums in run order, which is the sum ``np.nanmean(axis=0)``
-takes over the NaN-padded ``(runs, rounds)`` matrix (a finished run's pad
-adds +0.0), divided by the same count, so the means have nanmean's bits
-whenever the longest run lasts more than one round. With a single round
-nanmean sums the one column pairwise, which can differ in the last bit.
+round-indexed sums in run order as the run finishes, which is the sum
+``np.nanmean(axis=0)`` takes over the NaN-padded ``(runs, rounds)``
+matrix (a finished run's pad adds +0.0), divided by the same count, so
+the means have nanmean's bits whenever the longest run lasts more than
+one round. With a single round nanmean sums the one column pairwise,
+which can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -88,33 +88,39 @@ def run_ensemble(scenario, workers=1):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_run_indexed, jobs, chunksize=max(1, runs // (4 * workers))))
-    else:
-        traces = [_run_indexed(job) for job in jobs]
+            return _fold(pool.map(_run_indexed, jobs, chunksize=max(1, runs // (4 * workers))))
+    return _fold(map(_run_indexed, jobs))
 
-    lifetimes = np.array([t.lifetime for t in traces])
-    max_rounds = int(lifetimes.max())
-    surviving = np.zeros(max_rounds, dtype=int)
-    alive, snr, rate, residual = (np.zeros(max_rounds) for _ in range(4))
+
+def _fold(traces):
+    """Fold the runs' traces into an ``EnsembleResult`` in run order, as they come."""
+    # surviving-run count, alive fraction, linear SNR, rate and residual sums,
+    # grown to the longest lifetime so far
+    sums = [np.zeros(0, dtype=int)] + [np.zeros(0) for _ in range(4)]
+    terminal = []
     for trace in traces:
         rounds_i = trace.lifetime
-        surviving[:rounds_i] += 1
-        alive[:rounds_i] += trace.alive_fraction
-        snr[:rounds_i] += 10.0 ** (_per_run_link_mean_snr(trace) / 10.0)
-        rate[:rounds_i] += trace.rate_total
-        residual[:rounds_i] += trace.residual_total
+        if rounds_i > sums[0].size:
+            sums = [np.concatenate((a, np.zeros(rounds_i - a.size, a.dtype))) for a in sums]
+        snr = 10.0 ** (_per_run_link_mean_snr(trace) / 10.0)
+        for total, curve in zip(sums, (1, trace.alive_fraction, snr, trace.rate_total, trace.residual_total)):
+            total[:rounds_i] += curve
+        terminal.append((rounds_i, trace.wasted_j, trace.wasted_pct, trace.causes))
+        del trace, snr, curve  # no run's curves are held while the next one computes
 
+    surviving, alive, snr, rate, residual = sums
+    lifetimes, wasted_j, wasted_pct, causes = zip(*terminal)
     return EnsembleResult(
-        rounds=max_rounds,
+        rounds=surviving.size,
         alive_fraction=alive / surviving,
         snr_db=linear_to_db(snr / surviving),
         rate_total=rate / surviving,
         residual_total=residual / surviving,
         surviving_runs=surviving,
-        lifetimes=lifetimes,
-        wasted_j=np.array([t.wasted_j for t in traces]),
-        wasted_pct=np.array([t.wasted_pct for t in traces]),
-        causes=tuple(t.causes for t in traces),
+        lifetimes=np.array(lifetimes),
+        wasted_j=np.array(wasted_j),
+        wasted_pct=np.array(wasted_pct),
+        causes=causes,
     )
 
 

@@ -16,17 +16,15 @@ built. The loop relies on these invariants:
 - ``partition_cluster`` gives each link's members as a strided slice;
 - the assigned weights are zero at every dead node and at every member
   of a down link, so the round gates them as they are and those nodes
-  stay funded at zero cost. ``gate_and_charge`` returns its input when
-  every node paid; after a round in which some node could not, the loop
-  marks the new dead and keeps the funded weights, zero there, as the
-  assigned ones;
-- the alive set changes only in such a round, so the per-link alive
-  counts are taken then and handed to the allocation, not recounted in
-  every round. The per-link views of the residuals, alive mask and gains
-  are made once per run, those of the assigned weights again after such
-  a round. The allocation writes each link's weights into its view of
-  the assigned array; ``cb_pa`` with every member alive computes them
-  there, with no gather and no copy.
+  stay funded at zero cost. ``gate_and_charge`` zeroes, in place, the
+  weights of the nodes that cannot pay, and the loop marks them dead;
+- the alive set changes only in a round in which some node cannot pay,
+  so the per-link alive counts are taken then and handed to the
+  allocation, not recounted in every round. The per-link views of the
+  residuals, alive mask, gains and assigned weights are made once per
+  run. The allocation writes each link's weights into its view of the
+  assigned array; ``cb_pa`` with every member alive computes them there,
+  with no gather and no copy.
 
 Only ``cb_pa`` reads the residuals, so it reallocates at every period
 boundary. The ``cb_epa`` weight depends on the alive count and the
@@ -45,8 +43,9 @@ The loop steps static stretches in bulk. After a round in which no link
 went down, the next round's assigned weights equal this round's funded
 weights bit for bit, unless it reallocates with new inputs; its slot
 costs, payment, SNR, rate and death test then repeat exactly and only the
-residuals move. Such rounds are stepped into the row buffer, whose rows
-are the residuals that in-place ``residual -= cost`` steps give, bit for
+residuals move. Such rounds are stepped into the row buffer with the
+charge that this round's ``gate_and_charge`` returned, and its rows are
+the residuals that in-place ``residual -= charge`` steps give, bit for
 bit; a stretch that fills the buffer flushes it and goes on, so no
 bound on its length is needed. A stretch ends before the first round in
 which some node's residual is below its cost, at ``max_rounds``, and
@@ -417,16 +416,11 @@ def run_lifetime(scenario, rng, record_nodes=False):
                     first_round=(t == 1),
                 )
 
-        funded, funded_w, paid = gate_and_charge(residual, assigned, slot)
+        charge, unfunded, paid = gate_and_charge(residual, assigned, slot)
         consumed += paid
-        # gate_and_charge returns ``assigned`` itself when every node paid,
-        # and otherwise a fresh copy zeroed where a node could not: those
-        # nodes die, and keeping that copy zeroes them in ``assigned``.
-        deaths = funded_w is not assigned
+        deaths = unfunded is not None
         if deaths:
-            alive &= funded
-            assigned = funded_w
-            assigned_at = [assigned[idx] for idx in member_idx]
+            alive[unfunded] = False
             up_counts = [int(np.count_nonzero(view)) for view in alive_at]
 
         snr_row = [math.nan] * k
@@ -473,10 +467,8 @@ def run_lifetime(scenario, rng, record_nodes=False):
                 rounds = min(rounds, -t % strategy.period)  # rounds before the next boundary
             if link_down or rounds < 1:
                 continue
-            # the slot costs gate_and_charge just charged, computed as it does
-            cost = assigned * assigned * slot
             # Only sizes the stretch; the stepped rows decide which rounds count.
-            ratio = np.divide(residual, cost, out=np.full(n, np.inf), where=cost > 0).min()
+            ratio = np.divide(residual, charge, out=np.full(n, np.inf), where=charge > 0).min()
             if ratio < rounds:
                 rounds = int(ratio)
             m = 0
@@ -484,7 +476,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
                 if j == len(rows):
                     flush()
                 room = min(rounds - m, len(rows) - j)
-                stepped = _static_stretch(residual, cost, rows[j : j + room])
+                stepped = _static_stretch(residual, charge, rows[j : j + room])
                 j += stepped
                 m += stepped
                 if stepped < room:

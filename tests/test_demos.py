@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,5 @@ def test_public_api_is_what_the_readme_and_demos_use():
     assert used <= set(beamlife.__all__)
     hidden = {"Destination", "FarFieldWarning", "PolarPoint", "carrier_phase", "deploy_cluster", "far_field_distance"}
     assert not hidden & set(beamlife.__all__)
+    # `from beamlife import *` binds no submodule, such as `config`
+    assert not [name for name in beamlife.__all__ if isinstance(getattr(beamlife, name), types.ModuleType)]

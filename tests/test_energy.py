@@ -75,41 +75,59 @@ class TestLinkBudget:
 class TestChargeRound:
     def test_funded_nodes_pay_squared_weight(self):
         residual = np.array([1.0, 1.0])
-        funded, _, consumed = gate_and_charge(residual, np.array([0.1, 0.2]), 1.0)
+        _, unfunded, consumed = gate_and_charge(residual, np.array([0.1, 0.2]), 1.0)
         np.testing.assert_allclose(residual, [0.99, 0.96])
-        assert funded.all()
+        assert unfunded is None
         assert consumed == pytest.approx(0.05)
 
     def test_unfundable_node_keeps_residual_and_dies(self):
         residual = np.array([0.005])
-        funded, funded_w, consumed = gate_and_charge(residual, np.array([0.1]), 1.0)
+        weights = np.array([0.1])
+        _, unfunded, consumed = gate_and_charge(residual, weights, 1.0)
         np.testing.assert_array_equal(residual, [0.005])
-        np.testing.assert_array_equal(np.flatnonzero(~funded), [0])
-        np.testing.assert_array_equal(funded_w, [0.0])
+        np.testing.assert_array_equal(np.flatnonzero(unfunded), [0])
+        np.testing.assert_array_equal(weights, [0.0])
         assert consumed == 0.0
 
-    def test_all_funded_returns_the_weights_array_itself(self):
-        # The round loop takes "funded_w is weights" to mean nobody died.
-        weights = np.array([0.1, 0.0, 0.2])
-        funded, funded_w, _ = gate_and_charge(np.ones(3), weights, 1.0)
-        assert funded.all()
-        assert funded_w is weights
+    def test_all_funded_leaves_the_weights_array_alone(self):
+        # The round loop keeps one weights array per run: when every node
+        # pays, the gate leaves the weights' bits alone and returns the charge
+        # w*w*slot that the loop's stretches step.
+        rng = np.random.default_rng(31)
+        slot = 0.7
+        weights = rng.uniform(0.0, 0.3, 40)
+        weights[::7] = 0.0
+        residual = np.ones(40)
+        before, expected = weights.copy(), weights * weights * slot
+        charge, unfunded, consumed = gate_and_charge(residual, weights, slot)
+        assert unfunded is None
+        assert weights.tobytes() == before.tobytes()
+        assert charge.tobytes() == expected.tobytes()
+        assert residual.tobytes() == (np.ones(40) - expected).tobytes()
+        assert consumed == float(charge.sum())
 
-    def test_unfunded_node_gets_a_fresh_weights_array(self):
-        # The round loop keeps this array as its zero-at-the-dead weights,
-        # so it must not share memory with the input, which stays unchanged.
-        weights = np.array([0.1, 0.5, 0.2])
-        funded, funded_w, _ = gate_and_charge(np.array([1.0, 0.1, 1.0]), weights, 1.0)
-        np.testing.assert_array_equal(funded, [True, False, True])
-        assert funded_w is not weights and not np.shares_memory(funded_w, weights)
-        np.testing.assert_array_equal(funded_w, [0.1, 0.0, 0.2])
-        np.testing.assert_array_equal(weights, [0.1, 0.5, 0.2])
+    def test_unfunded_node_is_zeroed_in_the_weights_array(self):
+        # The gate zeroes the unfunded nodes' weights in the array it is
+        # given, leaves every other weight's bits alone, and charges the
+        # unfunded nodes nothing.
+        rng = np.random.default_rng(31)
+        slot = 0.7
+        weights = rng.uniform(0.0, 0.3, 40)
+        weights[::7] = 0.0
+        residual = rng.uniform(0.0, 0.05, 40)
+        before, expected = weights.copy(), weights * weights * slot
+        charge, unfunded, consumed = gate_and_charge(residual, weights, slot)
+        assert unfunded is not None and 0 < np.count_nonzero(unfunded) < 40
+        np.testing.assert_array_equal(weights[unfunded], 0.0)
+        assert weights[~unfunded].tobytes() == before[~unfunded].tobytes()
+        assert charge.tobytes() == np.where(unfunded, 0.0, expected).tobytes()
+        assert consumed == float(charge.sum())
 
     def test_zero_weights_leave_state_unchanged(self):
         residual = np.array([0.3, 0.7])
-        funded, _, consumed = gate_and_charge(residual, np.zeros(2), 1.0)
+        _, unfunded, consumed = gate_and_charge(residual, np.zeros(2), 1.0)
         np.testing.assert_array_equal(residual, [0.3, 0.7])
-        assert funded.all()
+        assert unfunded is None
         assert consumed == 0.0
 
     def test_conservation(self):
@@ -127,9 +145,10 @@ class TestChargeRound:
         residual = rng.uniform(0.0, 0.05, 50)
         for _ in range(10):
             before = residual.copy()
-            funded, _, _ = gate_and_charge(residual, rng.uniform(0.0, 0.2, 50), 1.0)
+            _, unfunded, _ = gate_and_charge(residual, rng.uniform(0.0, 0.2, 50), 1.0)
             assert np.all(residual >= 0.0) and np.all(residual <= before)
-            np.testing.assert_array_equal(residual[~funded], before[~funded])
+            if unfunded is not None:
+                np.testing.assert_array_equal(residual[unfunded], before[unfunded])
 
 
 class TestWastedEnergy:

@@ -735,6 +735,33 @@ def test_cb_pa_period_one_runs_every_round_on_the_normal_path(monkeypatch):
     assert len(calls) == trace.lifetime
 
 
+@pytest.mark.parametrize("kind", ["cb_pa", "centralized_min_power"])
+def test_gate_sees_one_weights_array_per_run(kind, monkeypatch):
+    # gate_and_charge zeroes the unfunded nodes' weights in place, so every
+    # round of a run, before and after deaths, gates the same array, whose
+    # per-link views are made once. Both runs have two links, and nodes die
+    # before the last round: the slot is sized for n nodes on one link.
+    seen = []
+    gate = beamlife.lifetime.gate_and_charge
+
+    def recording(residual, weights, slot):
+        charge, unfunded, paid = gate(residual, weights, slot)
+        seen.append((weights, unfunded is not None))
+        return charge, unfunded, paid
+
+    monkeypatch.setattr(beamlife.lifetime, "gate_and_charge", recording)
+    if kind == "cb_pa":
+        cfg = small_scenario(n=100, links=2)
+    else:
+        cfg = small_scenario(links=2, strategy=StrategySpec(kind=kind, levels=0, period=1))
+        cfg = replace(cfg, t_slot_s=0.3 * cfg.t_slot_s)
+    trace = run_lifetime(cfg, rng_for(cfg.master_seed))
+    assert any(died for _, died in seen[:-1])
+    assert all(weights is seen[0][0] for weights, _ in seen)
+    if kind != "cb_pa":
+        assert len(seen) < trace.lifetime  # stretches stepped the gate's charge
+
+
 def test_stretch_stops_where_the_node_cannot_pay():
     # A stretch's length is estimated as residual / cost, which near a whole
     # ratio can promise one round more than repeated subtraction leaves; the
