@@ -156,22 +156,21 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one scenario ensemble and write CSV tables")
+    # the options that run and compare share
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", required=True, help="output directory")
+    common.add_argument("--runs", type=int, help="override the configured run count")
+    common.add_argument("--seed", type=int, help="override the configured master seed")
+    common.add_argument("--workers", type=int, default=1, help="parallel workers (does not affect results)")
+
+    run_p = sub.add_parser("run", parents=[common], help="run one scenario ensemble and write CSV tables")
     run_p.add_argument("--config", help="scenario config JSON (or a previous run manifest)")
     run_p.add_argument("--preset", help="named preset scenario (see 'presets')")
-    run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--runs", type=int, help="override the configured run count")
-    run_p.add_argument("--seed", type=int, help="override the configured master seed")
-    run_p.add_argument("--workers", type=int, default=1, help="parallel workers (does not affect results)")
     run_p.set_defaults(func=_cmd_run)
 
-    cmp_p = sub.add_parser("compare", help="paired-seed comparison of two or more scenarios")
+    cmp_p = sub.add_parser("compare", parents=[common], help="paired-seed comparison of two or more scenarios")
     cmp_p.add_argument("--preset", action="append", help="preset name (repeatable)")
     cmp_p.add_argument("--config", action="append", help="config path (repeatable)")
-    cmp_p.add_argument("--out", required=True, help="output directory")
-    cmp_p.add_argument("--runs", type=int, help="override the run count")
-    cmp_p.add_argument("--seed", type=int, help="override the master seed")
-    cmp_p.add_argument("--workers", type=int, default=1, help="parallel workers (does not affect results)")
     cmp_p.set_defaults(func=_cmd_compare)
 
     presets_p = sub.add_parser("presets", help="list the built-in scenario presets")

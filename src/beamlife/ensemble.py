@@ -18,6 +18,7 @@ which can differ in the last bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -59,15 +60,14 @@ class EnsembleResult:
         }
 
 
-def _run_indexed(args):
-    scenario, master_seed, index = args
-    rng = np.random.default_rng(np.random.SeedSequence([master_seed, index]))
+def _run_indexed(scenario, index):
+    rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, index]))
     return run_lifetime(scenario, rng)
 
 
 def _per_run_link_mean_snr(trace):
-    """Per-round scalar SNR for one run: linear average over links still up."""
-    return linear_to_db(np.nanmean(10.0 ** (trace.snr_db / 10.0), axis=1))
+    """Per-round linear SNR for one run, averaged over the links still up."""
+    return np.nanmean(10.0 ** (trace.snr_db / 10.0), axis=1)
 
 
 def run_ensemble(scenario, workers=1):
@@ -79,7 +79,7 @@ def run_ensemble(scenario, workers=1):
     surviving-run count is reported alongside.
     """
     runs = scenario.runs
-    jobs = [(scenario, scenario.master_seed, i) for i in range(runs)]
+    run = partial(_run_indexed, scenario)
     # Workers beyond the run count would sit idle, and a fork-based pool
     # starts every one of them at the first submit.
     workers = min(workers, runs)
@@ -88,8 +88,8 @@ def run_ensemble(scenario, workers=1):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _fold(pool.map(_run_indexed, jobs, chunksize=max(1, runs // (4 * workers))))
-    return _fold(map(_run_indexed, jobs))
+            return _fold(pool.map(run, range(runs), chunksize=max(1, runs // (4 * workers))))
+    return _fold(map(run, range(runs)))
 
 
 def _fold(traces):
@@ -102,7 +102,7 @@ def _fold(traces):
         rounds_i = trace.lifetime
         if rounds_i > sums[0].size:
             sums = [np.concatenate((a, np.zeros(rounds_i - a.size, a.dtype))) for a in sums]
-        snr = 10.0 ** (_per_run_link_mean_snr(trace) / 10.0)
+        snr = _per_run_link_mean_snr(trace)
         for total, curve in zip(sums, (1, trace.alive_fraction, snr, trace.rate_total, trace.residual_total)):
             total[:rounds_i] += curve
         terminal.append((rounds_i, trace.wasted_j, trace.wasted_pct, trace.causes))

@@ -26,11 +26,15 @@ built. The loop relies on these invariants:
   assigned array; ``cb_pa`` with every member alive computes them there,
   with no gather and no copy.
 
-Only ``cb_pa`` reads the residuals, so it reallocates at every period
-boundary. The ``cb_epa`` weight depends on the alive count and the
-centralized baselines on the alive nodes' fixed gains; the alive set only
-shrinks, so these kinds reallocate at a boundary only if a node has died
-since their last allocation, as a repeat would give the same weights.
+One integer holds the reallocation schedule: ``realloc``, the next round
+that reallocates with new inputs; a round past ``max_rounds`` means none
+is due. Round 1 allocates, as does every round ``t == realloc``. Only
+``cb_pa`` reads the residuals, so its allocation sets ``realloc`` to the
+next period boundary, ``t + period``. The ``cb_epa`` weight depends on the
+alive count and the centralized baselines on the alive nodes' fixed gains,
+and the alive set only shrinks, so their allocation sets none due; a round
+in which a node dies sets ``realloc`` to the next boundary,
+``t + 1 + (-t % period)``, which is where ``cb_pa``'s already is.
 
 Each run has one buffer of at most ``_ROW_ELEMENTS`` residuals: row j
 holds the residual vector after a round, written by the normal path and
@@ -49,18 +53,17 @@ the residuals that in-place ``residual -= charge`` steps give, bit for
 bit; a stretch that fills the buffer flushes it and goes on, so no
 bound on its length is needed. A stretch ends before the first round in
 which some node's residual is below its cost, at ``max_rounds``, and
-before the next boundary that reallocates with new inputs: every boundary
-for ``cb_pa``, and for the other kinds the first one after a death. Its
-length is estimated from residual / cost, which near a whole ratio can
-promise a round too many. A residual never rises (``fl(r - c) <= r`` for
-``c >= 0``), so the rounds that can pay are a prefix of the stepped ones:
-the stretch tests the last stepped round's start and, only if that fails,
-searches back, instead of testing every row. Every round that changes
-state runs the normal path.
+before ``realloc``: it may run ``realloc - 1 - t`` rounds, which is none
+for ``cb_pa`` at period 1. Its length is estimated from residual / cost,
+which near a whole ratio can promise a round too many. A residual never
+rises (``fl(r - c) <= r`` for ``c >= 0``), so the rounds that can pay are
+a prefix of the stepped ones: the stretch tests the last stepped round's
+start and, only if that fails, searches back, instead of testing every
+row. Every round that changes state runs the normal path.
 
 A normal round records its alive fraction, SNR row and rate (and, when
 nodes are recorded, its alive mask) once. A stretch of m stepped rounds
-repeats that record exactly, so it adds m to the record's repeat count
+repeats that record exactly, so it adds m to the record's count of rounds
 instead of copying it; the trace's per-round arrays are expanded by one
 ``np.repeat`` per field when the run ends.
 """
@@ -378,22 +381,20 @@ def run_lifetime(scenario, rng, record_nodes=False):
             node_chunks.append(rows[:j].copy())
         j = 0
 
-    # one record per normal round; (record index, m) for each stretch of m
-    # stepped rounds that repeat it (module docstring)
-    alive_rows, snr_rows, rate_rows = [], [], []
+    # one record per normal round, and how many rounds it stands for: its own
+    # and the stepped ones after it (module docstring)
+    alive_rows, snr_rows, rate_rows, counts = [], [], [], []
     node_alive_rows = [] if record_nodes else None
-    repeats = []
+    period = strategy.period
     reads_residuals = strategy.kind == "cb_pa"
-    # cb_pa at period 1 reallocates with new inputs every round, so it leaves
-    # no round to step in bulk and skips that bookkeeping.
-    stepping = strategy.period > 1 or not reads_residuals
-    stale = True  # the weights predate the current alive set
+    never = scenario.max_rounds + 1
+    realloc = 1  # the next round that reallocates with new inputs
 
     t = 0
     while t < scenario.max_rounds:
         t += 1
-        if (t - 1) % strategy.period == 0 and (reads_residuals or stale):
-            stale = False
+        if t == realloc:
+            realloc = t + period if reads_residuals else never
             # Each link up writes all its members; a down link's members
             # were zeroed when it went down.
             for l in range(k):
@@ -418,10 +419,10 @@ def run_lifetime(scenario, rng, record_nodes=False):
 
         charge, unfunded, paid = gate_and_charge(residual, assigned, slot)
         consumed += paid
-        deaths = unfunded is not None
-        if deaths:
+        if unfunded is not None:
             alive[unfunded] = False
             up_counts = [int(np.count_nonzero(view)) for view in alive_at]
+            realloc = t + 1 + (-t % period)  # the next period boundary
 
         snr_row = [math.nan] * k
         rate_total = 0.0
@@ -448,6 +449,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
         alive_rows.append(sum(up_counts) / n)
         snr_rows.append(snr_row)
         rate_rows.append(rate_total)
+        counts.append(1)
         if j == len(rows):
             flush()
         rows[j] = residual
@@ -457,39 +459,33 @@ def run_lifetime(scenario, rng, record_nodes=False):
         if not any(link_alive):
             break
 
-        # A round that took no link down leaves the next ones static until a
-        # node cannot pay or weights are reallocated with new inputs (module
-        # docstring): step those rounds in bulk and repeat this row.
-        if stepping:
-            stale = stale or deaths
-            rounds = scenario.max_rounds - t
-            if reads_residuals or stale:
-                rounds = min(rounds, -t % strategy.period)  # rounds before the next boundary
-            if link_down or rounds < 1:
-                continue
-            # Only sizes the stretch; the stepped rows decide which rounds count.
-            ratio = np.divide(residual, charge, out=np.full(n, np.inf), where=charge > 0).min()
-            if ratio < rounds:
-                rounds = int(ratio)
-            m = 0
-            while m < rounds:
-                if j == len(rows):
-                    flush()
-                room = min(rounds - m, len(rows) - j)
-                stepped = _static_stretch(residual, charge, rows[j : j + room])
-                j += stepped
-                m += stepped
-                if stepped < room:
-                    break
-            for _ in range(m):
-                consumed += paid  # one addition per round: m * paid rounds differently
-            if m:
-                repeats.append((len(alive_rows) - 1, m))
-            t += m
+        # A round that took no link down leaves the rounds before the next
+        # reallocation static until a node cannot pay (module docstring):
+        # step them in bulk and repeat this record.
+        rounds = realloc - 1 - t
+        if rounds < 1 or link_down:
+            continue
+        rounds = min(rounds, scenario.max_rounds - t)
+        # Only sizes the stretch; the stepped rows decide which rounds count.
+        ratio = np.divide(residual, charge, out=np.full(n, np.inf), where=charge > 0).min()
+        if ratio < rounds:
+            rounds = int(ratio)
+        m = 0
+        while m < rounds:
+            if j == len(rows):
+                flush()
+            room = min(rounds - m, len(rows) - j)
+            stepped = _static_stretch(residual, charge, rows[j : j + room])
+            j += stepped
+            m += stepped
+            if stepped < room:
+                break
+        for _ in range(m):
+            consumed += paid  # one addition per round: m * paid rounds differently
+        counts[-1] += m
+        t += m
     flush()
-    counts = np.ones(len(alive_rows), dtype=np.intp)
-    for index, m in repeats:
-        counts[index] += m
+    counts = np.array(counts)
 
     for l in range(k):
         if link_alive[l]:
@@ -504,7 +500,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
         snr_db=np.array(snr_rows).repeat(counts, axis=0),
         rate_total=np.array(rate_rows).repeat(counts),
         residual_total=np.concatenate(row_sums),
-        lifetime=int(counts.sum()),
+        lifetime=t,
         link_lifetimes=link_lifetimes,
         causes=tuple(causes),
         wasted_j=wasted_j,

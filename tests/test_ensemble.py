@@ -107,15 +107,14 @@ def nanmean_reduction(traces):
     for i, trace in enumerate(traces):
         rounds_i = trace.lifetime
         alive[i, :rounds_i] = trace.alive_fraction
-        with np.errstate(invalid="ignore"):
-            snr[i, :rounds_i] = linear_to_db(np.nanmean(10.0 ** (trace.snr_db / 10.0), axis=1))
+        snr[i, :rounds_i] = np.nanmean(10.0 ** (trace.snr_db / 10.0), axis=1)
         rate[i, :rounds_i] = trace.rate_total
         residual[i, :rounds_i] = trace.residual_total
     surviving = np.sum(lifetimes[:, None] >= np.arange(1, max_rounds + 1)[None, :], axis=0)
     with np.errstate(invalid="ignore"):
         return (
             np.nanmean(alive, axis=0),
-            linear_to_db(np.nanmean(10.0 ** (snr / 10.0), axis=0)),
+            linear_to_db(np.nanmean(snr, axis=0)),
             np.nanmean(rate, axis=0),
             np.nanmean(residual, axis=0),
             surviving,
@@ -139,6 +138,24 @@ def test_run_order_fold_has_nanmean_bits(name, runs, workers):
     for fold, reference in zip(got, nanmean_reduction(traces)):
         assert fold.dtype == reference.dtype
         assert fold.tobytes() == reference.tobytes()
+
+
+def test_linear_link_mean_is_within_1e_15_of_the_db_round_trip():
+    # Each run's link-mean SNR is folded as it is, in linear units. Taking
+    # it to dB and back, as the fold once did, rounds it twice more, which
+    # can move the last bits of an snr_db cell and nothing else.
+    cfg = replace(preset("multi-link"), runs=40)
+    traces = [run_lifetime(cfg, rng_for(cfg.master_seed, i)) for i in range(cfg.runs)]
+    total = np.zeros(max(t.lifetime for t in traces))
+    surviving = np.zeros(total.size)
+    for trace in traces:
+        link_mean_db = linear_to_db(np.nanmean(10.0 ** (trace.snr_db / 10.0), axis=1))
+        total[: trace.lifetime] += 10.0 ** (link_mean_db / 10.0)
+        surviving[: trace.lifetime] += 1
+    round_trip = linear_to_db(total / surviving)
+    result = run_ensemble(cfg)
+    np.testing.assert_allclose(result.snr_db, round_trip, rtol=1e-15, atol=0)
+    assert not np.array_equal(result.snr_db, round_trip)  # 33 of 247 cells differ
 
 
 def test_single_round_ensemble_sums_in_run_order():

@@ -655,6 +655,13 @@ def stepping_case(case, monkeypatch):
         return small_scenario(strategy=StrategySpec(kind=kind, levels=0, period=1))
     if case == "link_down":
         return one_shot(links=2, target_snr_db=5.0)
+    if case == "pa-max_rounds":
+        # max_rounds on the third round of a period, inside a stretch that
+        # would otherwise run on to the next boundary, before the natural end
+        cfg = small_scenario(strategy=StrategySpec(kind="cb_pa", levels=8, period=5))
+        full, normal = run_with_normal_rounds(cfg, 0, monkeypatch)
+        inside = [t for t in range(3, full.lifetime) if t % 5 == 3 and not {t - 1, t, t + 1} & normal]
+        return replace(cfg, max_rounds=inside[len(inside) // 2])
     cfg = one_shot()
     cfg = replace(cfg, t_slot_s=cfg.t_slot_s / 10)  # longer stretches
     if case == "chunk_flush":
@@ -667,7 +674,7 @@ def stepping_case(case, monkeypatch):
 @pytest.mark.parametrize(
     "case",
     ["epa-one-shot", "epa-period-7", "pa-period-5", "min_power-1", "max_gain-1", "link_down", "max_rounds",
-     "chunk_flush"],
+     "pa-max_rounds", "chunk_flush"],
 )
 def test_bulk_stepping_is_invisible(case, monkeypatch):
     # A run that steps static stretches in bulk and one that runs every round
@@ -692,7 +699,7 @@ def test_bulk_stepping_is_invisible(case, monkeypatch):
             assert a == b, field.name
     if case == "link_down":
         assert stepped.link_lifetimes.min() < stepped.lifetime
-    elif case in ("max_rounds", "chunk_flush"):
+    elif case in ("max_rounds", "pa-max_rounds", "chunk_flush"):
         assert stepped.lifetime == cfg.max_rounds and stepped.causes == ("max_rounds",)
 
 
