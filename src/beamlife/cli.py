@@ -15,6 +15,8 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .allocation import InfeasibleAllocationError
 from .config import ConfigError, load_config, preset, preset_description, preset_names
@@ -49,12 +51,23 @@ def _causes_line(result):
     return "causes: " + ", ".join(f"{c} {causes.count(c)}" for c in ("nodes", "snr", "max_rounds"))
 
 
+def _cell_texts(values):
+    """``str`` of each value of a 1-D 64-bit array, called once per run of bit-identical neighbours."""
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    texts = np.array([str(x) for x in values[starts].tolist()], dtype=object)
+    return texts.repeat(np.diff(starts, append=values.size)).tolist()
+
+
 def _write_ensemble_dir(out, result, cfg):
     """Write one ensemble's rounds.csv, summary.csv and manifest.json into ``out``.
 
     Every rounds.csv cell is a number, which needs no quoting, so its rows
     are written as text directly: a float as its repr and CRLF line ends,
-    the bytes ``csv.writer`` gives.
+    the bytes ``csv.writer`` gives. A curve holds long runs of equal values
+    (it steps only when a node or a run dies), so each run of bit-identical
+    cells in a column is formatted once; only bit-identical values share a
+    text, so ``0.0`` and ``-0.0`` keep theirs.
     """
     out.mkdir(parents=True, exist_ok=True)
     columns = (result.alive_fraction, result.snr_db, result.rate_total, result.residual_total, result.surviving_runs)
@@ -62,7 +75,7 @@ def _write_ensemble_dir(out, result, cfg):
         fh.write(",".join(ROUNDS_COLUMNS) + "\r\n")
         for start in range(0, result.rounds, _ROUNDS_BLOCK):
             stop = start + _ROUNDS_BLOCK
-            blocks = [column[start:stop].tolist() for column in columns]
+            blocks = [_cell_texts(column[start:stop]) for column in columns]
             fh.writelines(
                 f"{t},{a},{s},{r},{e},{c}\r\n" for t, a, s, r, e, c in zip(range(start + 1, stop + 1), *blocks)
             )

@@ -232,13 +232,16 @@ def validate(cfg):
 
 def load_config(path):
     """Load and validate a scenario config (or a run manifest) from JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 ({exc})") from exc
     if not text.strip():
         return from_dict({})
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested past the recursion limit
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if isinstance(data, dict) and "config" in data and "artifact_version" in data:
         data = data["config"]  # a run manifest round-trips as a config

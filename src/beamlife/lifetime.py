@@ -298,10 +298,11 @@ def _static_stretch(residual, cost, rows):
     """
     # Row by row, as ``residual -= cost`` would: np.subtract.accumulate
     # along axis 0 gives the same bits but walks the buffer column by
-    # column, 2-4x slower per row at n = 500-1000.
-    np.subtract(residual, cost, out=rows[0])
-    for prev, row in zip(rows[:-1], rows[1:]):
-        np.subtract(prev, cost, out=row)
+    # column, 2-4x slower per row at n = 500-1000. Each subtraction returns
+    # the row it wrote, the next one's input, so each row is viewed once.
+    prev = np.subtract(residual, cost, out=rows[0])
+    for row in rows[1:]:
+        prev = np.subtract(prev, cost, out=row)
     # A residual never rises (fl(r - c) <= r for c >= 0), so the rounds whose
     # starting residuals cover the cost are a prefix: if the last stepped
     # round's start does, all do; otherwise search back from it.

@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -146,6 +149,14 @@ class TestFromDict:
         assert from_dict(asdict(cfg)) == cfg
 
 
+# files that cannot be read as a JSON config
+UNREADABLE_CONFIGS = [
+    pytest.param(b'{"n": 10, "runs": "\xe9"}', "not valid UTF-8", id="latin-1"),
+    pytest.param(b"[" * 100000, "not valid JSON", id="unclosed-past-recursion-limit"),
+    pytest.param(b"[" * 100000 + b"]" * 100000, "not valid JSON", id="nested-past-recursion-limit"),
+]
+
+
 class TestLoadConfig:
     def test_empty_file_is_default_preset(self, tmp_path):
         path = tmp_path / "empty.json"
@@ -163,6 +174,14 @@ class TestLoadConfig:
         path.write_text(json.dumps({"n": 10, "runs": 3}))
         cfg = load_config(path)
         assert cfg.n == 10 and cfg.runs == 3
+
+    @pytest.mark.parametrize("content, message", UNREADABLE_CONFIGS)
+    def test_unreadable_file_is_named(self, tmp_path, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=message) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 def tiny_config_dict(**overrides):
@@ -247,6 +266,18 @@ def test_rounds_csv_rows_span_blocks(tmp_path, monkeypatch):
     monkeypatch.setattr(beamlife.cli, "_ROUNDS_BLOCK", 4)
     values = np.random.default_rng(1).normal(size=(4, 11)) * 10.0 ** np.arange(-5, 6)
     result = ensemble_of_columns(*values.tolist())
+    _write_ensemble_dir(tmp_path, result, ScenarioConfig())
+    assert (tmp_path / "rounds.csv").read_bytes() == csv_writer_rounds(result)
+
+
+def test_rounds_csv_runs_of_equal_cells_span_blocks(tmp_path, monkeypatch):
+    # runs of bit-identical cells cross the 4-row block edges, beside cells
+    # that are equal in value but not in bits
+    monkeypatch.setattr(beamlife.cli, "_ROUNDS_BLOCK", 4)
+    payload = _nan_with_payload()
+    column = [0.5] * 6 + [0.0] * 3 + [-0.0] * 3 + [math.nan] * 2 + [payload] * 3 + [-math.nan] * 2 + [0.25] * 5
+    result = ensemble_of_columns(column, column[::-1], column[3:] + column[:3], column[5:] + column[:5])
+    result = replace(result, surviving_runs=np.repeat([3, 2, 1], [7, 6, 11]))
     _write_ensemble_dir(tmp_path, result, ScenarioConfig())
     assert (tmp_path / "rounds.csv").read_bytes() == csv_writer_rounds(result)
 
@@ -382,6 +413,34 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("content, message", UNREADABLE_CONFIGS)
+    def test_unreadable_config_exits_with_its_path(self, tmp_path, capsys, command, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        scenarios = ["--config", str(path)] if command == "run" else ["--preset", "pa-uniform", "--config", str(path)]
+        assert main([command, *scenarios, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_run_and_compare_leave_numpy_ma_unimported(self, tmp_path):
+        # np.quantile imports numpy.ma (through np.unique), about 1.2 MB of
+        # peak RSS in every command
+        script = (
+            "import sys\n"
+            "from beamlife.cli import main\n"
+            f"assert main(['run', '--preset', 'pa-uniform', '--runs', '3', '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+            "assert main(['compare', '--preset', 'pa-uniform', '--preset', 'epa-uniform', '--runs', '3',"
+            f" '--out', {str(tmp_path / 'cmp')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_compare_emits_lifetime_ratio(self, tmp_path):
         a = tmp_path / "a.json"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from beamlife.config import ConfigError, StrategySpec, preset, preset_names
-from beamlife.ensemble import compare_strategies, run_ensemble
+from beamlife.ensemble import EnsembleResult, compare_strategies, run_ensemble
 from beamlife.geometry import linear_to_db
 from beamlife.lifetime import run_lifetime
 
@@ -168,6 +168,29 @@ def test_single_round_ensemble_sums_in_run_order():
     assert result.rounds == 1
     for curve, field in ((result.rate_total, "rate_total"), (result.residual_total, "residual_total")):
         assert curve[0] == sum(float(getattr(t, field)[0]) for t in traces) / 9
+
+
+def lifetime_samples():
+    """Integer lifetimes of every size from 1 to 500, mostly distinct and with many ties."""
+    rng = np.random.default_rng(19)
+    samples = [np.array([7]), np.array([3, 3]), np.array([2, 9]), np.array([9, 2])]
+    for size in range(1, 501):
+        samples.append(rng.integers(1, 10**6, size))
+        samples.append(rng.integers(1, 4, size))
+    return samples
+
+
+def test_summary_quantiles_have_np_quantile_bits():
+    keys = ["lifetime_q10", "lifetime_q25", "lifetime_q50", "lifetime_q75", "lifetime_q90"]
+    for lifetimes in lifetime_samples():
+        runs = lifetimes.size
+        zeros = np.zeros(runs)
+        result = EnsembleResult(1, zeros, zeros, zeros, zeros, zeros, lifetimes, zeros, zeros, (("snr",),) * runs)
+        summary = result.summary()
+        got = [summary[key] for key in keys]
+        assert all(type(q) is float for q in got)
+        expected = np.quantile(lifetimes, [0.1, 0.25, 0.5, 0.75, 0.9])
+        assert np.array(got).tobytes() == expected.tobytes(), lifetimes
 
 
 class TestCompareStrategies:
