@@ -81,10 +81,10 @@ class ReiStats:
 
 def cbpa_normalized_weights(residuals, capacity):
     """Fully distributed normalized weights: each node's residual over capacity."""
-    if capacity <= 0:
-        raise ValueError(f"capacity must be positive, got {capacity}")
+    if not 0 < capacity < math.inf:
+        raise ValueError(f"capacity must be positive and finite, got {capacity}")
     residuals = np.asarray(residuals, dtype=float)
-    if np.any(residuals < 0) or np.any(residuals > capacity * (1 + 1e-12)):
+    if not (np.all(residuals >= 0) and np.all(residuals <= capacity * (1 + 1e-12))):
         raise ValueError("residuals must lie in [0, capacity]")
     return residuals / capacity
 
@@ -97,10 +97,10 @@ def analytic_average_snr(scale, n, rei, ch, noise_power):
     nodes and of each other. The coherent cross terms carry the n*(n-1)
     factor; the self terms carry the second moments.
     """
-    if n < 1:
-        raise ValueError(f"need at least 1 node, got {n}")
-    if noise_power <= 0:
-        raise ValueError(f"noise power must be positive, got {noise_power}")
+    if not 1 <= n < math.inf:
+        raise ValueError(f"need a finite count of at least 1 node, got {n}")
+    if not 0 < noise_power < math.inf:
+        raise ValueError(f"noise power must be positive and finite, got {noise_power}")
     m_u, var_u = rei.mean, rei.variance
     m_a, var_a = ch.mean, ch.variance
     self_terms = n * (var_u + m_u**2) * (var_a + m_a**2)
@@ -121,12 +121,12 @@ def compute_wmax(target_snr, n, rei, ch, noise_power):
     :class:`InfeasibleAllocationError` when the cluster statistics are all
     zero (nothing can transmit); the caller applies the per-node power cap.
     """
-    if n < 1:
-        raise ValueError(f"need at least 1 node, got {n}")
-    if noise_power <= 0:
-        raise ValueError(f"noise power must be positive, got {noise_power}")
-    if target_snr < 0:
-        raise ValueError(f"target SNR must be non-negative, got {target_snr}")
+    if not 1 <= n < math.inf:
+        raise ValueError(f"need a finite count of at least 1 node, got {n}")
+    if not 0 < noise_power < math.inf:
+        raise ValueError(f"noise power must be positive and finite, got {noise_power}")
+    if not 0 <= target_snr < math.inf:
+        raise ValueError(f"target SNR must be non-negative and finite, got {target_snr}")
     if target_snr == 0:
         return 0.0
     denom = _scale_denominator(n, rei.mean, rei.variance, ch)
@@ -139,12 +139,12 @@ def compute_wmax(target_snr, n, rei, ch, noise_power):
 
 def cbepa_weight(target_snr, n, ch, noise_power):
     """Closed-form common amplitude when every alive node transmits equally."""
-    if n < 1:
-        raise ValueError(f"need at least 1 node, got {n}")
-    if noise_power <= 0:
-        raise ValueError(f"noise power must be positive, got {noise_power}")
-    if target_snr < 0:
-        raise ValueError(f"target SNR must be non-negative, got {target_snr}")
+    if not 1 <= n < math.inf:
+        raise ValueError(f"need a finite count of at least 1 node, got {n}")
+    if not 0 < noise_power < math.inf:
+        raise ValueError(f"noise power must be positive and finite, got {noise_power}")
+    if not 0 <= target_snr < math.inf:
+        raise ValueError(f"target SNR must be non-negative and finite, got {target_snr}")
     m_a, var_a = ch.mean, ch.variance
     return math.sqrt(target_snr * noise_power / (n * var_a + n**2 * m_a**2))
 
@@ -155,10 +155,10 @@ def quantize_weights(u, levels):
     The grid is {j/levels : j = 0..levels}; ties round up, and a weight
     below half a step rounds to zero, which silences the node.
     """
-    if levels < 1:
-        raise ValueError(f"need at least 1 quantization level, got {levels}")
+    if not 1 <= levels < math.inf:
+        raise ValueError(f"need a finite number of quantization levels, at least 1, got {levels}")
     u = np.asarray(u, dtype=float)
-    if np.any(u < -1e-12) or np.any(u > 1 + 1e-12):
+    if not (np.all(u >= -1e-12) and np.all(u <= 1 + 1e-12)):
         raise ValueError("normalized weights must lie in [0, 1]")
     q = np.floor(u * levels + 0.5) / levels
     return np.clip(q, 0.0, 1.0)
@@ -174,9 +174,22 @@ def _capped_matched_filter(gains, s, target, power):
         amplitude: mu  = (A − s·sum_{i<j} g_(i)) / sum_{i≥j} g_(i)²
     with a negative remainder read as 0. The optimum's j is the first whose
     node j stays at or below the cap; if there is none, every node is capped.
+
+    The uncapped matched filter, j = 0, is tried first in scalar arithmetic
+    with the float operations the scan applies at j = 0, so it returns the
+    scan's bits; the scan runs only when the largest gain's weight exceeds
+    the cap. It also runs when ``tail[0]`` or the j = 0 remainder is not
+    positive, where scalar Python would raise on a zero division or read
+    max(-0.0, 0.0) and NaN differently from numpy.
     """
     g = np.sort(gains)[::-1]
     tail = np.cumsum(g[::-1] ** 2)[::-1]
+    t0 = float(tail[0])
+    rem0 = target - 0.0 * (s * s) if power else target - s * 0.0
+    if t0 > 0 and rem0 > 0:
+        mu0 = math.sqrt(rem0 / t0) if power else rem0 / t0
+        if mu0 * float(g[0]) <= s:
+            return np.minimum(mu0 * gains, s)
     if power:
         mu = np.sqrt(np.maximum(target - np.arange(g.size) * (s * s), 0.0) / tail)
     else:
@@ -197,12 +210,12 @@ def solve_max_gain(gains, total_power, cap):
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 1 or gains.size == 0:
         raise ValueError("gains must be a non-empty 1-D vector")
-    if np.any(gains <= 0):
-        raise ValueError("all channel gains must be positive")
-    if cap <= 0:
-        raise ValueError(f"per-node power cap must be positive, got {cap}")
-    if total_power < 0:
-        raise ValueError(f"total power must be non-negative, got {total_power}")
+    if not (0 < gains.min() and gains.max() < math.inf):  # NaN fails the first test
+        raise ValueError("all channel gains must be positive and finite")
+    if not 0 < cap < math.inf:
+        raise ValueError(f"per-node power cap must be positive and finite, got {cap}")
+    if not 0 <= total_power < math.inf:
+        raise ValueError(f"total power must be non-negative and finite, got {total_power}")
     n = gains.size
     if total_power > n * cap * (1 + 1e-12):
         raise InfeasibleAllocationError(
@@ -223,14 +236,14 @@ def solve_min_power(gains, target_snr, noise_power, cap):
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 1 or gains.size == 0:
         raise ValueError("gains must be a non-empty 1-D vector")
-    if np.any(gains <= 0):
-        raise ValueError("all channel gains must be positive")
-    if cap <= 0:
-        raise ValueError(f"per-node power cap must be positive, got {cap}")
-    if noise_power <= 0:
-        raise ValueError(f"noise power must be positive, got {noise_power}")
-    if target_snr < 0:
-        raise ValueError(f"target SNR must be non-negative, got {target_snr}")
+    if not (0 < gains.min() and gains.max() < math.inf):  # NaN fails the first test
+        raise ValueError("all channel gains must be positive and finite")
+    if not 0 < cap < math.inf:
+        raise ValueError(f"per-node power cap must be positive and finite, got {cap}")
+    if not 0 < noise_power < math.inf:
+        raise ValueError(f"noise power must be positive and finite, got {noise_power}")
+    if not 0 <= target_snr < math.inf:
+        raise ValueError(f"target SNR must be non-negative and finite, got {target_snr}")
     s = math.sqrt(cap)
     amplitude_target = math.sqrt(target_snr * noise_power)
     if s * float(gains.sum()) < amplitude_target:

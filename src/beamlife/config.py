@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field, fields, replace
 
 from .allocation import lognormal_channel_stats
@@ -35,6 +36,13 @@ NEVER_REALLOCATE = 10**9
 
 class ConfigError(ValueError):
     """A configuration file or dictionary failed validation."""
+
+
+# An error echoes a rejected value's repr cut in the middle to about 40
+# characters, so its line stays short whatever the input.
+_ECHO = reprlib.Repr()
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 40
+_echo = _ECHO.repr
 
 
 @dataclass(frozen=True)
@@ -161,9 +169,9 @@ def _check_types(spec, path):
             continue  # validate requires exactly one of the two
         if f.type == "int":
             _check(isinstance(value, numbers.Integral) and not isinstance(value, bool), key,
-                   f"must be an integer, got {value!r}")
+                   f"must be an integer, got {_echo(value)}")
         elif f.type == "float":
-            _check(_is_finite_number(value), key, f"must be a finite number, got {value!r}")
+            _check(_is_finite_number(value), key, f"must be a finite number, got {_echo(value)}")
         elif f.name in _SECTIONS:
             _check(isinstance(value, _SECTIONS[f.name]), key, "must be an object")
             _check_types(value, key + ".")
@@ -189,8 +197,9 @@ def _linear_or_inf(compute):
 def validate(cfg):
     """Raise ConfigError with a key path on the first violated constraint."""
     _check_types(cfg, "")
-    _check(cfg.n >= 1, "n", f"must be at least 1, got {cfg.n}")
-    _check(1 <= cfg.links <= cfg.n, "links", f"must lie in [1, n={cfg.n}], got {cfg.links}")
+    n = _echo(cfg.n)
+    _check(cfg.n >= 1, "n", f"must be at least 1, got {n}")
+    _check(1 <= cfg.links <= cfg.n, "links", f"must lie in [1, n={n}], got {_echo(cfg.links)}")
     if (cfg.target_snr_db is None) == (cfg.target_rate_bits is None):
         raise ConfigError("target_snr_db/target_rate_bits: exactly one must be set")
     if cfg.target_rate_bits is not None:
@@ -203,9 +212,9 @@ def validate(cfg):
            f"the linear noise power of {cfg.noise_db} dB must be finite and positive, got {noise}")
     _check(cfg.shadowing_sigma2_db >= 0, "shadowing_sigma2_db", "must be non-negative")
     _check(_channel_moments_finite(cfg), "shadowing_sigma2_db",
-           f"too large: the channel gain moments overflow at n={cfg.n}")
+           f"too large: the channel gain moments overflow at n={n}")
     _check(cfg.phase_error_deg_bound >= 0, "phase_error_deg_bound", "must be non-negative")
-    _check(cfg.energy.kind in ("uniform", "gaussian"), "energy.kind", f"unknown kind {cfg.energy.kind!r}")
+    _check(cfg.energy.kind in ("uniform", "gaussian"), "energy.kind", f"unknown kind {_echo(cfg.energy.kind)}")
     _check(cfg.energy.e_max > 0, "energy.e_max", "must be positive")
     _check(0 < cfg.energy.mean <= cfg.energy.e_max, "energy.mean", "must lie in (0, e_max]")
     if cfg.energy.kind == "uniform":
@@ -215,10 +224,10 @@ def validate(cfg):
             "uniform draws span [0, e_max]; mean must be e_max/2",
         )
     _check(cfg.energy.sigma >= 0, "energy.sigma", "must be non-negative")
-    _check(cfg.strategy.kind in STRATEGY_KINDS, "strategy.kind", f"unknown kind {cfg.strategy.kind!r}")
+    _check(cfg.strategy.kind in STRATEGY_KINDS, "strategy.kind", f"unknown kind {_echo(cfg.strategy.kind)}")
     levels = cfg.strategy.levels
     _check(0 <= levels < 2**1024 and (levels == 0 or levels & (levels - 1) == 0), "strategy.levels",
-           f"must be 0 or a power of two below 2**1024 (a finite float), got {levels}")
+           f"must be 0 or a power of two below 2**1024 (a finite float), got {_echo(levels)}")
     _check(cfg.strategy.period >= 1, "strategy.period", "must be at least 1")
     _check(0 < cfg.death.max_dead_fraction <= 1, "death.max_dead_fraction", "must lie in (0, 1]")
     _check(cfg.death.snr_drop_db > 0, "death.snr_drop_db", "must be positive")
@@ -243,6 +252,8 @@ def load_config(path):
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested past the recursion limit
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    except ValueError as exc:  # an integer past Python's int-from-string digit limit
+        raise ConfigError(f"{path}: integer too long to read ({exc})") from exc
     if isinstance(data, dict) and "config" in data and "artifact_version" in data:
         data = data["config"]  # a run manifest round-trips as a config
     return from_dict(data)

@@ -16,6 +16,7 @@ from beamlife.allocation import (
     ChannelStats,
     InfeasibleAllocationError,
     ReiStats,
+    _capped_matched_filter,
     analytic_average_snr,
     cbepa_weight,
     cbpa_normalized_weights,
@@ -495,3 +496,109 @@ class TestCappedMatchedFilterCases:
             np.testing.assert_allclose(solve_max_gain(gains, total, cap), ref, rtol=0, atol=tol)
             ref = bisect_capped_matched_filter(gains, cap, lambda w: float(gains @ w), math.sqrt(snr))
             np.testing.assert_allclose(solve_min_power(gains, snr, 1.0, cap), ref, rtol=0, atol=tol)
+
+
+def scan_capped_matched_filter(gains, s, target, power):
+    """Reference: the full scan over capped counts, without the index-0 exit."""
+    g = np.sort(gains)[::-1]
+    tail = np.cumsum(g[::-1] ** 2)[::-1]
+    if power:
+        mu = np.sqrt(np.maximum(target - np.arange(g.size) * (s * s), 0.0) / tail)
+    else:
+        head = np.concatenate(([0.0], np.cumsum(g[:-1])))
+        mu = np.maximum(target - s * head, 0.0) / tail
+    fits = np.flatnonzero(mu * g <= s)
+    j = fits[0] if fits.size else g.size - 1
+    return np.minimum(mu[j] * gains, s)
+
+
+def uncapped_limit(gains, s, power):
+    """The largest target at which the largest gain's weight is still at the cap."""
+    g0, t0 = float(gains.max()), float(np.sum(gains**2))
+    return (s / g0) ** 2 * t0 if power else s / g0 * t0
+
+
+class TestIndexZeroExit:
+    """The uncapped matched filter, tried first, returns the full scan's bits."""
+
+    def assert_same_bits(self, gains, s, target, power):
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero tail[0] divides by zero
+            expected = scan_capped_matched_filter(gains, s, target, power)
+            got = _capped_matched_filter(gains, s, target, power)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), (gains, s, target, power)
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(2020)
+        for k in range(3000):
+            n = int(rng.integers(1, 151))
+            spread_db = float(rng.uniform(1.0, 200.0))
+            gains = 10 ** (rng.uniform(-spread_db / 2, spread_db / 2, n) / 20)
+            if k % 4 == 0:  # ties: redraw from a few distinct gains
+                gains = rng.choice(gains[: max(1, n // 4)], n)
+            s = math.sqrt(float(rng.uniform(0.01, 2.0)))
+            for power in (True, False):
+                full = n * s * s if power else s * float(gains.sum())  # every node at the cap
+                edge = uncapped_limit(gains, s, power)
+                for target in (
+                    0.0,
+                    full,
+                    full * (1 - 1e-15),
+                    edge,
+                    edge * (1 - 2e-16),
+                    edge * (1 + 2e-16),
+                    float(rng.uniform(0.0, 1.0)) * min(edge, full),
+                    float(rng.uniform(0.0, 1.0)) * full,
+                ):
+                    self.assert_same_bits(gains, s, min(target, full), power)
+
+    @pytest.mark.parametrize("power", [True, False], ids=["power", "amplitude"])
+    @pytest.mark.parametrize(
+        "gains, s, target",
+        [
+            ([1.0, 2.0, 4.0], 1.0, 2.25),  # power: j = 1, node 1 on its breakpoint; amplitude: j = 0
+            ([1.0, 2.0, 4.0], 1.0, 6.5),  # power: every node capped; amplitude: j = 1
+            ([4.0, 4.0, 1.0], 1.0, 2.5),  # power: tied largest gains both capped, j = 2
+            ([1e-200, 1e-201], 1.0, 1e-300),  # g² underflows: tail[0] is 0
+            ([1e-200], 1.0, 0.0),  # zero tail and zero target: 0/0
+            ([3.0, 1.0], 1.0, -0.0),  # negative zero target
+            ([3.0, 1.0], 1e154, 1e300),  # huge cap, s² finite: power j = 0
+            ([3.0, 1.0], 2e154, 1e300),  # s² overflows: the power remainder at j = 0 is nan
+        ],
+    )
+    def test_hand_made_cases(self, gains, s, target, power):
+        self.assert_same_bits(np.array(gains), s, target, power)
+
+
+CH = ChannelStats(mean=1.2, variance=0.3)
+REI = ReiStats(mean=0.5, variance=1 / 12)
+
+# each public helper with one argument replaced by x; the others are valid
+ONE_ARGUMENT = {
+    "solve_max_gain-gains": lambda x: solve_max_gain(np.array([1.0, x]), 0.5, 1.0),
+    "solve_max_gain-total_power": lambda x: solve_max_gain(np.array([1.0, 2.0]), x, 1.0),
+    "solve_max_gain-cap": lambda x: solve_max_gain(np.array([1.0, 2.0]), 0.5, x),
+    "solve_min_power-gains": lambda x: solve_min_power(np.array([1.0, x]), 1.0, 1.0, 1.0),
+    "solve_min_power-target_snr": lambda x: solve_min_power(np.array([1.0, 2.0]), x, 1.0, 1.0),
+    "solve_min_power-noise_power": lambda x: solve_min_power(np.array([1.0, 2.0]), 1.0, x, 1.0),
+    "solve_min_power-cap": lambda x: solve_min_power(np.array([1.0, 2.0]), 1.0, 1.0, x),
+    "compute_wmax-target_snr": lambda x: compute_wmax(x, 10, REI, CH, NOISE),
+    "compute_wmax-n": lambda x: compute_wmax(TARGET, x, REI, CH, NOISE),
+    "compute_wmax-noise_power": lambda x: compute_wmax(TARGET, 10, REI, CH, x),
+    "cbepa_weight-target_snr": lambda x: cbepa_weight(x, 10, CH, NOISE),
+    "cbepa_weight-n": lambda x: cbepa_weight(TARGET, x, CH, NOISE),
+    "cbepa_weight-noise_power": lambda x: cbepa_weight(TARGET, 10, CH, x),
+    "analytic_average_snr-n": lambda x: analytic_average_snr(1.0, x, REI, CH, NOISE),
+    "analytic_average_snr-noise_power": lambda x: analytic_average_snr(1.0, 10, REI, CH, x),
+    "cbpa_normalized_weights-residuals": lambda x: cbpa_normalized_weights(np.array([0.5, x]), 1.0),
+    "cbpa_normalized_weights-capacity": lambda x: cbpa_normalized_weights(np.array([0.5, 0.25]), x),
+    "quantize_weights-u": lambda x: quantize_weights(np.array([0.5, x]), 8),
+    "quantize_weights-levels": lambda x: quantize_weights(np.array([0.5, 0.25]), x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", ONE_ARGUMENT.values(), ids=ONE_ARGUMENT.keys())
+def test_non_finite_argument_is_rejected(call, value):
+    call(1.0)  # valid at a finite value, so the error is the argument's
+    with pytest.raises(ValueError):
+        call(value)

@@ -154,6 +154,8 @@ UNREADABLE_CONFIGS = [
     pytest.param(b'{"n": 10, "runs": "\xe9"}', "not valid UTF-8", id="latin-1"),
     pytest.param(b"[" * 100000, "not valid JSON", id="unclosed-past-recursion-limit"),
     pytest.param(b"[" * 100000 + b"]" * 100000, "not valid JSON", id="nested-past-recursion-limit"),
+    # json.loads raises a bare ValueError past the 4300-digit int limit
+    pytest.param(b'{"n": ' + b"9" * 5000 + b"}", "integer too long to read", id="integer-past-digit-limit"),
 ]
 
 
@@ -405,13 +407,25 @@ class TestCli:
             ({"target_rate_bits": 2000, "target_snr_db": None, "runs": 1}, "target_rate_bits"),
             ({"noise_db": -4000, "max_rounds": 5, "runs": 1}, "noise_db"),
             ({"strategy": {"levels": 2**1024}, "runs": 1, "max_rounds": 5}, "strategy.levels"),
+            # long values, which the message echoes cut
+            ({"energy": {"kind": "x" * 100000}}, "energy.kind"),
+            ({"strategy": {"kind": "x" * 100000}}, "strategy.kind"),
+            ({"strategy": {"levels": int("3" * 4000)}}, "strategy.levels"),
+            ({"n": "x" * 100000}, "n"),
+            ({"n": [[[[[[[[[[1]]]]]]]]]] * 1000}, "n"),
+            ({"p_max": "x" * 100000}, "p_max"),
+            ({"death": {"snr_drop_db": ["x" * 100000]}}, "death.snr_drop_db"),
+            ({"links": 10**3999, "n": 10}, "links"),
+            ({"n": 10**3999, "shadowing_sigma2_db": 1e4}, "shadowing_sigma2_db"),
         ],
     )
     def test_malformed_value_exits_with_key_path(self, tmp_path, capsys, data, path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(data))  # NaN and Infinity as Python's json writes them
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "compare"])
