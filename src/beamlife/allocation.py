@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AMPLITUDE_DB_DIVISOR
+from .geometry import AMPLITUDE_DB_DIVISOR, _at_least, _finite, _gains, _positive
 
 LN10 = math.log(10.0)
 
@@ -44,10 +44,8 @@ class ChannelStats:
     variance: float
 
     def __post_init__(self):
-        if self.mean <= 0:
-            raise ValueError(f"gain mean must be positive, got {self.mean}")
-        if self.variance < 0:
-            raise ValueError(f"gain variance must be non-negative, got {self.variance}")
+        _positive(self.mean, "gain mean must be positive")
+        _at_least(self.variance, 0, "gain variance must be non-negative")
 
 
 def lognormal_channel_stats(sigma2_db):
@@ -57,8 +55,7 @@ def lognormal_channel_stats(sigma2_db):
     sqrt(sigma2_db) * ln(10) / 20, as :func:`beamlife.geometry.sample_channel`
     draws it.
     """
-    if sigma2_db < 0:
-        raise ValueError(f"shadowing variance must be non-negative, got {sigma2_db}")
+    _at_least(sigma2_db, 0, "shadowing variance must be non-negative")
     s2 = sigma2_db * (LN10 / AMPLITUDE_DB_DIVISOR) ** 2
     mean = math.exp(s2 / 2.0)
     variance = (math.exp(s2) - 1.0) * math.exp(s2)
@@ -73,20 +70,14 @@ class ReiStats:
     variance: float
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError(f"variance must be non-negative, got {self.variance}")
-        if not 0 <= self.mean <= 1 + 1e-12:
-            raise ValueError(f"mean normalized weight {self.mean} outside [0, 1]")
+        _at_least(self.variance, 0, "variance must be non-negative")
+        _finite(self.mean, f"mean normalized weight {self.mean} outside [0, 1]", 0.0, 1 + 1e-12)
 
 
 def cbpa_normalized_weights(residuals, capacity):
     """Fully distributed normalized weights: each node's residual over capacity."""
-    if not 0 < capacity < math.inf:
-        raise ValueError(f"capacity must be positive and finite, got {capacity}")
-    residuals = np.asarray(residuals, dtype=float)
-    if not (np.all(residuals >= 0) and np.all(residuals <= capacity * (1 + 1e-12))):
-        raise ValueError("residuals must lie in [0, capacity]")
-    return residuals / capacity
+    _positive(capacity, "capacity must be positive and finite")
+    return _finite(residuals, "residuals must lie in [0, capacity]", 0.0, capacity * (1 + 1e-12)) / capacity
 
 
 def analytic_average_snr(scale, n, rei, ch, noise_power):
@@ -97,10 +88,9 @@ def analytic_average_snr(scale, n, rei, ch, noise_power):
     nodes and of each other. The coherent cross terms carry the n*(n-1)
     factor; the self terms carry the second moments.
     """
-    if not 1 <= n < math.inf:
-        raise ValueError(f"need a finite count of at least 1 node, got {n}")
-    if not 0 < noise_power < math.inf:
-        raise ValueError(f"noise power must be positive and finite, got {noise_power}")
+    _at_least(scale, 0, "scale must be non-negative and finite")
+    _at_least(n, 1, "need a finite count of at least 1 node")
+    _positive(noise_power, "noise power must be positive and finite")
     m_u, var_u = rei.mean, rei.variance
     m_a, var_a = ch.mean, ch.variance
     self_terms = n * (var_u + m_u**2) * (var_a + m_a**2)
@@ -121,12 +111,9 @@ def compute_wmax(target_snr, n, rei, ch, noise_power):
     :class:`InfeasibleAllocationError` when the cluster statistics are all
     zero (nothing can transmit); the caller applies the per-node power cap.
     """
-    if not 1 <= n < math.inf:
-        raise ValueError(f"need a finite count of at least 1 node, got {n}")
-    if not 0 < noise_power < math.inf:
-        raise ValueError(f"noise power must be positive and finite, got {noise_power}")
-    if not 0 <= target_snr < math.inf:
-        raise ValueError(f"target SNR must be non-negative and finite, got {target_snr}")
+    _at_least(n, 1, "need a finite count of at least 1 node")
+    _positive(noise_power, "noise power must be positive and finite")
+    _at_least(target_snr, 0, "target SNR must be non-negative and finite")
     if target_snr == 0:
         return 0.0
     denom = _scale_denominator(n, rei.mean, rei.variance, ch)
@@ -139,12 +126,9 @@ def compute_wmax(target_snr, n, rei, ch, noise_power):
 
 def cbepa_weight(target_snr, n, ch, noise_power):
     """Closed-form common amplitude when every alive node transmits equally."""
-    if not 1 <= n < math.inf:
-        raise ValueError(f"need a finite count of at least 1 node, got {n}")
-    if not 0 < noise_power < math.inf:
-        raise ValueError(f"noise power must be positive and finite, got {noise_power}")
-    if not 0 <= target_snr < math.inf:
-        raise ValueError(f"target SNR must be non-negative and finite, got {target_snr}")
+    _at_least(n, 1, "need a finite count of at least 1 node")
+    _positive(noise_power, "noise power must be positive and finite")
+    _at_least(target_snr, 0, "target SNR must be non-negative and finite")
     m_a, var_a = ch.mean, ch.variance
     return math.sqrt(target_snr * noise_power / (n * var_a + n**2 * m_a**2))
 
@@ -155,11 +139,8 @@ def quantize_weights(u, levels):
     The grid is {j/levels : j = 0..levels}; ties round up, and a weight
     below half a step rounds to zero, which silences the node.
     """
-    if not 1 <= levels < math.inf:
-        raise ValueError(f"need a finite number of quantization levels, at least 1, got {levels}")
-    u = np.asarray(u, dtype=float)
-    if not (np.all(u >= -1e-12) and np.all(u <= 1 + 1e-12)):
-        raise ValueError("normalized weights must lie in [0, 1]")
+    _at_least(levels, 1, "need a finite number of quantization levels, at least 1")
+    u = _finite(u, "normalized weights must lie in [0, 1]", -1e-12, 1 + 1e-12)
     q = np.floor(u * levels + 0.5) / levels
     return np.clip(q, 0.0, 1.0)
 
@@ -207,15 +188,9 @@ def solve_max_gain(gains, total_power, cap):
     unknown is the matched-filter gain, solved in closed form so the total
     transmit power meets ``total_power`` to within rounding.
     """
-    gains = np.asarray(gains, dtype=float)
-    if gains.ndim != 1 or gains.size == 0:
-        raise ValueError("gains must be a non-empty 1-D vector")
-    if not (0 < gains.min() and gains.max() < math.inf):  # NaN fails the first test
-        raise ValueError("all channel gains must be positive and finite")
-    if not 0 < cap < math.inf:
-        raise ValueError(f"per-node power cap must be positive and finite, got {cap}")
-    if not 0 <= total_power < math.inf:
-        raise ValueError(f"total power must be non-negative and finite, got {total_power}")
+    gains = _gains(gains)
+    _positive(cap, "per-node power cap must be positive and finite")
+    _at_least(total_power, 0, "total power must be non-negative and finite")
     n = gains.size
     if total_power > n * cap * (1 + 1e-12):
         raise InfeasibleAllocationError(
@@ -233,17 +208,10 @@ def solve_min_power(gains, target_snr, noise_power, cap):
     shortfall of order 1e-15 is possible). Infeasible when even
     all-nodes-at-cap cannot reach the floor.
     """
-    gains = np.asarray(gains, dtype=float)
-    if gains.ndim != 1 or gains.size == 0:
-        raise ValueError("gains must be a non-empty 1-D vector")
-    if not (0 < gains.min() and gains.max() < math.inf):  # NaN fails the first test
-        raise ValueError("all channel gains must be positive and finite")
-    if not 0 < cap < math.inf:
-        raise ValueError(f"per-node power cap must be positive and finite, got {cap}")
-    if not 0 < noise_power < math.inf:
-        raise ValueError(f"noise power must be positive and finite, got {noise_power}")
-    if not 0 <= target_snr < math.inf:
-        raise ValueError(f"target SNR must be non-negative and finite, got {target_snr}")
+    gains = _gains(gains)
+    _positive(cap, "per-node power cap must be positive and finite")
+    _positive(noise_power, "noise power must be positive and finite")
+    _at_least(target_snr, 0, "target SNR must be non-negative and finite")
     s = math.sqrt(cap)
     amplitude_target = math.sqrt(target_snr * noise_power)
     if s * float(gains.sum()) < amplitude_target:

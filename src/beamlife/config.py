@@ -39,8 +39,17 @@ class ConfigError(ValueError):
 
 
 # An error echoes a rejected value's repr cut in the middle to about 40
-# characters, so its line stays short whatever the input.
-_ECHO = reprlib.Repr()
+# characters, so its line stays short whatever the input. An int too long
+# for ``repr`` (Python's int-to-str digit limit) is echoed as its size.
+class _Echo(reprlib.Repr):
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"<{x.bit_length()}-bit int>"
+
+
+_ECHO = _Echo()
 _ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 40
 _echo = _ECHO.repr
 
@@ -110,30 +119,25 @@ _SECTIONS = {
 }
 
 
-def _reject_unknown(data, known, path):
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"{path}{key}: unknown key")
-
-
-def _section(cls, data, path):
+def _reject_unknown(data, cls, path):
     known = {f.name for f in fields(cls)}
-    _reject_unknown(data, known, path)
-    return cls(**data)
+    for key in data:
+        if key not in known:  # the key's repr, cut and unquoted
+            raise ConfigError(f"{path}{_echo(str(key))[1:-1]}: unknown key")
 
 
 def from_dict(data):
     """Build a ScenarioConfig from a (possibly partial) plain dictionary."""
     if not isinstance(data, dict):
         raise ConfigError("top level must be a JSON object")
-    top_known = {f.name for f in fields(ScenarioConfig)}
-    _reject_unknown(data, top_known, "")
+    _reject_unknown(data, ScenarioConfig, "")
     kwargs = dict(data)
     for name, cls in _SECTIONS.items():
         if name in kwargs:
             if not isinstance(kwargs[name], dict):
                 raise ConfigError(f"{name}: must be an object")
-            kwargs[name] = _section(cls, kwargs[name], f"{name}.")
+            _reject_unknown(kwargs[name], cls, f"{name}.")
+            kwargs[name] = cls(**kwargs[name])
     has_snr = kwargs.get("target_snr_db") is not None
     has_rate = kwargs.get("target_rate_bits") is not None
     if has_snr and has_rate:
@@ -182,7 +186,7 @@ def _channel_moments_finite(cfg):
     try:
         ch = lognormal_channel_stats(cfg.shadowing_sigma2_db)
         return math.isfinite(cfg.n * ch.variance + cfg.n**2 * ch.mean**2)
-    except OverflowError:
+    except (OverflowError, ValueError):  # ValueError: ChannelStats rejects an infinite variance
         return False
 
 
@@ -325,7 +329,5 @@ def preset_names():
 
 
 def preset_description(name):
-    try:
-        return _PRESETS[name][0]
-    except KeyError:
-        raise ConfigError(f"unknown preset {name!r}") from None
+    preset(name)  # rejects an unknown name
+    return _PRESETS[name][0]

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _at_least, _finite, _positive
+
 __all__ = [
     "LinkBudget",
     "sample_initial_energies",
@@ -25,8 +27,7 @@ def sample_initial_energies(spec, n, rng):
     kind "uniform" draws from [0, e_max]; "gaussian" draws from
     N(mean, sigma^2) clamped into [0, e_max].
     """
-    if n < 1:
-        raise ValueError(f"need at least 1 node, got {n}")
+    _at_least(n, 1, "need at least 1 node")
     if spec.kind == "uniform":
         return rng.uniform(0.0, spec.e_max, n)
     draws = rng.normal(spec.mean, spec.sigma, n) if spec.sigma > 0 else np.full(n, spec.mean)
@@ -44,12 +45,10 @@ class LinkBudget:
     noise_db: float = -100.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"path loss exponent must be positive, got {self.alpha}")
-        if not self.distance_m >= self.d0_m > 0:
-            raise ValueError(
-                f"need distance >= d0 > 0, got distance {self.distance_m}, d0 {self.d0_m}"
-            )
+        _positive(self.alpha, "path loss exponent must be positive")
+        _finite((self.pl0_db, self.noise_db), f"pl0_db and noise_db must be finite, got {self.pl0_db}, {self.noise_db}")
+        if not math.inf > self.distance_m >= self.d0_m > 0:
+            raise ValueError(f"need distance >= d0 > 0, got distance {self.distance_m}, d0 {self.d0_m}")
 
 
 def required_tx_power_db(budget, target_snr_db):
@@ -58,6 +57,7 @@ def required_tx_power_db(budget, target_snr_db):
     The received power is target SNR plus noise power, then the reference
     path loss and the distance term are added back.
     """
+    _finite(target_snr_db, f"target SNR must be finite, got {target_snr_db}")
     p_rx = target_snr_db + budget.noise_db
     return p_rx + budget.pl0_db + 10.0 * budget.alpha * math.log10(budget.distance_m / budget.d0_m)
 

@@ -53,6 +53,40 @@ def linear_to_db(value):
         return 10.0 * np.log10(value)
 
 
+# The library's argument rules, each defined once. Every comparison fails on
+# NaN, and ``message`` names the argument.
+def _at_least(value, lo, message):
+    if not lo <= value < math.inf:
+        raise ValueError(f"{message}, got {value}")
+
+
+def _positive(value, message):
+    if not 0 < value < math.inf:
+        raise ValueError(f"{message}, got {value}")
+
+
+def _finite(values, message, lo=-math.inf, hi=math.inf):
+    """``values`` as a float array, rejected unless all finite and in [lo, hi]."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values) & (lo <= values) & (values <= hi)):
+        raise ValueError(message)
+    return values
+
+
+def _gains(gains):
+    """``gains`` as a float vector, rejected unless 1-D, non-empty, positive
+    and finite with nonzero squares; two reductions, as the solvers run it."""
+    gains = np.asarray(gains, dtype=float)
+    if gains.ndim != 1 or gains.size == 0:
+        raise ValueError("gains must be a non-empty 1-D vector")
+    lo = gains.min()
+    if not (0 < lo and gains.max() < math.inf):  # NaN fails the first test
+        raise ValueError("all channel gains must be positive and finite")
+    if lo * lo == 0:  # the solvers divide by sums of squared gains
+        raise ValueError(f"channel gains must have nonzero squares, got a gain of {lo}")
+    return gains
+
+
 @dataclass(frozen=True)
 class PolarPoint:
     """Planar position: radius in carrier wavelengths, azimuth in radians.
@@ -143,10 +177,8 @@ def sample_channel(n, sigma2_db, rng):
     the amplitude itself, ``10**(A / 10)``, is the same channel at four
     times the variance.
     """
-    if n < 1:
-        raise ValueError(f"need at least 1 node, got {n}")
-    if sigma2_db < 0:
-        raise ValueError(f"shadowing variance must be non-negative, got {sigma2_db}")
+    _at_least(n, 1, "need at least 1 node")
+    _at_least(sigma2_db, 0, "shadowing variance must be non-negative")
     shadow_db = rng.normal(0.0, math.sqrt(sigma2_db), n)
     gains = 10.0 ** (shadow_db / AMPLITUDE_DB_DIVISOR)
     if not np.all(gains > 0):
@@ -156,10 +188,8 @@ def sample_channel(n, sigma2_db, rng):
 
 def sample_phase_errors(n, bound_rad, rng):
     """Draw per-node phase errors uniformly from [-bound_rad, bound_rad]."""
-    if n < 1:
-        raise ValueError(f"need at least 1 node, got {n}")
-    if bound_rad < 0:
-        raise ValueError(f"phase error bound must be non-negative, got {bound_rad}")
+    _at_least(n, 1, "need at least 1 node")
+    _at_least(bound_rad, 0, "phase error bound must be non-negative")
     if bound_rad == 0:
         return np.zeros(n)
     return rng.uniform(-bound_rad, bound_rad, n)

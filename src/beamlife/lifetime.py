@@ -86,7 +86,7 @@ from .allocation import (
 )
 
 from .energy import gate_and_charge, sample_initial_energies
-from .geometry import db_to_linear, sample_channel, sample_phase_errors
+from .geometry import _at_least, db_to_linear, sample_channel, sample_phase_errors
 
 # The engine calls none of these: the round loop inlines the three cb_pa
 # helpers, and the carrier phase cancels the propagation phase, so neither
@@ -113,9 +113,8 @@ def partition_cluster(n, k):
     when k divides n; otherwise sizes differ by one and a warning flags
     the uneven split.
     """
-    if k < 1:
-        raise ValueError(f"need at least 1 link, got {k}")
-    if k > n:
+    _at_least(k, 1, "need at least 1 link")
+    if not k <= n:
         raise ValueError(f"cannot split {n} nodes into {k} links")
     if n % k:
         warnings.warn(f"{n} nodes do not split evenly into {k} links", stacklevel=2)
@@ -136,7 +135,7 @@ def evaluate_death(dead_fraction, realized_snr_db, criteria, nominal_snr_db):
 
 def bit_rate(snr_linear):
     """Spectral efficiency of one link in bits/s/Hz."""
-    if snr_linear < 0:
+    if not 0 <= snr_linear < math.inf:  # inline: the engine calls it every round
         raise ValueError(f"SNR must be non-negative, got {snr_linear}")
     return math.log2(1.0 + snr_linear)
 

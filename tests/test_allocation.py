@@ -26,6 +26,9 @@ from beamlife.allocation import (
     solve_max_gain,
     solve_min_power,
 )
+from beamlife.energy import LinkBudget, required_tx_power_db
+from beamlife.geometry import sample_channel, sample_phase_errors
+from beamlife.lifetime import bit_rate
 
 NOISE = 1e-10
 TARGET = 10 ** 1.176  # 11.76 dB
@@ -371,6 +374,13 @@ class TestSolveMaxGain:
                 best = max(best, gains[0] * w1 + float(inner[mask].max()))
         assert abs(solver_obj - best**2) <= 1e-3
 
+    def test_gains_whose_squares_underflow_are_rejected(self):
+        # the capped scan divides by sums of squared gains, which would be zero
+        with pytest.raises(ValueError, match="squares"):
+            solve_max_gain(np.array([1e-200, 1e-201]), 1e-300, 1.0)
+        with pytest.raises(ValueError, match="squares"):
+            solve_min_power(np.array([1.0, 1e-201]), 1.0, 1.0, 1.0)
+
     def test_infeasible_total(self):
         with pytest.raises(InfeasibleAllocationError):
             solve_max_gain(np.array([1.0, 1.0]), 3.0, cap=1.0)
@@ -593,6 +603,19 @@ ONE_ARGUMENT = {
     "cbpa_normalized_weights-capacity": lambda x: cbpa_normalized_weights(np.array([0.5, 0.25]), x),
     "quantize_weights-u": lambda x: quantize_weights(np.array([0.5, x]), 8),
     "quantize_weights-levels": lambda x: quantize_weights(np.array([0.5, 0.25]), x),
+    "ChannelStats-mean": lambda x: ChannelStats(mean=x, variance=1.0),
+    "ChannelStats-variance": lambda x: ChannelStats(mean=1.0, variance=x),
+    "ReiStats-mean": lambda x: ReiStats(mean=x, variance=0.0),
+    "ReiStats-variance": lambda x: ReiStats(mean=0.5, variance=x),
+    "lognormal_channel_stats": lambda x: lognormal_channel_stats(x),
+    "analytic_average_snr-scale": lambda x: analytic_average_snr(x, 10, REI, CH, NOISE),
+    "sample_channel-sigma2_db": lambda x: sample_channel(3, x, np.random.default_rng(0)),
+    "sample_phase_errors-bound_rad": lambda x: sample_phase_errors(3, x, np.random.default_rng(0)),
+    "LinkBudget-alpha": lambda x: LinkBudget(pl0_db=40.0, alpha=x, distance_m=10.0),
+    "LinkBudget-pl0_db": lambda x: LinkBudget(pl0_db=x, alpha=2.0, distance_m=10.0),
+    "LinkBudget-noise_db": lambda x: LinkBudget(pl0_db=40.0, alpha=2.0, distance_m=10.0, noise_db=x),
+    "required_tx_power_db-target_snr_db": lambda x: required_tx_power_db(LinkBudget(40.0, 2.0, 10.0), x),
+    "bit_rate": lambda x: bit_rate(x),
 }
 
 

@@ -68,6 +68,9 @@ class TestFromDict:
             from_dict({"wobble": 3})
         with pytest.raises(ConfigError, match="strategy.frequency"):
             from_dict({"strategy": {"frequency": 2}})
+        with pytest.raises(ConfigError, match=r"^energy\.x+\.\.\.x+: unknown key$") as info:
+            from_dict({"energy": {"x" * 100000: 1}})  # the key is cut
+        assert len(str(info.value)) < 300
 
     def test_both_targets_rejected(self):
         with pytest.raises(ConfigError, match="target"):
@@ -134,6 +137,10 @@ class TestFromDict:
             ({"energy": {"e_max": 0.0}}, "energy.e_max"),
             ({"energy": {"kind": "uniform", "mean": 0.7}}, "energy.mean"),
             ({"energy": {"kind": "gaussian", "mean": 1.5}}, "energy.mean"),
+            # ints past Python's int-to-str digit limit, which no JSON file holds;
+            # at that n the closed form's channel-moment denominator overflows
+            ({"n": 10**5000}, "shadowing_sigma2_db"),
+            ({"links": -(10**5000)}, "links"),
         ],
     )
     def test_rejected_values_name_their_key(self, data, path):
