@@ -75,15 +75,17 @@ def _finite(values, message, lo=-math.inf, hi=math.inf):
 
 def _gains(gains):
     """``gains`` as a float vector, rejected unless 1-D, non-empty, positive
-    and finite with nonzero squares; two reductions, as the solvers run it."""
+    and finite with normal squares of finite sum; two reductions, as the
+    solvers run it."""
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 1 or gains.size == 0:
         raise ValueError("gains must be a non-empty 1-D vector")
-    lo = gains.min()
-    if not (0 < lo and gains.max() < math.inf):  # NaN fails the first test
+    lo, hi = float(gains.min()), float(gains.max())
+    if not (0 < lo and hi < math.inf):  # NaN fails the first test
         raise ValueError("all channel gains must be positive and finite")
-    if lo * lo == 0:  # the solvers divide by sums of squared gains
-        raise ValueError(f"channel gains must have nonzero squares, got a gain of {lo}")
+    # the solvers divide by sums of squared gains; 2**-1022 is the smallest normal float
+    if not (lo * lo >= 2.0**-1022 and hi * hi * gains.size < math.inf):
+        raise ValueError(f"channel gains must have normal squares of finite sum, got gains from {lo} to {hi}")
     return gains
 
 

@@ -54,8 +54,12 @@ bit; a stretch that fills the buffer flushes it and goes on, so no
 bound on its length is needed. A stretch ends before the first round in
 which some node's residual is below its cost, at ``max_rounds``, and
 before ``realloc``: it may run ``realloc - 1 - t`` rounds, which is none
-for ``cb_pa`` at period 1. Its length is estimated from residual / cost,
-which near a whole ratio can promise a round too many. A residual never
+for ``cb_pa`` at period 1. Its length is ``min(due) - t``: ``due`` holds
+each node's estimated last payable round, ``t + residual / cost`` (inf at
+zero cost), from the first stretch after a reallocation until a link goes
+down or a normal round has neither a death nor a reallocation (the estimate
+fell short); a death sets the dying node's entry to inf. Near a whole ratio
+it can promise a round too many. A residual never
 rises (``fl(r - c) <= r`` for ``c >= 0``), so the rounds that can pay are
 a prefix of the stepped ones: the stretch tests the last stepped round's
 start and, only if that fails, searches back, instead of testing every
@@ -297,11 +301,11 @@ def _static_stretch(residual, cost, rows):
     """
     # Row by row, as ``residual -= cost`` would: np.subtract.accumulate
     # along axis 0 gives the same bits but walks the buffer column by
-    # column, 2-4x slower per row at n = 500-1000. Each subtraction returns
-    # the row it wrote, the next one's input, so each row is viewed once.
-    prev = np.subtract(residual, cost, out=rows[0])
-    for row in rows[1:]:
-        prev = np.subtract(prev, cost, out=row)
+    # column, 2-4x slower per row at n = 500-1000. Rows listed once per run
+    # and a positional ``out`` cost less per row than a 2-D slice's rows.
+    prev = residual
+    for row in rows:
+        prev = np.subtract(prev, cost, row)
     # A residual never rises (fl(r - c) <= r for c >= 0), so the rounds whose
     # starting residuals cover the cost are a prefix: if the last stepped
     # round's start does, all do; otherwise search back from it.
@@ -389,12 +393,15 @@ def run_lifetime(scenario, rng, record_nodes=False):
     reads_residuals = strategy.kind == "cb_pa"
     never = scenario.max_rounds + 1
     realloc = 1  # the next round that reallocates with new inputs
+    due = None  # each node's estimated last payable round (module docstring)
+    row_list = None  # the buffer's rows, listed at the first stretch
 
     t = 0
     while t < scenario.max_rounds:
         t += 1
         if t == realloc:
             realloc = t + period if reads_residuals else never
+            due = None
             # Each link up writes all its members; a down link's members
             # were zeroed when it went down.
             for l in range(k):
@@ -419,10 +426,14 @@ def run_lifetime(scenario, rng, record_nodes=False):
 
         charge, unfunded, paid = gate_and_charge(residual, assigned, slot)
         consumed += paid
-        if unfunded is not None:
+        if unfunded is None:
+            due = None  # reallocated, or the estimate fell short
+        else:
             alive[unfunded] = False
             up_counts = [int(np.count_nonzero(view)) for view in alive_at]
             realloc = t + 1 + (-t % period)  # the next period boundary
+            if due is not None:
+                due[unfunded] = math.inf
 
         snr_row = [math.nan] * k
         rate_total = 0.0
@@ -445,6 +456,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
                 causes[l] = cause
                 assigned_at[l].fill(0.0)
                 link_down = True
+                due = None
 
         alive_rows.append(sum(up_counts) / n)
         snr_rows.append(snr_row)
@@ -467,7 +479,11 @@ def run_lifetime(scenario, rng, record_nodes=False):
             continue
         rounds = min(rounds, scenario.max_rounds - t)
         # Only sizes the stretch; the stepped rows decide which rounds count.
-        ratio = np.divide(residual, charge, out=np.full(n, np.inf), where=charge > 0).min()
+        if due is None:
+            due = np.divide(residual, charge, out=np.full(n, np.inf), where=charge > 0)
+            due += t
+            row_list = row_list or list(rows)
+        ratio = due.min() - t
         if ratio < rounds:
             rounds = int(ratio)
         m = 0
@@ -475,7 +491,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
             if j == len(rows):
                 flush()
             room = min(rounds - m, len(rows) - j)
-            stepped = _static_stretch(residual, charge, rows[j : j + room])
+            stepped = _static_stretch(residual, charge, row_list[j : j + room])
             j += stepped
             m += stepped
             if stepped < room:

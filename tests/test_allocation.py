@@ -381,6 +381,18 @@ class TestSolveMaxGain:
         with pytest.raises(ValueError, match="squares"):
             solve_min_power(np.array([1.0, 1e-201]), 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("gains", [[1e200, 1.0], [1e154, 1e154], [1.0, 1e-160]])
+    def test_gains_whose_squares_overflow_or_are_subnormal_are_rejected(self, gains):
+        # An infinite sum of squares zeroes the scan's mu (weights [0, 0]); a
+        # subnormal square overflows it (weights [1, 1], power 2 for 1.5).
+        with pytest.raises(ValueError, match="squares"):
+            solve_max_gain(np.array(gains), 1.5, 1.0)
+        with pytest.raises(ValueError, match="squares"):
+            solve_min_power(np.array(gains), 1.0, 1.0, 1.0)
+        # the smallest normal square is still solved
+        w = solve_max_gain(np.array([1.0, 2.0**-511]), 1.5, 1.0)
+        assert w[0] == 1.0 and float(w @ w) == pytest.approx(1.5, rel=1e-15)
+
     def test_infeasible_total(self):
         with pytest.raises(InfeasibleAllocationError):
             solve_max_gain(np.array([1.0, 1.0]), 3.0, cap=1.0)

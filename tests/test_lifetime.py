@@ -655,6 +655,17 @@ def stepping_case(case, monkeypatch):
         return small_scenario(strategy=StrategySpec(kind=kind, levels=0, period=1))
     if case == "link_down":
         return one_shot(links=2, target_snr_db=5.0)
+    if case == "short_stretch":
+        # every stretch of more than one round steps one round fewer, so
+        # normal rounds with neither a death nor a reallocation follow
+        full = beamlife.lifetime._static_stretch
+        monkeypatch.setattr(
+            beamlife.lifetime,
+            "_static_stretch",
+            lambda residual, cost, rows: full(residual, cost, rows[:-1] if len(rows) > 1 else rows),
+        )
+        cfg = one_shot()
+        return replace(cfg, t_slot_s=cfg.t_slot_s / 10)
     if case == "pa-max_rounds":
         # max_rounds on the third round of a period, inside a stretch that
         # would otherwise run on to the next boundary, before the natural end
@@ -674,7 +685,7 @@ def stepping_case(case, monkeypatch):
 @pytest.mark.parametrize(
     "case",
     ["epa-one-shot", "epa-period-7", "pa-period-5", "min_power-1", "max_gain-1", "link_down", "max_rounds",
-     "pa-max_rounds", "chunk_flush"],
+     "pa-max_rounds", "chunk_flush", "short_stretch"],
 )
 def test_bulk_stepping_is_invisible(case, monkeypatch):
     # A run that steps static stretches in bulk and one that runs every round
@@ -684,6 +695,7 @@ def test_bulk_stepping_is_invisible(case, monkeypatch):
     gate_calls = counted_calls(monkeypatch, "gate_and_charge")
     stepped = run_lifetime(cfg, rng_for(cfg.master_seed), record_nodes=True)
     assert len(gate_calls) < stepped.lifetime
+    normal_rounds = len(gate_calls)
     monkeypatch.setattr(beamlife.lifetime, "_static_stretch", lambda residual, cost, rows: 0)
     del gate_calls[:]
     normal = run_lifetime(cfg, rng_for(cfg.master_seed), record_nodes=True)
@@ -701,6 +713,9 @@ def test_bulk_stepping_is_invisible(case, monkeypatch):
         assert stepped.link_lifetimes.min() < stepped.lifetime
     elif case in ("max_rounds", "pa-max_rounds", "chunk_flush"):
         assert stepped.lifetime == cfg.max_rounds and stepped.causes == ("max_rounds",)
+    elif case == "short_stretch":
+        # round 1 and the death rounds are not all the normal rounds
+        assert normal_rounds > 1 + np.count_nonzero(np.diff(stepped.node_alive.sum(axis=1)))
 
 
 def counted_calls(monkeypatch, name):
@@ -848,18 +863,21 @@ def test_stretch_ends_like_a_test_of_every_row():
     # _static_stretch tests only the last stepped round's start and searches
     # back, relying on residuals never rising; it must step the same rounds
     # and rows as testing every row does, whatever the estimate of the length.
+    # The engine passes a list of the buffer's rows, the tests here a 2-D
+    # array too.
     rng = np.random.default_rng(2024)
     overshoots = set()
-    for _ in range(3000):
+    for i in range(3000):
         residual, cost, estimate = stretch_inputs(rng)
         rounds = max(estimate + int(rng.integers(-2, 6)), 1)
         expected = all_rows_stretch(residual, cost, rounds)
         overshoots.add(rounds - len(expected))
         start = residual.copy()
-        rows = np.full((rounds, residual.size), np.nan)
+        buffer = np.full((rounds, residual.size), np.nan)
+        rows = list(buffer) if i % 2 else buffer
         stepped = beamlife.lifetime._static_stretch(residual, cost, rows)
         assert stepped == len(expected)
-        assert rows[:stepped].tobytes() == expected.tobytes()
+        assert buffer[:stepped].tobytes() == expected.tobytes()
         assert residual.tobytes() == (expected[-1] if stepped else start).tobytes()
     assert {0, 1, 2, 5} <= overshoots
 
