@@ -162,6 +162,12 @@ def _capped_matched_filter(gains, s, target, power):
     the cap. It also runs when ``tail[0]`` or the j = 0 remainder is not
     positive, where scalar Python would raise on a zero division or read
     max(-0.0, 0.0) and NaN differently from numpy.
+
+    A remainder over a tiny ``tail`` can overflow mu. Where mu is infinite,
+    mu·g <= s is tested as rem·(g^p / tail) <= s^p, with p = 2 for power
+    and 1 for amplitude, whose ratio is at most 1 or 1/g and so finite, and
+    an infinite mu's weights are formed the same way; a product that still
+    overflows exceeds the cap. Where mu is finite the scan keeps its bits.
     """
     g = np.sort(gains)[::-1]
     tail = np.cumsum(g[::-1] ** 2)[::-1]
@@ -172,13 +178,20 @@ def _capped_matched_filter(gains, s, target, power):
         if mu0 * float(g[0]) <= s:
             return np.minimum(mu0 * gains, s)
     if power:
-        mu = np.sqrt(np.maximum(target - np.arange(g.size) * (s * s), 0.0) / tail)
+        rem = np.maximum(target - np.arange(g.size) * (s * s), 0.0)
     else:
         head = np.concatenate(([0.0], np.cumsum(g[:-1])))
-        mu = np.maximum(target - s * head, 0.0) / tail
-    fits = np.flatnonzero(mu * g <= s)
-    j = fits[0] if fits.size else g.size - 1  # none fits: mu·g > s at every node
-    return np.minimum(mu[j] * gains, s)
+        rem = np.maximum(target - s * head, 0.0)
+    p, bound = (2, s * s) if power else (1, s)
+    with np.errstate(over="ignore"):
+        mu = np.sqrt(rem / tail) if power else rem / tail
+        big = np.isinf(mu)
+        fits = np.flatnonzero(np.where(big, rem * (g**p / tail) <= bound, mu * g <= s))
+        j = fits[0] if fits.size else g.size - 1  # none fits: mu·g > s at every node
+        if not big[j]:
+            return np.minimum(mu[j] * gains, s)
+        w = rem[j] * (gains**p / tail[j])
+    return np.minimum(np.sqrt(w) if power else w, s)
 
 
 def solve_max_gain(gains, total_power, cap):

@@ -122,6 +122,8 @@ def _cmd_compare(args):
     for label in labels:
         if labels.count(label) > 1:
             raise ConfigError(f"scenario label {label!r} given twice; both would write to {label}/")
+        if label in (".", ".."):  # the stems of "..json" and "...json"
+            raise ConfigError(f"scenario label {label!r} names no directory of its own under --out; rename its file")
     # paired seeds: every scenario runs the first one's run count and master seed
     first = _with_overrides(sources[0][1], args.runs, args.seed)
     scenarios = [_with_overrides(cfg, first.runs, first.master_seed) for _, cfg in sources]

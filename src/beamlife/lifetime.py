@@ -21,20 +21,39 @@ built. The loop relies on these invariants:
 - the alive set changes only in a round in which some node cannot pay,
   so the per-link alive counts are taken then and handed to the
   allocation, not recounted in every round. The per-link views of the
-  residuals, alive mask, gains and assigned weights are made once per
-  run. The allocation writes each link's weights into its view of the
-  assigned array; ``cb_pa`` with every member alive computes them there,
-  with no gather and no copy.
+  alive mask, gains, assigned weights and ``cb_pa``'s unscaled weights
+  are made once per run. The allocation writes each link's weights into its view of the
+  assigned array; ``cb_pa`` with every member alive writes them there
+  from its view of a per-run buffer, with no gather and no copy.
 
 One integer holds the reallocation schedule: ``realloc``, the next round
-that reallocates with new inputs; a round past ``max_rounds`` means none
-is due. Round 1 allocates, as does every round ``t == realloc``. Only
-``cb_pa`` reads the residuals, so its allocation sets ``realloc`` to the
-next period boundary, ``t + period``. The ``cb_epa`` weight depends on the
+that reallocates with new inputs (quantized ``cb_pa`` first checks that
+they are new, below); a round past ``max_rounds`` means none is due.
+Round 1 allocates, as does every round ``t == realloc``. Only ``cb_pa``
+reads the residuals, so its allocation sets ``realloc`` to the next period
+boundary, ``t + period``. The ``cb_epa`` weight depends on the
 alive count and the centralized baselines on the alive nodes' fixed gains,
 and the alive set only shrinks, so their allocation sets none due; a round
 in which a node dies sets ``realloc`` to the next boundary,
 ``t + 1 + (-t % period)``, which is where ``cb_pa``'s already is.
+
+Quantized ``cb_pa`` changes its weights only when a level changes. At each
+boundary it first quantizes every node's residual, ``q = floor(levels * r
+/ e_max + 0.5)``, into a per-run buffer and sums each link's levels. A
+residual never rises and ``q`` is monotone in it, so no level rises, and
+unchanged sums mean that every level repeated. If no node has died and no
+link has gone down since the last allocation either, the round assigns
+that allocation's weights bit for bit, and its slot costs, payment, SNR,
+rate and death test repeat; only the residuals move. It is stepped like a
+stretch round below and ``realloc`` moves on a period, unless some node
+cannot pay, when it runs the normal path with the unchanged weights.
+Otherwise each link up allocates from its view of ``q`` in level units:
+``levels`` is a power of two, so the moments of ``q`` scaled by ``levels``
+and ``levels**2``, and ``q * (scale / levels)``, have the bits of the
+moments of ``q / levels`` and of ``(q / levels) * scale``. This holds while
+``n * levels <= 2**53`` (``_level_rule``), where every level sum is an
+exact integer and ``levels**2`` is finite; past that bound every boundary
+reallocates from ``q / levels``.
 
 Each run has one buffer of at most ``_ROW_ELEMENTS`` residuals: row j
 holds the residual vector after a round, written by the normal path and
@@ -58,18 +77,19 @@ for ``cb_pa`` at period 1. Its length is ``min(due) - t``: ``due`` holds
 each node's estimated last payable round, ``t + residual / cost`` (inf at
 zero cost), from the first stretch after a reallocation until a link goes
 down or a normal round has neither a death nor a reallocation (the estimate
-fell short); a death sets the dying node's entry to inf. Near a whole ratio
-it can promise a round too many. A residual never
-rises (``fl(r - c) <= r`` for ``c >= 0``), so the rounds that can pay are
-a prefix of the stepped ones: the stretch tests the last stepped round's
-start and, only if that fails, searches back, instead of testing every
-row. Every round that changes state runs the normal path.
+fell short); a death sets the dying node's entry to inf, and a stepped
+round whose levels repeated keeps it. Near a whole ratio the estimate can
+promise a round too many. A residual never rises (``fl(r - c) <= r`` for
+``c >= 0``), so the rounds that can pay are a prefix of the stepped ones:
+the stretch tests the last stepped round's start and, only if that fails,
+searches back, instead of testing every row. Every round that changes state runs the normal path.
 
 A normal round records its alive fraction, SNR row and rate (and, when
-nodes are recorded, its alive mask) once. A stretch of m stepped rounds
-repeats that record exactly, so it adds m to the record's count of rounds
-instead of copying it; the trace's per-round arrays are expanded by one
-``np.repeat`` per field when the run ends.
+nodes are recorded, its alive mask) once. The m stepped rounds after it,
+in stretches or with repeated levels, repeat that record exactly, so they
+add m to the record's count of rounds instead of copying it; the trace's
+per-round arrays are expanded by one ``np.repeat`` per field when the run
+ends.
 """
 
 from __future__ import annotations
@@ -167,82 +187,94 @@ class LifetimeTrace:
     node_alive: np.ndarray = None      # (rounds, n) when recorded
 
 
-def _strategy_weights(
-    out,
-    kind,
-    active,
-    n_alive,
-    residuals,
-    gains,
-    target_snr,
-    noise_power,
-    ch_stats,
-    divisor,
-    factor,
-    levels,
-    p_max,
-    first_round,
-):
-    """Write one link's assigned amplitude per node into ``out``.
+def _cbpa_units(out, residual, divisor, factor, levels, unit):
+    """Every node's ``cb_pa`` weight before scaling, in units of ``1 / unit``,
+    written into ``out``.
+
+    These are the normalized residuals, or with ``levels`` their quantized
+    values, as ``cbpa_normalized_weights`` and then ``quantize_weights``
+    give them but without their checks, on the invariants the module
+    docstring lists. The engine passes ``_quantization_grid``'s divisor and
+    factor. With ``unit == levels`` they are the levels
+    ``floor(levels * r / e_max + 0.5)`` themselves; with ``unit == 1`` they
+    are divided by ``levels``.
+    """
+    u = np.divide(residual, divisor, out=out)
+    if levels > 0:
+        if factor != 1:
+            u *= factor
+        u += 0.5
+        np.floor(u, out=u)
+        if unit != levels:
+            u /= levels
+    return u
+
+
+def _cbpa_weights(out, u, total, active, n_alive, unit, target_snr, noise_power, ch_stats, p_max, first_round):
+    """Write one ``cb_pa`` link's amplitudes into its view ``out``.
+
+    ``u`` is the link's view of ``_cbpa_units``' weights, in units of
+    ``1 / unit``, and ``total`` its sum or None. The closed-form scale
+    targets the weights actually transmitted, ``u / unit`` at the alive
+    members, so it is fed their mean and variance. ``unit`` is 1 or a power of two up to 2**53
+    (``_level_rule``), so the moments of ``u`` divided by ``unit`` and
+    ``unit**2`` have the bits of ``(u / unit).mean()`` and ``.var()``, and
+    ``u * (scale / unit)`` those of ``(u / unit) * scale``: scaling by a
+    power of two rounds nothing inside the normal range, and ``scale``, a
+    square root, is 0 or above 1e-162. These are the float operations of
+    ``compute_wmax`` on a ``ReiStats`` built from them; the divisions are
+    Python's, as numpy scalar ones are slow. ``out`` is zero at the link's
+    dead nodes (module docstring), so only the alive ones are written: with
+    every member alive straight from ``u``, else through a gather.
+    """
+    everyone = n_alive == u.size
+    if not everyone:
+        u = u[active]
+        total = None
+    if n_alive == 0 or target_snr == 0.0:
+        out.fill(0.0)
+        return
+    m = (float(np.add.reduce(u)) if total is None else total) / n_alive
+    d = u - m
+    d *= d
+    v = float(np.add.reduce(d)) / n_alive
+    denom = _scale_denominator(n_alive, m / unit, v / (unit * unit), ch_stats)
+    if denom <= 0:
+        if first_round:
+            raise InfeasibleAllocationError(
+                "residual-energy statistics are all zero; the cluster cannot transmit"
+            )
+        out.fill(0.0)  # every weight quantized to zero: nothing can transmit
+        return
+    scale = math.sqrt(target_snr * noise_power / denom)
+    cap_amp = math.sqrt(p_max)
+    if scale > cap_amp:
+        if first_round:
+            raise InfeasibleAllocationError(
+                f"required scale {scale:.3e} exceeds the cap amplitude {cap_amp:.3e} "
+                f"for {n_alive} nodes; target SNR unreachable"
+            )
+        scale = cap_amp
+    if everyone:
+        np.multiply(u, scale / unit, out=out)
+    else:
+        u *= scale / unit
+        out[active] = u
+
+
+def _strategy_weights(out, kind, active, n_alive, gains, target_snr, noise_power, ch_stats, p_max, first_round):
+    """Write one link's assigned amplitude per node into ``out``, for every
+    kind but ``cb_pa``.
 
     The engine passes the link's own views of the assigned weights
-    (``out``), the alive mask (``active``), the residuals and the gains, and
-    the link's alive count, and ``_quantization_grid``'s divisor and factor.
-    ``out`` is zero at the link's dead nodes (module docstring), so only the
-    alive ones are written. This runs every round
-    for ``cb_pa``, so that branch inlines the public helpers without their
-    input checks, on the invariants the module docstring lists, and with
-    every member alive computes the weights in ``out`` itself.
+    (``out``), the alive mask (``active``) and the gains, and the link's
+    alive count. ``out`` is zero at the link's dead nodes (module
+    docstring), so only the alive ones are written.
     """
     if n_alive == 0 or target_snr == 0.0:
         out.fill(0.0)
         return
     cap_amp = math.sqrt(p_max)
-
-    if kind == "cb_pa":
-        # cbpa_normalized_weights, then quantize_weights, in place. With
-        # every member alive the gather residuals[active] is the identity.
-        everyone = n_alive == residuals.size
-        if everyone:
-            u = np.divide(residuals, divisor, out=out)
-        else:
-            u = residuals[active]
-            u /= divisor
-        if levels > 0:
-            if factor != 1:
-                u *= factor
-            u += 0.5
-            np.floor(u, out=u)
-            u /= levels
-        # The scale targets the weights actually transmitted, so the
-        # moments fed to the closed form are those of the (possibly
-        # quantized) normalized weights. These are the float operations of
-        # u.mean() and u.var(), and of compute_wmax on a ReiStats built
-        # from them; the divisions are Python's, as numpy scalar ones are slow.
-        m = float(np.add.reduce(u)) / n_alive
-        d = u - m
-        d *= d
-        v = float(np.add.reduce(d)) / n_alive
-        denom = _scale_denominator(n_alive, m, v, ch_stats)
-        if denom <= 0:
-            if first_round:
-                raise InfeasibleAllocationError(
-                    "residual-energy statistics are all zero; the cluster cannot transmit"
-                )
-            out.fill(0.0)  # every weight quantized to zero: nothing can transmit
-            return
-        scale = math.sqrt(target_snr * noise_power / denom)
-        if scale > cap_amp:
-            if first_round:
-                raise InfeasibleAllocationError(
-                    f"required scale {scale:.3e} exceeds the cap amplitude {cap_amp:.3e} "
-                    f"for {n_alive} nodes; target SNR unreachable"
-                )
-            scale = cap_amp
-        u *= scale
-        if not everyone:
-            out[active] = u
-        return
 
     if kind == "cb_epa":
         w = cbepa_weight(target_snr, n_alive, ch_stats, noise_power)
@@ -283,6 +315,14 @@ def _quantization_grid(e_max, levels):
     if levels and levels <= 2**1000 and e_max / levels * levels == e_max:
         return e_max / levels, 1
     return e_max, levels
+
+
+def _level_rule(n, levels):
+    """Whether a ``cb_pa`` run on ``n`` nodes quantized to ``levels`` takes
+    its weights in level units and steps the rounds whose levels repeat
+    (module docstring): while ``n * levels <= 2**53`` every level sum is an
+    exact integer and ``levels**2`` is finite."""
+    return 0 < levels and n * levels <= 2**53
 
 
 # Elements of a run's residual-row buffer (512 KB of float64), so its memory
@@ -366,7 +406,6 @@ def run_lifetime(scenario, rng, record_nodes=False):
     assigned = np.zeros(n)  # zero at dead nodes and at down links' members
     consumed = 0.0
 
-    residual_at = [residual[idx] for idx in member_idx]
     alive_at = [alive[idx] for idx in member_idx]
     gains_at = [channels[l][idx] for l, idx in enumerate(member_idx)]
     assigned_at = [assigned[idx] for idx in member_idx]
@@ -395,87 +434,133 @@ def run_lifetime(scenario, rng, record_nodes=False):
     realloc = 1  # the next round that reallocates with new inputs
     due = None  # each node's estimated last payable round (module docstring)
     row_list = None  # the buffer's rows, listed at the first stretch
+    # cb_pa's unscaled weights, in level units where quantized, and each
+    # link's sum of levels at the last allocation, kept until a node dies or
+    # a link goes down: a boundary that finds them again repeats the round
+    # (module docstring)
+    levels = strategy.levels
+    quantized = reads_residuals and _level_rule(n, levels)
+    unit = float(levels) if quantized else 1.0
+    units = np.empty(n)
+    units_at = [units[idx] for idx in member_idx]
+    level_sums = None
 
     t = 0
     while t < scenario.max_rounds:
         t += 1
+        repeat = False
         if t == realloc:
             realloc = t + period if reads_residuals else never
-            due = None
             # Each link up writes all its members; a down link's members
             # were zeroed when it went down.
+            if reads_residuals:
+                _cbpa_units(units, residual, divisor, factor, levels, unit)
+                sums = [float(np.add.reduce(u)) for u in units_at] if quantized else [None] * k
+                if quantized and sums == level_sums:
+                    # every level repeated: unless some node cannot pay, the
+                    # round repeats the last one but for the residuals
+                    repeat = np.count_nonzero(residual >= charge) == n
+                else:
+                    due = None
+                    level_sums = sums
+                    for l in range(k):
+                        if link_alive[l]:
+                            _cbpa_weights(
+                                assigned_at[l],
+                                units_at[l],
+                                sums[l],
+                                alive_at[l],
+                                up_counts[l],
+                                unit,
+                                target_snr,
+                                noise_power,
+                                ch_stats,
+                                scenario.p_max,
+                                first_round=(t == 1),
+                            )
+            else:
+                due = None
+                for l in range(k):
+                    if link_alive[l]:
+                        _strategy_weights(
+                            assigned_at[l],
+                            strategy.kind,
+                            alive_at[l],
+                            up_counts[l],
+                            gains_at[l],
+                            target_snr,
+                            noise_power,
+                            ch_stats,
+                            scenario.p_max,
+                            first_round=(t == 1),
+                        )
+
+        if repeat:
+            # stepped like a stretch round
+            residual -= charge
+            consumed += paid
+            counts[-1] += 1
+            if j == len(rows):
+                flush()
+            rows[j] = residual
+            j += 1
+        else:
+            charge, unfunded, paid = gate_and_charge(residual, assigned, slot)
+            consumed += paid
+            if unfunded is None:
+                due = None  # reallocated, or the estimate fell short
+            else:
+                alive[unfunded] = False
+                level_sums = None
+                up_counts = [int(np.count_nonzero(view)) for view in alive_at]
+                realloc = t + 1 + (-t % period)  # the next period boundary
+                if due is not None:
+                    due[unfunded] = math.inf
+
+            snr_row = [math.nan] * k
+            rate_total = 0.0
+            link_down = False
             for l in range(k):
                 if not link_alive[l]:
                     continue
-                _strategy_weights(
-                    assigned_at[l],
-                    strategy.kind,
-                    alive_at[l],
-                    up_counts[l],
-                    residual_at[l],
-                    gains_at[l],
-                    target_snr,
-                    noise_power,
-                    ch_stats,
-                    divisor,
-                    factor,
-                    strategy.levels,
-                    scenario.p_max,
-                    first_round=(t == 1),
-                )
+                product = np.multiply(assigned_at[l], coherent[l], out=products[l])
+                snr = float(abs(np.add.reduce(product)) ** 2) / noise_power
+                snr_db = 10.0 * math.log10(snr) if snr > 0 else -math.inf
+                if t == 1:
+                    nominal_db[l] = snr_db
+                snr_row[l] = snr_db
+                rate_total += bit_rate(snr)
+                dead_fraction = 1.0 - up_counts[l] / link_sizes[l]
+                cause = evaluate_death(dead_fraction, snr_db, scenario.death, nominal_db[l])
+                if cause is not None:
+                    link_alive[l] = False
+                    link_lifetimes[l] = t
+                    causes[l] = cause
+                    assigned_at[l].fill(0.0)
+                    link_down = True
+                    due = None
+                    level_sums = None
 
-        charge, unfunded, paid = gate_and_charge(residual, assigned, slot)
-        consumed += paid
-        if unfunded is None:
-            due = None  # reallocated, or the estimate fell short
-        else:
-            alive[unfunded] = False
-            up_counts = [int(np.count_nonzero(view)) for view in alive_at]
-            realloc = t + 1 + (-t % period)  # the next period boundary
-            if due is not None:
-                due[unfunded] = math.inf
-
-        snr_row = [math.nan] * k
-        rate_total = 0.0
-        link_down = False
-        for l in range(k):
-            if not link_alive[l]:
+            alive_rows.append(sum(up_counts) / n)
+            snr_rows.append(snr_row)
+            rate_rows.append(rate_total)
+            counts.append(1)
+            if j == len(rows):
+                flush()
+            rows[j] = residual
+            j += 1
+            if record_nodes:
+                node_alive_rows.append(alive.copy())
+            if not any(link_alive):
+                break
+            if link_down:
                 continue
-            product = np.multiply(assigned_at[l], coherent[l], out=products[l])
-            snr = float(abs(np.add.reduce(product)) ** 2) / noise_power
-            snr_db = 10.0 * math.log10(snr) if snr > 0 else -math.inf
-            if t == 1:
-                nominal_db[l] = snr_db
-            snr_row[l] = snr_db
-            rate_total += bit_rate(snr)
-            dead_fraction = 1.0 - up_counts[l] / link_sizes[l]
-            cause = evaluate_death(dead_fraction, snr_db, scenario.death, nominal_db[l])
-            if cause is not None:
-                link_alive[l] = False
-                link_lifetimes[l] = t
-                causes[l] = cause
-                assigned_at[l].fill(0.0)
-                link_down = True
-                due = None
-
-        alive_rows.append(sum(up_counts) / n)
-        snr_rows.append(snr_row)
-        rate_rows.append(rate_total)
-        counts.append(1)
-        if j == len(rows):
-            flush()
-        rows[j] = residual
-        j += 1
-        if record_nodes:
-            node_alive_rows.append(alive.copy())
-        if not any(link_alive):
-            break
 
         # A round that took no link down leaves the rounds before the next
         # reallocation static until a node cannot pay (module docstring):
         # step them in bulk and repeat this record.
         rounds = realloc - 1 - t
-        if rounds < 1 or link_down:
+        if rounds < 1:
             continue
         rounds = min(rounds, scenario.max_rounds - t)
         # Only sizes the stretch; the stepped rows decide which rounds count.

@@ -7,6 +7,7 @@ evaluation and against Monte Carlo averages of the realized SNR.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -589,6 +590,49 @@ class TestIndexZeroExit:
     )
     def test_hand_made_cases(self, gains, s, target, power):
         self.assert_same_bits(np.array(gains), s, target, power)
+
+
+class TestOverflowingScan:
+    """A remainder over a tiny tail of squared gains overflows the scan's mu."""
+
+    @pytest.mark.parametrize(
+        "gains, total, expected",
+        [
+            # node 0 at the cap; mu = sqrt(5e299 / 1e-200) overflows at j = 1
+            ([1.0, 1e-100], 1.5e300, [1e150, math.sqrt(5e299)]),
+            ([1e-100, 1.0, 0.5e-100], 1.5e300, [math.sqrt(4e299), 1e150, math.sqrt(1e299)]),
+            # no node capped, but mu overflows at j = 0
+            ([1e-100, 1e-100], 1e300, [math.sqrt(5e299), math.sqrt(5e299)]),
+        ],
+    )
+    def test_max_gain_spends_the_budget(self, gains, total, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = solve_max_gain(np.array(gains), total, 1e300)
+        np.testing.assert_allclose(w, expected, rtol=1e-15, atol=0)
+        assert float(np.sum(w**2)) == pytest.approx(total, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "power, target",
+        [(True, 1.5e300), (False, 1.4e150)],
+        ids=["max_gain", "min_power"],
+    )
+    def test_finite_mu_keeps_the_scan_bits(self, power, target):
+        # target / tail[-1] overflows, so the overflow-safe scan runs, but
+        # the capped count it picks has a finite mu: the plain scan's bits
+        gains, cap = np.array([1.0, 0.5, 1e-150]), 1e300
+        assert target / float(gains.min()) ** 2 == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if power:
+                got = solve_max_gain(gains, target, cap)
+            else:
+                got = solve_min_power(gains, target**2, 1.0, cap)
+            expected = scan_capped_matched_filter(gains, math.sqrt(cap), target, power)
+        assert got.tobytes() == expected.tobytes()
+        assert 0.0 < got.min() and got[0] == 1e150 > got[1]
+        total = float(np.sum(got**2)) if power else float(gains @ got)
+        assert total == pytest.approx(target, rel=1e-15)
 
 
 CH = ChannelStats(mean=1.2, variance=0.3)

@@ -527,6 +527,18 @@ class TestCli:
         assert "'pa-uniform'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, label", [("...json", ".."), ("..json", ".")])
+    def test_compare_rejects_dot_labels(self, tmp_path, capsys, name, label):
+        # label ".." would write its ensemble beside --out, "." beside comparison.csv
+        (tmp_path / "cfg").mkdir()
+        dots, b = tmp_path / "cfg" / name, tmp_path / "cfg" / "b.json"
+        dots.write_text(json.dumps(tiny_config_dict()))
+        b.write_text(json.dumps(tiny_config_dict(target_snr_db=5.0)))
+        out = tmp_path / "out" / "cmp"
+        assert main(["compare", "--config", str(dots), "--config", str(b), "--out", str(out)]) == 1
+        assert f"{label!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_compare_rejects_mismatched_sizes(self, tmp_path, capsys):
         n10, n20 = tmp_path / "n10.json", tmp_path / "n20.json"
         n10.write_text(json.dumps({"n": 10, "runs": 2}))

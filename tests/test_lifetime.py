@@ -32,7 +32,8 @@ from beamlife.config import (
     StrategySpec,
     preset,
 )
-from beamlife.geometry import db_to_linear, sample_channel
+from beamlife.energy import sample_initial_energies
+from beamlife.geometry import db_to_linear, sample_channel, sample_phase_errors
 from beamlife.lifetime import LifetimeTrace, bit_rate, evaluate_death, partition_cluster, run_lifetime
 
 
@@ -642,6 +643,48 @@ def test_bulk_stepped_rounds_are_bit_exact(case, monkeypatch):
         assert stepped & set(range(first_death + 2, trace.lifetime + 1))
 
 
+def quantized_case(case):
+    """Period-1 quantized cb_pa scenarios whose rounds repeat their levels."""
+    if case == "quant-2":
+        return small_scenario(strategy=StrategySpec(kind="cb_pa", levels=2, period=1))
+    if case in ("quant-8", "quant-2-links"):
+        cfg = small_scenario(n=24, links=2) if case == "quant-2-links" else small_scenario()
+        return replace(cfg, t_slot_s=cfg.t_slot_s / 8)  # several rounds per level
+    if case == "quant-period-3":
+        return small_scenario(strategy=StrategySpec(kind="cb_pa", levels=8, period=3))
+    if case == "quant-link-down":
+        # a link goes down in a funded round and the next round's levels
+        # repeat: that round must reallocate, or the down link keeps paying
+        cfg = small_scenario(
+            links=2,
+            energy=EnergySpec(kind="gaussian", e_max=1.0, mean=0.5, sigma=0.3),
+            strategy=StrategySpec(kind="cb_pa", levels=2, period=1),
+            death=DeathSpec(max_dead_fraction=1.0, snr_drop_db=3.0),
+            master_seed=101,
+        )
+        return replace(cfg, t_slot_s=cfg.t_slot_s / 8)
+    if case.startswith("quant-past-"):
+        # n * levels past 2**53: the level sums are inexact, and at 2**600
+        # the squared levels overflow
+        levels = 2**60 if case == "quant-past-guard" else 2**600
+        return small_scenario(strategy=StrategySpec(kind="cb_pa", levels=levels, period=1))
+    return deaths_on_two_links()
+
+
+def deaths_on_two_links():
+    """Quantized cb_pa on two links with gaussian energies. In the master
+    seed's first run nodes die the round before the first link goes down,
+    and later rounds repeat their levels."""
+    cfg = small_scenario(
+        n=100,
+        links=2,
+        energy=EnergySpec(kind="gaussian", e_max=1.0, mean=0.5, sigma=0.3),
+        death=DeathSpec(max_dead_fraction=1.0, snr_drop_db=60.0),
+        master_seed=127,
+    )
+    return replace(cfg, t_slot_s=cfg.t_slot_s / 8)
+
+
 def stepping_case(case, monkeypatch):
     """Scenario of one ``test_bulk_stepping_is_invisible`` case."""
     if case == "epa-one-shot":
@@ -666,6 +709,8 @@ def stepping_case(case, monkeypatch):
         )
         cfg = one_shot()
         return replace(cfg, t_slot_s=cfg.t_slot_s / 10)
+    if case.startswith("quant-"):
+        return quantized_case(case)
     if case == "pa-max_rounds":
         # max_rounds on the third round of a period, inside a stretch that
         # would otherwise run on to the next boundary, before the natural end
@@ -685,18 +730,24 @@ def stepping_case(case, monkeypatch):
 @pytest.mark.parametrize(
     "case",
     ["epa-one-shot", "epa-period-7", "pa-period-5", "min_power-1", "max_gain-1", "link_down", "max_rounds",
-     "pa-max_rounds", "chunk_flush", "short_stretch"],
+     "pa-max_rounds", "chunk_flush", "short_stretch", "quant-2", "quant-8", "quant-2-links", "quant-deaths",
+     "quant-period-3", "quant-link-down", "quant-past-guard", "quant-past-square"],
 )
 def test_bulk_stepping_is_invisible(case, monkeypatch):
-    # A run that steps static stretches in bulk and one that runs every round
-    # on the normal path give the same trace, bit for bit: the repeated
-    # records of stepped rounds included, not only the residuals.
+    # A run that steps static stretches and rounds whose levels repeat, and
+    # one that runs every round on the normal path, reallocating at every
+    # boundary, give the same trace, bit for bit: the repeated records of
+    # stepped rounds included, not only the residuals.
     cfg = stepping_case(case, monkeypatch)
     gate_calls = counted_calls(monkeypatch, "gate_and_charge")
     stepped = run_lifetime(cfg, rng_for(cfg.master_seed), record_nodes=True)
-    assert len(gate_calls) < stepped.lifetime
+    if case.startswith("quant-past-"):
+        assert len(gate_calls) == stepped.lifetime  # every round reallocates
+    else:
+        assert len(gate_calls) < stepped.lifetime
     normal_rounds = len(gate_calls)
     monkeypatch.setattr(beamlife.lifetime, "_static_stretch", lambda residual, cost, rows: 0)
+    monkeypatch.setattr(beamlife.lifetime, "_level_rule", lambda n, levels: False)
     del gate_calls[:]
     normal = run_lifetime(cfg, rng_for(cfg.master_seed), record_nodes=True)
     assert len(gate_calls) == normal.lifetime
@@ -716,6 +767,10 @@ def test_bulk_stepping_is_invisible(case, monkeypatch):
     elif case == "short_stretch":
         # round 1 and the death rounds are not all the normal rounds
         assert normal_rounds > 1 + np.count_nonzero(np.diff(stepped.node_alive.sum(axis=1)))
+    elif case in ("quant-2-links", "quant-deaths", "quant-link-down"):
+        assert stepped.link_lifetimes.min() < stepped.lifetime
+        if case == "quant-deaths":
+            assert stepped.node_alive[: stepped.link_lifetimes.min() - 1].sum(axis=1).min() < cfg.n
 
 
 def counted_calls(monkeypatch, name):
@@ -750,11 +805,128 @@ def test_period_one_centralized_solves_only_after_deaths(kind, solver, seed, mon
 
 
 def test_cb_pa_period_one_runs_every_round_on_the_normal_path(monkeypatch):
-    # cb_pa reads the residuals, so each round reallocates with new inputs.
+    # Continuous cb_pa reads the residuals unquantized, so each round
+    # reallocates with new inputs and none is stepped.
     calls = counted_calls(monkeypatch, "gate_and_charge")
-    cfg = preset("pa-uniform")
+    cfg = replace(preset("pa-uniform"), strategy=StrategySpec(kind="cb_pa", levels=0, period=1))
     trace = run_lifetime(cfg, rng_for(cfg.master_seed))
-    assert len(calls) == trace.lifetime
+    assert len(calls) == trace.lifetime > 1
+
+
+def initial_residuals(cfg, seed):
+    """Each node's round-1 budget, replayed in the engine's documented setup order."""
+    rng = rng_for(cfg.master_seed, seed)
+    rng.random((2, cfg.n))  # radii and azimuths
+    for _ in range(cfg.links):
+        sample_channel(cfg.n, cfg.shadowing_sigma2_db, rng)
+    sample_phase_errors(cfg.n, math.radians(cfg.phase_error_deg_bound), rng)
+    return sample_initial_energies(cfg.energy, cfg.n, rng)
+
+
+def rounds_that_gate(cfg, trace, initial):
+    """How many rounds of a period-1 quantized cb_pa run must run the gate.
+
+    Round 1 allocates. A later round reallocates when a node died or a link
+    went down in the round before it, or when its starting levels (each
+    link up's alive members through quantize_weights) differ from those of
+    the last allocation. Any other round repeats the last one, so it gates
+    only if some node dies in it.
+    """
+    idx = partition_cluster(cfg.n, cfg.links)
+    starts = np.vstack([initial, trace.node_residuals[:-1]])
+    alive = np.vstack([np.ones(cfg.n, dtype=bool), trace.node_alive])
+    alive_counts = alive.sum(axis=1)  # alive_counts[t]: after round t
+
+    def levels(t):
+        return [
+            quantize_weights(
+                cbpa_normalized_weights(starts[t - 1][alive[t - 1] & link_mask(cfg.n, idx[l])], cfg.energy.e_max),
+                cfg.strategy.levels,
+            )
+            for l in range(cfg.links)
+            if trace.link_lifetimes[l] >= t
+        ]
+
+    gated, allocated = 1, levels(1)
+    for t in range(2, trace.lifetime + 1):
+        now = levels(t)
+        changed = len(now) != len(allocated) or not all(map(np.array_equal, now, allocated))
+        if alive_counts[t - 1] < alive_counts[t - 2] or t - 1 in trace.link_lifetimes or changed:
+            gated, allocated = gated + 1, now
+        elif alive_counts[t] < alive_counts[t - 1]:
+            gated += 1
+    return gated
+
+
+@pytest.mark.parametrize("case", ["pa-uniform", "two-links-deaths"])
+@pytest.mark.parametrize("seed", range(3))
+def test_quantized_cb_pa_gates_only_rounds_with_new_levels(case, seed, monkeypatch):
+    # The levels only fall, so a round whose levels all repeat those of the
+    # last allocation, with no death or link down since, is stepped.
+    calls = counted_calls(monkeypatch, "gate_and_charge")
+    cfg = preset("pa-uniform") if case == "pa-uniform" else deaths_on_two_links()
+    trace = run_lifetime(cfg, rng_for(cfg.master_seed, seed), record_nodes=True)
+    assert len(calls) == rounds_that_gate(cfg, trace, initial_residuals(cfg, seed))
+    if case == "pa-uniform" or seed == 0:
+        assert len(calls) < trace.lifetime
+    if case != "pa-uniform" and seed == 0:
+        first_down = trace.link_lifetimes.min()
+        assert trace.node_alive[first_down - 2].sum() < cfg.n and first_down < trace.lifetime
+
+
+def test_a_death_reallocates_although_the_levels_repeat(monkeypatch):
+    # Node 0 (level 7 of 8) cannot pay round 1 and dies; nodes 1 and 2 stay
+    # at level 1, so round 2 finds every level as round 1 left it. It must
+    # reallocate for the two nodes left, whose new cost neither can pay.
+    monkeypatch.setattr(beamlife.lifetime, "sample_initial_energies", lambda spec, n, rng: np.array([0.825, 0.175, 0.175]))
+    cfg = ScenarioConfig(
+        n=3,
+        links=1,
+        target_snr_db=6.0,
+        shadowing_sigma2_db=0.0,
+        phase_error_deg_bound=0.0,
+        energy=EnergySpec(kind="gaussian", e_max=1.0, mean=0.5, sigma=0.0),
+        strategy=StrategySpec(kind="cb_pa", levels=8, period=1),
+        death=DeathSpec(max_dead_fraction=1.0, snr_drop_db=60.0),
+        p_max=1.0,
+        max_rounds=20,
+    )
+    # round 1's level-1 cost is target * noise * slot / 105: 0.02, and node 0's 49 times it
+    cfg = replace(cfg, t_slot_s=2.1 / (cfg.target_snr_linear() * db_to_linear(cfg.noise_db)))
+    trace = run_lifetime(cfg, rng_for(1), record_nodes=True)
+    assert trace.node_alive.sum(axis=1).tolist() == [2, 0]
+    assert trace.node_residuals[0] == pytest.approx([0.825, 0.155, 0.155], abs=1e-12)
+    monkeypatch.setattr(beamlife.lifetime, "_level_rule", lambda n, levels: False)
+    reference = run_lifetime(cfg, rng_for(1), record_nodes=True)
+    assert trace.node_residuals.tobytes() == reference.node_residuals.tobytes()
+
+
+def test_repeated_levels_that_a_node_cannot_pay_run_the_gate(monkeypatch):
+    # One node's level repeats in round 2, but its residual no longer covers
+    # the unchanged cost: the round gates the unchanged weight and the node
+    # dies, as when the weight is reallocated.
+    cfg = ScenarioConfig(
+        n=1,
+        links=1,
+        target_snr_db=6.0,
+        shadowing_sigma2_db=0.0,
+        phase_error_deg_bound=0.0,
+        energy=EnergySpec(kind="gaussian", e_max=1.0, mean=0.7, sigma=0.0),
+        strategy=StrategySpec(kind="cb_pa", levels=2, period=1),
+        p_max=1.0,
+        max_rounds=10,
+    )
+    # round 1 sends u = 1/2 at scale 2 * sqrt(target * noise): weight sqrt(target * noise)
+    cfg = replace(cfg, t_slot_s=0.36 / (cfg.target_snr_linear() * db_to_linear(cfg.noise_db)))
+    calls = counted_calls(monkeypatch, "gate_and_charge")
+    trace = run_lifetime(cfg, rng_for(1))
+    assert len(calls) == trace.lifetime == 2 and trace.causes == ("nodes",)
+    assert trace.residual_total.tolist() == pytest.approx([0.34, 0.34], abs=1e-12)
+    assert np.floor(0.34 * 2 + 0.5) == np.floor(0.7 * 2 + 0.5) == 1  # the level repeated
+    monkeypatch.setattr(beamlife.lifetime, "_level_rule", lambda n, levels: False)
+    reference = run_lifetime(cfg, rng_for(1))
+    assert trace.residual_total.tobytes() == reference.residual_total.tobytes()
+    assert trace.consumed_j == reference.consumed_j
 
 
 @pytest.mark.parametrize("kind", ["cb_pa", "centralized_min_power"])
