@@ -125,12 +125,12 @@ def compute_wmax(target_snr, n, rei, ch, noise_power):
 
 
 def cbepa_weight(target_snr, n, ch, noise_power):
-    """Closed-form common amplitude when every alive node transmits equally."""
+    """Closed-form common amplitude when every alive node transmits equally:
+    the CB-PA scale with every normalized weight equal to 1."""
     _at_least(n, 1, "need a finite count of at least 1 node")
     _positive(noise_power, "noise power must be positive and finite")
     _at_least(target_snr, 0, "target SNR must be non-negative and finite")
-    m_a, var_a = ch.mean, ch.variance
-    return math.sqrt(target_snr * noise_power / (n * var_a + n**2 * m_a**2))
+    return math.sqrt(target_snr * noise_power / _scale_denominator(n, 1.0, 0.0, ch))
 
 
 def quantize_weights(u, levels):

@@ -13,7 +13,7 @@ import numbers
 import reprlib
 from dataclasses import dataclass, field, fields, replace
 
-from .allocation import lognormal_channel_stats
+from .allocation import _scale_denominator, lognormal_channel_stats
 from .geometry import db_to_linear
 
 __all__ = [
@@ -72,7 +72,7 @@ class StrategySpec:
 @dataclass(frozen=True)
 class DeathSpec:
     max_dead_fraction: float = 0.9
-    snr_drop_db: float = 3.0     # below the link's first-round realized SNR
+    snr_drop_db: float = 3.0     # below the link's first-round SNR, or its target if that is -inf
 
 
 @dataclass(frozen=True)
@@ -182,10 +182,10 @@ def _check_types(spec, path):
 
 
 def _channel_moments_finite(cfg):
-    """The gain moments and the closed-form denominator n·var + n²·mean² are finite."""
+    """The gain moments and CB-EPA's closed-form denominator are finite."""
     try:
         ch = lognormal_channel_stats(cfg.shadowing_sigma2_db)
-        return math.isfinite(cfg.n * ch.variance + cfg.n**2 * ch.mean**2)
+        return math.isfinite(_scale_denominator(cfg.n, 1.0, 0.0, ch))
     except (OverflowError, ValueError):  # ValueError: ChannelStats rejects an infinite variance
         return False
 

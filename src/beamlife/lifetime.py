@@ -42,11 +42,9 @@ boundary it first quantizes every node's residual, ``q = floor(levels * r
 / e_max + 0.5)``, into a per-run buffer and sums each link's levels. A
 residual never rises and ``q`` is monotone in it, so no level rises, and
 unchanged sums mean that every level repeated. If no node has died and no
-link has gone down since the last allocation either, the round assigns
-that allocation's weights bit for bit, and its slot costs, payment, SNR,
-rate and death test repeat; only the residuals move. It is stepped like a
-stretch round below and ``realloc`` moves on a period, unless some node
-cannot pay, when it runs the normal path with the unchanged weights.
+link has gone down since the last allocation either, that allocation's
+weights stand bit for bit, ``realloc`` moves on a period, and the round
+opens a static stretch (below) that runs from it to ``realloc - 1``.
 Otherwise each link up allocates from its view of ``q`` in level units:
 ``levels`` is a power of two, so the moments of ``q`` scaled by ``levels``
 and ``levels**2``, and ``q * (scale / levels)``, have the bits of the
@@ -62,34 +60,35 @@ is flushed: ``np.add.reduce(rows, axis=1)`` gives the rounds'
 ``residual_total`` (axis-1 row sums have the bits of the 1-D
 ``residual.sum()``), and a recorded run keeps a copy of the rows.
 
-The loop steps static stretches in bulk. After a round in which no link
+The loop steps static stretches in bulk. After a round t in which no link
 went down, the next round's assigned weights equal this round's funded
 weights bit for bit, unless it reallocates with new inputs; its slot
 costs, payment, SNR, rate and death test then repeat exactly and only the
-residuals move. Such rounds are stepped into the row buffer with the
-charge that this round's ``gate_and_charge`` returned, and its rows are
+residuals move. Rounds t + 1 to ``realloc - 1`` (at a boundary whose
+levels repeated, t is the round before it) are stepped into the row buffer
+with the charge that the last ``gate_and_charge`` returned: their rows are
 the residuals that in-place ``residual -= charge`` steps give, bit for
-bit; a stretch that fills the buffer flushes it and goes on, so no
-bound on its length is needed. A stretch ends before the first round in
-which some node's residual is below its cost, at ``max_rounds``, and
-before ``realloc``: it may run ``realloc - 1 - t`` rounds, which is none
-for ``cb_pa`` at period 1. Its length is ``min(due) - t``: ``due`` holds
-each node's estimated last payable round, ``t + residual / cost`` (inf at
-zero cost), from the first stretch after a reallocation until a link goes
-down or a normal round has neither a death nor a reallocation (the estimate
-fell short); a death sets the dying node's entry to inf, and a stepped
-round whose levels repeated keeps it. Near a whole ratio the estimate can
-promise a round too many. A residual never rises (``fl(r - c) <= r`` for
-``c >= 0``), so the rounds that can pay are a prefix of the stepped ones:
-the stretch tests the last stepped round's start and, only if that fails,
-searches back, instead of testing every row. Every round that changes state runs the normal path.
+bit, and a stretch that fills the buffer flushes it and goes on, so no
+bound on its length is needed. A stretch also ends at ``max_rounds`` and
+before the first round in which some node's residual is below its cost;
+for ``cb_pa`` at period 1 only repeated levels open one. A one-round
+stretch is stepped as it stands; a longer one is cut to ``min(due) - t``
+rounds: ``due`` holds each node's estimated last payable round,
+``t + residual / cost`` (inf at zero cost), from the first such stretch
+after a reallocation until a link goes down or a normal round has neither
+a death nor a reallocation (the estimate fell short); a death sets the
+dying node's entry to inf. Near a whole ratio the estimate can promise a
+round too many. A residual never rises (``fl(r - c) <= r`` for ``c >= 0``),
+so the rounds that can pay are a prefix of the stepped ones: the stretch
+tests the last stepped round's start and, only if that fails, searches
+back, instead of testing every row. A round that is not stepped runs the
+normal path, as does every round that changes state.
 
 A normal round records its alive fraction, SNR row and rate (and, when
-nodes are recorded, its alive mask) once. The m stepped rounds after it,
-in stretches or with repeated levels, repeat that record exactly, so they
-add m to the record's count of rounds instead of copying it; the trace's
-per-round arrays are expanded by one ``np.repeat`` per field when the run
-ends.
+nodes are recorded, its alive mask) once. The m stepped rounds after it
+repeat that record exactly, so they add m to the record's count of rounds
+instead of copying it; the trace's per-round arrays are expanded by one
+``np.repeat`` per field when the run ends.
 """
 
 from __future__ import annotations
@@ -348,11 +347,12 @@ def _static_stretch(residual, cost, rows):
         prev = np.subtract(prev, cost, row)
     # A residual never rises (fl(r - c) <= r for c >= 0), so the rounds whose
     # starting residuals cover the cost are a prefix: if the last stepped
-    # round's start does, all do; otherwise search back from it.
+    # round's start does, all do; otherwise search back from it. Counting
+    # the mask is faster than ``.all()``, as in ``gate_and_charge``.
     stepped = len(rows)
-    while stepped > 1 and not (rows[stepped - 2] >= cost).all():
+    while stepped > 1 and np.count_nonzero(rows[stepped - 2] >= cost) < residual.size:
         stepped -= 1
-    if stepped == 1 and not (residual >= cost).all():
+    if stepped == 1 and np.count_nonzero(residual >= cost) < residual.size:
         return 0
     residual[:] = rows[stepped - 1]
     return stepped
@@ -371,6 +371,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
     slot = scenario.t_slot_s
     noise_power = db_to_linear(scenario.noise_db)
     target_snr = scenario.target_snr_linear()
+    target_db = scenario.resolved_target_snr_db()  # the reference of a link silent in round 1
     ch_stats = lognormal_channel_stats(scenario.shadowing_sigma2_db)
     strategy = scenario.strategy
     divisor, factor = _quantization_grid(scenario.energy.e_max, strategy.levels)
@@ -433,10 +434,10 @@ def run_lifetime(scenario, rng, record_nodes=False):
     never = scenario.max_rounds + 1
     realloc = 1  # the next round that reallocates with new inputs
     due = None  # each node's estimated last payable round (module docstring)
-    row_list = None  # the buffer's rows, listed at the first stretch
+    row_list = None  # the buffer's rows, listed at the first stretch of more than one round
     # cb_pa's unscaled weights, in level units where quantized, and each
     # link's sum of levels at the last allocation, kept until a node dies or
-    # a link goes down: a boundary that finds them again repeats the round
+    # a link goes down: a boundary that finds them again opens a stretch
     # (module docstring)
     levels = strategy.levels
     quantized = reads_residuals and _level_rule(n, levels)
@@ -456,11 +457,9 @@ def run_lifetime(scenario, rng, record_nodes=False):
             if reads_residuals:
                 _cbpa_units(units, residual, divisor, factor, levels, unit)
                 sums = [float(np.add.reduce(u)) for u in units_at] if quantized else [None] * k
-                if quantized and sums == level_sums:
-                    # every level repeated: unless some node cannot pay, the
-                    # round repeats the last one but for the residuals
-                    repeat = np.count_nonzero(residual >= charge) == n
-                else:
+                # every level repeated: the round opens a stretch
+                repeat = quantized and sums == level_sums
+                if not repeat:
                     due = None
                     level_sums = sums
                     for l in range(k):
@@ -496,14 +495,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
                         )
 
         if repeat:
-            # stepped like a stretch round
-            residual -= charge
-            consumed += paid
-            counts[-1] += 1
-            if j == len(rows):
-                flush()
-            rows[j] = residual
-            j += 1
+            t -= 1  # the stretch below starts at this round
         else:
             charge, unfunded, paid = gate_and_charge(residual, assigned, slot)
             consumed += paid
@@ -527,7 +519,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
                 snr = float(abs(np.add.reduce(product)) ** 2) / noise_power
                 snr_db = 10.0 * math.log10(snr) if snr > 0 else -math.inf
                 if t == 1:
-                    nominal_db[l] = snr_db
+                    nominal_db[l] = snr_db if snr > 0 else target_db
                 snr_row[l] = snr_db
                 rate_total += bit_rate(snr)
                 dead_fraction = 1.0 - up_counts[l] / link_sizes[l]
@@ -556,27 +548,28 @@ def run_lifetime(scenario, rng, record_nodes=False):
             if link_down:
                 continue
 
-        # A round that took no link down leaves the rounds before the next
-        # reallocation static until a node cannot pay (module docstring):
-        # step them in bulk and repeat this record.
+        # Rounds t + 1 to realloc - 1 are static until a node cannot pay
+        # (module docstring): step them in bulk and repeat the last record.
         rounds = realloc - 1 - t
         if rounds < 1:
             continue
         rounds = min(rounds, scenario.max_rounds - t)
-        # Only sizes the stretch; the stepped rows decide which rounds count.
-        if due is None:
-            due = np.divide(residual, charge, out=np.full(n, np.inf), where=charge > 0)
-            due += t
-            row_list = row_list or list(rows)
-        ratio = due.min() - t
-        if ratio < rounds:
-            rounds = int(ratio)
+        if rounds > 1:
+            # Only sizes the stretch; the stepped rows decide which rounds count.
+            if due is None:
+                due = np.divide(residual, charge, out=np.full(n, np.inf), where=charge > 0)
+                due += t
+                row_list = row_list or list(rows)
+            ratio = due.min() - t
+            if ratio < rounds:
+                rounds = int(ratio)
         m = 0
         while m < rounds:
             if j == len(rows):
                 flush()
             room = min(rounds - m, len(rows) - j)
-            stepped = _static_stretch(residual, charge, row_list[j : j + room])
+            # rows are listed only for stretches that may run more than one round
+            stepped = _static_stretch(residual, charge, row_list[j : j + room] if row_list else [rows[j]])
             j += stepped
             m += stepped
             if stepped < room:

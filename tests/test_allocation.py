@@ -249,6 +249,14 @@ class TestEqualPowerWeight:
         rei = ReiStats(mean=1.0, variance=0.0)
         assert analytic_average_snr(w, 100, rei, ch, NOISE) == pytest.approx(TARGET, rel=1e-12)
 
+    @pytest.mark.parametrize("sigma2_db", [0.0, 16.0, 64.0, 350.0])
+    @pytest.mark.parametrize("n", [1, 7, 100, 2**26 + 1])
+    @pytest.mark.parametrize("target", [0.0, TARGET])
+    def test_is_compute_wmax_at_unit_weights(self, sigma2_db, n, target):
+        # CB-EPA is CB-PA with every normalized weight equal to 1, bit for bit
+        ch = lognormal_channel_stats(sigma2_db)
+        assert cbepa_weight(target, n, ch, NOISE) == compute_wmax(target, n, ReiStats(1.0, 0.0), ch, NOISE)
+
     def test_monte_carlo_oracle(self):
         n, draws = 100, 100_000
         ch = lognormal_channel_stats(64.0)

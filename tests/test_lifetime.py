@@ -195,6 +195,25 @@ class TestRunLifetime:
         assert trace.causes == ("max_rounds",)
         assert trace.residual_total[0] == pytest.approx(trace.residual_total[-1])
 
+    def test_link_silent_in_round_one_goes_down_by_snr(self):
+        # Link 1's members with a nonzero level all fail to pay round 1 and
+        # its survivors quantize to level 0, so its first SNR is -inf. Held
+        # to its target, it goes down at once instead of sending nothing
+        # until max_rounds; link 0 keeps its own first SNR as its reference.
+        cfg = small_scenario(
+            n=100,
+            links=2,
+            target_snr_db=5.0,
+            energy=EnergySpec(kind="gaussian", e_max=1.0, mean=0.3, sigma=0.3),
+            strategy=StrategySpec(kind="cb_pa", levels=2, period=1),
+            death=DeathSpec(max_dead_fraction=0.9, snr_drop_db=10.0),
+        )
+        cfg = replace(cfg, t_slot_s=2 * cfg.t_slot_s)
+        trace = run_lifetime(cfg, rng_for(99, 0))
+        assert trace.snr_db[0, 1] == -math.inf and np.isfinite(trace.snr_db[0, 0])
+        assert trace.link_lifetimes.tolist() == [2, 1]
+        assert trace.causes == ("snr", "snr")
+
     def test_infeasible_initial_allocation_raises(self):
         cfg = small_scenario(p_max=1e-30)
         with pytest.raises(InfeasibleAllocationError):
@@ -303,8 +322,8 @@ def naive_single_link_replay(cfg, rng):
         e -= np.where(funded, cost, 0.0)
         snr = abs(np.sum(wg * coherent)) ** 2 / noise
         snr_db = 10 * math.log10(snr) if snr > 0 else -math.inf
-        if nominal is None:
-            nominal = snr_db
+        if nominal is None:  # a link silent in round 1 is held to its target
+            nominal = snr_db if snr > 0 else (10 * math.log10(gamma) if gamma > 0 else -math.inf)
         rows.append((alive.sum() / n, snr_db, e.sum()))
         dead_frac = 1 - alive.sum() / n
         if dead_frac > cfg.death.max_dead_fraction or snr_db < nominal - cfg.death.snr_drop_db:
@@ -327,7 +346,8 @@ def assert_matches_naive_replay(cfg, seed):
 
 @pytest.mark.parametrize(
     "case",
-    ["cb_epa", "cb_pa", "centralized_min_power", "centralized_max_gain", "cb_pa-n100-8", "cb_pa-n100-0"],
+    ["cb_epa", "cb_pa", "centralized_min_power", "centralized_max_gain", "cb_pa-n100-8", "cb_pa-n100-0",
+     "cb_pa-silent"],
 )
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_engine_matches_naive_replay(case, seed):
@@ -346,6 +366,14 @@ def test_engine_matches_naive_replay(case, seed):
         trace = run_lifetime(cfg, rng_for(cfg.master_seed, seed), record_nodes=True)
         assert trace.alive_fraction[0] == 1.0 and trace.alive_fraction[:-1].min() < 1.0
         assert_charges_match_helper_chain(cfg, trace)
+    elif case == "cb_pa-silent":
+        # Every node with a nonzero level fails to pay round 1, so the link
+        # sends nothing; under its target as the reference it goes down then.
+        cfg = small_scenario(strategy=StrategySpec(kind="cb_pa", levels=2, period=1))
+        cfg = replace(cfg, t_slot_s=50 * cfg.t_slot_s)
+        trace = run_lifetime(cfg, rng_for(cfg.master_seed, seed))
+        assert trace.snr_db[0, 0] == -math.inf
+        assert trace.lifetime == 1 and trace.causes == ("snr",)
     else:
         cfg = small_scenario(strategy=StrategySpec(kind=case, levels=8 if case == "cb_pa" else 0, period=1))
     assert_matches_naive_replay(cfg, seed)
@@ -691,6 +719,9 @@ def stepping_case(case, monkeypatch):
         return one_shot()
     if case == "epa-period-7":
         return small_scenario(strategy=StrategySpec(kind="cb_epa", levels=0, period=7))
+    if case == "pa-period-2":
+        cfg = small_scenario(strategy=StrategySpec(kind="cb_pa", levels=8, period=2))
+        return replace(cfg, t_slot_s=cfg.t_slot_s / 8)  # several rounds per level
     if case == "pa-period-5":
         return small_scenario(strategy=StrategySpec(kind="cb_pa", levels=8, period=5))
     if case in ("min_power-1", "max_gain-1"):
@@ -729,9 +760,9 @@ def stepping_case(case, monkeypatch):
 
 @pytest.mark.parametrize(
     "case",
-    ["epa-one-shot", "epa-period-7", "pa-period-5", "min_power-1", "max_gain-1", "link_down", "max_rounds",
-     "pa-max_rounds", "chunk_flush", "short_stretch", "quant-2", "quant-8", "quant-2-links", "quant-deaths",
-     "quant-period-3", "quant-link-down", "quant-past-guard", "quant-past-square"],
+    ["epa-one-shot", "epa-period-7", "pa-period-2", "pa-period-5", "min_power-1", "max_gain-1", "link_down",
+     "max_rounds", "pa-max_rounds", "chunk_flush", "short_stretch", "quant-2", "quant-8", "quant-2-links",
+     "quant-deaths", "quant-period-3", "quant-link-down", "quant-past-guard", "quant-past-square"],
 )
 def test_bulk_stepping_is_invisible(case, monkeypatch):
     # A run that steps static stretches and rounds whose levels repeat, and
@@ -740,6 +771,14 @@ def test_bulk_stepping_is_invisible(case, monkeypatch):
     # stepped rounds included, not only the residuals.
     cfg = stepping_case(case, monkeypatch)
     gate_calls = counted_calls(monkeypatch, "gate_and_charge")
+    stretch_rounds = []
+    if case == "pa-period-2":
+        full = beamlife.lifetime._static_stretch
+        monkeypatch.setattr(
+            beamlife.lifetime,
+            "_static_stretch",
+            lambda residual, cost, rows: stretch_rounds.append(len(rows)) or full(residual, cost, rows),
+        )
     stepped = run_lifetime(cfg, rng_for(cfg.master_seed), record_nodes=True)
     if case.startswith("quant-past-"):
         assert len(gate_calls) == stepped.lifetime  # every round reallocates
@@ -764,6 +803,10 @@ def test_bulk_stepping_is_invisible(case, monkeypatch):
         assert stepped.link_lifetimes.min() < stepped.lifetime
     elif case in ("max_rounds", "pa-max_rounds", "chunk_flush"):
         assert stepped.lifetime == cfg.max_rounds and stepped.causes == ("max_rounds",)
+    elif case == "pa-period-2":
+        # one-round stretches after a boundary that reallocated, and
+        # two-round ones from a boundary whose levels repeated
+        assert {1, 2} <= set(stretch_rounds)
     elif case == "short_stretch":
         # round 1 and the death rounds are not all the normal rounds
         assert normal_rounds > 1 + np.count_nonzero(np.diff(stepped.node_alive.sum(axis=1)))
