@@ -181,7 +181,8 @@ def sample_channel(n, sigma2_db, rng):
     """
     _at_least(n, 1, "need at least 1 node")
     _at_least(sigma2_db, 0, "shadowing variance must be non-negative")
-    shadow_db = rng.normal(0.0, math.sqrt(sigma2_db), n)
+    # + 0.0 clears the sign of sqrt(-0.0), which the draw would reject as a negative scale
+    shadow_db = rng.normal(0.0, math.sqrt(sigma2_db) + 0.0, n)
     gains = 10.0 ** (shadow_db / AMPLITUDE_DB_DIVISOR)
     if not np.all(gains > 0):
         raise ValueError("all channel gains must be positive")

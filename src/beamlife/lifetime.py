@@ -21,10 +21,20 @@ built. The loop relies on these invariants:
 - the alive set changes only in a round in which some node cannot pay,
   so the per-link alive counts are taken then and handed to the
   allocation, not recounted in every round. The per-link views of the
-  alive mask, gains, assigned weights and ``cb_pa``'s unscaled weights
+  alive mask, gains, assigned weights and the unscaled weights below
   are made once per run. The allocation writes each link's weights into its view of the
-  assigned array; ``cb_pa`` with every member alive writes them there
-  from its view of a per-run buffer, with no gather and no copy.
+  assigned array; a closed-form link with every member alive writes them
+  there from its view of a per-run buffer, with no gather and no copy.
+
+The allocation has two families, as in ``allocation.py``. The closed-form
+one (``_cbpa_weights``) scales a per-run buffer of unscaled weights by
+``compute_wmax``'s scale, which above the cap is refused in round 1 and
+clipped later: ``cb_pa`` fills the buffer with its normalized residuals at
+each allocation, and ``cb_epa`` is the same rule at unit weights, a buffer
+of ones set once. Their mean is exactly 1 and their variance 0, so
+``cb_epa``'s amplitude has the bits of ``cbepa_weight``. The centralized
+solvers are the other family (``_strategy_weights``). The round loop
+itself zeroes a link with no alive member or a zero target.
 
 One integer holds the reallocation schedule: ``realloc``, the next round
 that reallocates with new inputs (quantized ``cb_pa`` first checks that
@@ -210,10 +220,12 @@ def _cbpa_units(out, residual, divisor, factor, levels, unit):
 
 
 def _cbpa_weights(out, u, total, active, n_alive, unit, target_snr, noise_power, ch_stats, p_max, first_round):
-    """Write one ``cb_pa`` link's amplitudes into its view ``out``.
+    """Write one closed-form link's amplitudes into its view ``out``, for a
+    link with alive members and a nonzero target.
 
-    ``u`` is the link's view of ``_cbpa_units``' weights, in units of
-    ``1 / unit``, and ``total`` its sum or None. The closed-form scale
+    ``u`` is the link's view of the unscaled weights, in units of
+    ``1 / unit``: ``_cbpa_units``' for ``cb_pa``, ones for ``cb_epa``
+    (module docstring), and ``total`` its sum or None. The closed-form scale
     targets the weights actually transmitted, ``u / unit`` at the alive
     members, so it is fed their mean and variance. ``unit`` is 1 or a power of two up to 2**53
     (``_level_rule``), so the moments of ``u`` divided by ``unit`` and
@@ -230,9 +242,6 @@ def _cbpa_weights(out, u, total, active, n_alive, unit, target_snr, noise_power,
     if not everyone:
         u = u[active]
         total = None
-    if n_alive == 0 or target_snr == 0.0:
-        out.fill(0.0)
-        return
     m = (float(np.add.reduce(u)) if total is None else total) / n_alive
     d = u - m
     d *= d
@@ -262,38 +271,21 @@ def _cbpa_weights(out, u, total, active, n_alive, unit, target_snr, noise_power,
 
 
 def _strategy_weights(out, kind, active, n_alive, gains, target_snr, noise_power, ch_stats, p_max, first_round):
-    """Write one link's assigned amplitude per node into ``out``, for every
-    kind but ``cb_pa``.
+    """Write one link's centralized-solver amplitudes into ``out``, for a
+    link with alive members and a nonzero target.
 
     The engine passes the link's own views of the assigned weights
     (``out``), the alive mask (``active``) and the gains, and the link's
     alive count. ``out`` is zero at the link's dead nodes (module
     docstring), so only the alive ones are written.
     """
-    if n_alive == 0 or target_snr == 0.0:
-        out.fill(0.0)
-        return
-    cap_amp = math.sqrt(p_max)
-
-    if kind == "cb_epa":
-        w = cbepa_weight(target_snr, n_alive, ch_stats, noise_power)
-        if w > cap_amp:
-            if first_round:
-                raise InfeasibleAllocationError(
-                    f"equal-power weight {w:.3e} exceeds the cap amplitude {cap_amp:.3e} "
-                    f"for {n_alive} nodes; target SNR unreachable"
-                )
-            w = cap_amp
-        out[active] = w
-        return
-
     if kind == "centralized_min_power":
         try:
             out[active] = solve_min_power(gains[active], target_snr, noise_power, p_max)
         except InfeasibleAllocationError:
             if first_round:
                 raise
-            out[active] = cap_amp  # best effort: everyone at the cap
+            out[active] = math.sqrt(p_max)  # best effort: everyone at the cap
         return
 
     # centralized_max_gain: spend the equal-power budget optimally
@@ -431,19 +423,21 @@ def run_lifetime(scenario, rng, record_nodes=False):
     node_alive_rows = [] if record_nodes else None
     period = strategy.period
     reads_residuals = strategy.kind == "cb_pa"
+    closed_form = strategy.kind in ("cb_pa", "cb_epa")  # the rest run the solvers
     never = scenario.max_rounds + 1
     realloc = 1  # the next round that reallocates with new inputs
     due = None  # each node's estimated last payable round (module docstring)
     row_list = None  # the buffer's rows, listed at the first stretch of more than one round
-    # cb_pa's unscaled weights, in level units where quantized, and each
-    # link's sum of levels at the last allocation, kept until a node dies or
-    # a link goes down: a boundary that finds them again opens a stretch
-    # (module docstring)
+    # The closed-form kinds' unscaled weights: cb_epa's ones, set here, or
+    # cb_pa's, in level units where quantized; each link's sum of levels, and
+    # that sum at the last allocation, kept until a node dies or a link goes
+    # down: a boundary that finds them again opens a stretch (module docstring)
     levels = strategy.levels
     quantized = reads_residuals and _level_rule(n, levels)
     unit = float(levels) if quantized else 1.0
-    units = np.empty(n)
+    units = np.ones(n)
     units_at = [units[idx] for idx in member_idx]
+    sums = [None] * k
     level_sums = None
 
     t = 0
@@ -452,35 +446,36 @@ def run_lifetime(scenario, rng, record_nodes=False):
         repeat = False
         if t == realloc:
             realloc = t + period if reads_residuals else never
-            # Each link up writes all its members; a down link's members
-            # were zeroed when it went down.
             if reads_residuals:
                 _cbpa_units(units, residual, divisor, factor, levels, unit)
-                sums = [float(np.add.reduce(u)) for u in units_at] if quantized else [None] * k
-                # every level repeated: the round opens a stretch
-                repeat = quantized and sums == level_sums
-                if not repeat:
-                    due = None
+                if quantized:
+                    sums = [float(np.add.reduce(u)) for u in units_at]
+                    repeat = sums == level_sums  # every level repeated: the round opens a stretch
                     level_sums = sums
-                    for l in range(k):
-                        if link_alive[l]:
-                            _cbpa_weights(
-                                assigned_at[l],
-                                units_at[l],
-                                sums[l],
-                                alive_at[l],
-                                up_counts[l],
-                                unit,
-                                target_snr,
-                                noise_power,
-                                ch_stats,
-                                scenario.p_max,
-                                first_round=(t == 1),
-                            )
-            else:
+            if not repeat:
                 due = None
+                # Each link up writes all its members; a down link's members
+                # were zeroed when it went down.
                 for l in range(k):
-                    if link_alive[l]:
+                    if not link_alive[l]:
+                        continue
+                    if up_counts[l] == 0 or target_snr == 0.0:
+                        assigned_at[l].fill(0.0)
+                    elif closed_form:
+                        _cbpa_weights(
+                            assigned_at[l],
+                            units_at[l],
+                            sums[l],
+                            alive_at[l],
+                            up_counts[l],
+                            unit,
+                            target_snr,
+                            noise_power,
+                            ch_stats,
+                            scenario.p_max,
+                            first_round=(t == 1),
+                        )
+                    else:
                         _strategy_weights(
                             assigned_at[l],
                             strategy.kind,
@@ -557,7 +552,8 @@ def run_lifetime(scenario, rng, record_nodes=False):
         if rounds > 1:
             # Only sizes the stretch; the stepped rows decide which rounds count.
             if due is None:
-                due = np.divide(residual, charge, out=np.full(n, np.inf), where=charge > 0)
+                with np.errstate(over="ignore"):  # a tiny charge gives inf, the right estimate
+                    due = np.divide(residual, charge, out=np.full(n, np.inf), where=charge > 0)
                 due += t
                 row_list = row_list or list(rows)
             ratio = due.min() - t

@@ -387,6 +387,16 @@ class TestCli:
         cfg_path.write_text(json.dumps({"p_max": -2.0}))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
 
+    def test_negative_zero_shadowing_runs_as_zero(self, tmp_path):
+        # sqrt(-0.0) is -0.0, a scale the channel draw would reject as negative
+        written = []
+        for name, sigma2 in (("plus", 0.0), ("minus", -0.0)):
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps(tiny_config_dict(shadowing_sigma2_db=sigma2, runs=2)))
+            assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 0
+            written.append((tmp_path / name / "rounds.csv").read_bytes())
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize(
         "data, path",
         [

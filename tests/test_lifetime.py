@@ -214,10 +214,19 @@ class TestRunLifetime:
         assert trace.link_lifetimes.tolist() == [2, 1]
         assert trace.causes == ("snr", "snr")
 
-    def test_infeasible_initial_allocation_raises(self):
-        cfg = small_scenario(p_max=1e-30)
-        with pytest.raises(InfeasibleAllocationError):
+    @pytest.mark.parametrize("kind", ["cb_epa", "cb_pa"])
+    def test_infeasible_initial_allocation_raises(self, kind):
+        # both closed-form kinds refuse a round-1 scale above the cap
+        cfg = small_scenario(p_max=1e-30, strategy=StrategySpec(kind=kind, levels=8 if kind == "cb_pa" else 0))
+        with pytest.raises(InfeasibleAllocationError, match="exceeds the cap amplitude"):
             run_lifetime(cfg, rng_for(4))
+
+    @pytest.mark.parametrize("t_slot_s", [1e-310, 2.0**-1022], ids=["subnormal", "smallest-normal"])
+    def test_tiny_slot_runs_without_warnings(self, t_slot_s):
+        # A subnormal charge overflows a node's estimated last payable round
+        # to inf, which is the right estimate; pytest makes a warning an error.
+        trace = run_lifetime(one_shot(t_slot_s=t_slot_s, max_rounds=50), rng_for(0))
+        assert trace.lifetime == 50 and trace.causes == ("max_rounds",)
 
     @pytest.mark.parametrize("kind", ["cb_epa", "cb_pa", "centralized_min_power", "centralized_max_gain"])
     def test_all_strategies_terminate(self, kind):
@@ -344,14 +353,42 @@ def assert_matches_naive_replay(cfg, seed):
         assert trace.residual_total[t] == pytest.approx(residual, rel=1e-12)
 
 
+def clipped_rounds(cfg, trace):
+    """Rounds after round 1 that start a period and in which every funded
+    node paid the cost of the cap amplitude."""
+    cap_cost = cfg.p_max * cfg.t_slot_s
+    clipped = []
+    for t in range(1 + cfg.strategy.period, trace.lifetime + 1, cfg.strategy.period):
+        funded = trace.node_alive[t - 1]
+        paid = trace.node_residuals[t - 2][funded] - trace.node_residuals[t - 1][funded]
+        if paid.size and np.allclose(paid, cap_cost, rtol=1e-9, atol=0.0):
+            clipped.append(t)
+    return clipped
+
+
 @pytest.mark.parametrize(
     "case",
     ["cb_epa", "cb_pa", "centralized_min_power", "centralized_max_gain", "cb_pa-n100-8", "cb_pa-n100-0",
-     "cb_pa-silent"],
+     "cb_pa-silent", "cb_epa-clipped-1", "cb_epa-clipped-3"],
 )
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_engine_matches_naive_replay(case, seed):
-    if case.startswith("cb_pa-n100"):
+    if case.startswith("cb_epa-clipped"):
+        # A cap 2% above the full link's equal-power weight: once a few
+        # nodes die, the weight of the alive rises past it and a
+        # reallocation clips it to the cap.
+        cfg = small_scenario(n=100, strategy=StrategySpec(kind="cb_epa", levels=0, period=int(case[-1])))
+        w = cbepa_weight(cfg.target_snr_linear(), cfg.n, lognormal_channel_stats(cfg.shadowing_sigma2_db),
+                         db_to_linear(cfg.noise_db))
+        cfg = replace(
+            cfg,
+            t_slot_s=4 * cfg.t_slot_s,
+            p_max=(1.02 * w) ** 2,
+            death=DeathSpec(max_dead_fraction=1.0, snr_drop_db=60.0),
+        )
+        trace = run_lifetime(cfg, rng_for(cfg.master_seed, seed), record_nodes=True)
+        assert clipped_rounds(cfg, trace)
+    elif case.startswith("cb_pa-n100"):
         # A slot long enough that nodes die while the link stays up: cb_pa
         # reallocates both with every member alive (round 2) and after
         # deaths, the engine's two ways of normalizing the residuals. Its
