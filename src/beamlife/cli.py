@@ -19,12 +19,18 @@ import numpy as np
 
 from . import __version__
 from .allocation import InfeasibleAllocationError
-from .config import ConfigError, load_config, preset, preset_description, preset_names
+from .config import ConfigError, _echo, load_config, preset, preset_description, preset_names
 from .ensemble import compare_strategies, run_ensemble
 
 ROUNDS_COLUMNS = ["round", "alive_fraction", "snr_db", "rate_bits", "residual_total_j", "surviving_runs"]
 # rounds.csv rows converted to Python objects at once, which bounds the writer's memory
 _ROUNDS_BLOCK = 2**14
+# Memory budget of one run's arrays, in bytes. A run holds 8 bytes per node
+# for each link's gains and for about 16 per-node vectors besides (the setup
+# draws, phasors, residuals, weights and their link copies), and a scenario
+# whose n would need more is refused before anything is allocated.
+_RUN_BYTES = 2**30
+_NODE_VECTORS = 16
 
 
 def _resolve_scenario(args):
@@ -40,7 +46,14 @@ def _resolve_scenario(args):
 
 
 def _with_overrides(cfg, runs, seed):
-    """Apply ``--runs``/``--seed`` to the scenario, so its manifest reproduces the run."""
+    """Apply ``--runs``/``--seed`` to the scenario, so its manifest reproduces
+    the run, and refuse an ``n`` whose per-run arrays exceed ``_RUN_BYTES``."""
+    need = 8 * cfg.n * (cfg.links + _NODE_VECTORS)
+    if need > _RUN_BYTES:
+        raise ConfigError(
+            f"n: {_echo(cfg.n)} nodes on {cfg.links} link(s) need about {need / 2**20:.4g} MiB "
+            f"per run, above the budget of {_RUN_BYTES // 2**20} MiB"
+        )
     seed = cfg.master_seed if seed is None else seed
     return replace(cfg, runs=cfg.runs if runs is None else runs, master_seed=seed)
 

@@ -33,7 +33,11 @@ clipped later: ``cb_pa`` fills the buffer with its normalized residuals at
 each allocation, and ``cb_epa`` is the same rule at unit weights, a buffer
 of ones set once. Their mean is exactly 1 and their variance 0, so
 ``cb_epa``'s amplitude has the bits of ``cbepa_weight``. The centralized
-solvers are the other family (``_strategy_weights``). The round loop
+baselines are the other family (``_strategy_weights``). Their gains are
+fixed, so each run checks each link's drawn gains once, as the solvers
+check them, and sorts them once (``_rank_gains``); a reallocation gathers
+the alive gains and applies the float operations of ``solve_min_power`` or
+``solve_max_gain``, so the weights have the solvers' bits. The round loop
 itself zeroes a link with no alive member or a zero target.
 
 One integer holds the reallocation schedule: ``realloc``, the next round
@@ -111,22 +115,23 @@ import numpy as np
 
 from .allocation import (
     InfeasibleAllocationError,
+    _capped_matched_filter,
     _scale_denominator,
-    cbepa_weight,
     lognormal_channel_stats,
-    solve_max_gain,
-    solve_min_power,
 )
 
 from .energy import gate_and_charge, sample_initial_energies
-from .geometry import _at_least, db_to_linear, sample_channel, sample_phase_errors
+from .geometry import _at_least, _gains, db_to_linear, sample_channel, sample_phase_errors
 
 # The engine calls none of these: the round loop inlines the three cb_pa
-# helpers, and the carrier phase cancels the propagation phase, so neither
-# node positions nor destination ranges reach the SNR. The benchmark tracer
-# (perfbench/tracer.py) still wraps them in this module's namespace, and
-# tests/test_tracer_contract.py checks that they resolve here.
-from .allocation import cbpa_normalized_weights, compute_wmax, quantize_weights  # noqa: F401
+# helpers, which cb_epa runs at unit weights, ``_strategy_weights`` inlines
+# the two centralized solvers and ``cbepa_weight`` on gains checked and
+# sorted once per run, and the carrier phase cancels the propagation phase,
+# so neither node positions nor destination ranges reach the SNR. The
+# benchmark tracer (perfbench/tracer.py) still wraps them in this module's
+# namespace, and tests/test_tracer_contract.py checks that they resolve here.
+from .allocation import cbepa_weight, cbpa_normalized_weights, compute_wmax, quantize_weights  # noqa: F401
+from .allocation import solve_max_gain, solve_min_power  # noqa: F401
 from .geometry import carrier_phase, deploy_cluster, propagation_phase  # noqa: F401
 
 __all__ = [
@@ -270,27 +275,61 @@ def _cbpa_weights(out, u, total, active, n_alive, unit, target_snr, noise_power,
         out[active] = u
 
 
-def _strategy_weights(out, kind, active, n_alive, gains, target_snr, noise_power, ch_stats, p_max, first_round):
+def _rank_gains(gains):
+    """A centralized link's gains, checked as the solvers check them, and
+    their stable ascending order and sorted values, set once per run.
+
+    Any alive subset of gains that pass ``_gains`` passes it too, so the
+    solvers' ``ValueError`` comes here, before the first round.
+    """
+    _gains(gains)
+    order = np.argsort(gains, kind="stable")
+    return order, gains[order]
+
+
+def _strategy_weights(out, kind, active, n_alive, gains, rank, target_snr, noise_power, ch_stats, p_max, first_round):
     """Write one link's centralized-solver amplitudes into ``out``, for a
     link with alive members and a nonzero target.
 
     The engine passes the link's own views of the assigned weights
-    (``out``), the alive mask (``active``) and the gains, and the link's
-    alive count. ``out`` is zero at the link's dead nodes (module
-    docstring), so only the alive ones are written.
+    (``out``), the alive mask (``active``) and the gains, the link's alive
+    count and its ``_rank_gains``. ``out`` is zero at the link's dead nodes
+    (module docstring), so only the alive ones are written. These are the
+    float operations of ``solve_min_power`` and ``solve_max_gain``, and of
+    ``cbepa_weight`` in the max-gain budget, without their checks:
+    ``_capped_matched_filter``'s uncapped matched filter (j = 0) is tried
+    in scalar arithmetic on the alive gains in ascending order, whose
+    squares' running sum ends in the bits of its ``tail[0]``, and its scan
+    runs only where the largest alive gain's weight exceeds the cap.
     """
+    order, ranked = rank
+    if n_alive < gains.size:
+        ranked = ranked[active[order]]
+        gains = gains[active]
+    s = math.sqrt(p_max)
     if kind == "centralized_min_power":
-        try:
-            out[active] = solve_min_power(gains[active], target_snr, noise_power, p_max)
-        except InfeasibleAllocationError:
+        target = math.sqrt(target_snr * noise_power)
+        reach = s * float(np.add.reduce(gains))
+        if reach < target:
             if first_round:
-                raise
-            out[active] = math.sqrt(p_max)  # best effort: everyone at the cap
-        return
-
-    # centralized_max_gain: spend the equal-power budget optimally
-    budget = min(n_alive * cbepa_weight(target_snr, n_alive, ch_stats, noise_power) ** 2, n_alive * p_max)
-    out[active] = solve_max_gain(gains[active], budget, p_max)
+                raise InfeasibleAllocationError(
+                    f"even all {gains.size} nodes at the cap reach amplitude {reach:.3e} < required {target:.3e}"
+                )
+            out[active] = s  # best effort: everyone at the cap
+            return
+        power, rem0 = False, target - s * 0.0
+    else:
+        # centralized_max_gain: spend the equal-power budget optimally
+        w = math.sqrt(target_snr * noise_power / _scale_denominator(n_alive, 1.0, 0.0, ch_stats))
+        target = min(n_alive * w**2, n_alive * p_max)
+        power, rem0 = True, target - 0.0 * (s * s)
+    t0 = float(np.add.accumulate(ranked * ranked)[-1])  # np.cumsum's bits, without its wrapper
+    if t0 > 0 and rem0 > 0:
+        mu0 = math.sqrt(rem0 / t0) if power else rem0 / t0
+        if mu0 * float(ranked[-1]) <= s:
+            out[active] = np.minimum(mu0 * gains, s)
+            return
+    out[active] = _capped_matched_filter(gains, s, target, power)
 
 
 def _quantization_grid(e_max, levels):
@@ -424,6 +463,9 @@ def run_lifetime(scenario, rng, record_nodes=False):
     period = strategy.period
     reads_residuals = strategy.kind == "cb_pa"
     closed_form = strategy.kind in ("cb_pa", "cb_epa")  # the rest run the solvers
+    # The centralized kinds' gains, checked and sorted once; a zero target
+    # never allocates, so it leaves them unchecked.
+    ranks = None if closed_form or target_snr == 0.0 else [_rank_gains(g) for g in gains_at]
     never = scenario.max_rounds + 1
     realloc = 1  # the next round that reallocates with new inputs
     due = None  # each node's estimated last payable round (module docstring)
@@ -482,6 +524,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
                             alive_at[l],
                             up_counts[l],
                             gains_at[l],
+                            ranks[l],
                             target_snr,
                             noise_power,
                             ch_stats,

@@ -376,11 +376,14 @@ class TestSolveMaxGain:
         w2, w3 = np.meshgrid(axis, axis, indexing="ij")
         inner = (gains[1] * w2 + gains[2] * w3).ravel()
         power23 = (w2**2 + w3**2).ravel()
-        best = -np.inf
-        for w1 in axis:  # chunk the 1001^3 grid over the first axis
-            mask = power23 <= total - w1 * w1 + 1e-15
-            if mask.any():
-                best = max(best, gains[0] * w1 + float(inner[mask].max()))
+        # The 1001^3 grid, one w1 at a time: the (w2, w3) points within the
+        # power left are a prefix of the points sorted by power, so the best
+        # of them is a running max, read at one searchsorted per w1.
+        by_power = np.argsort(power23)
+        running = np.maximum.accumulate(inner[by_power])
+        within = np.searchsorted(power23[by_power], total - axis * axis + 1e-15, side="right")
+        fits = within > 0
+        best = float(np.max(gains[0] * axis[fits] + running[within[fits] - 1]))
         assert abs(solver_obj - best**2) <= 1e-3
 
     def test_gains_whose_squares_underflow_are_rejected(self):
@@ -463,12 +466,14 @@ class TestSolveMinPower:
         w2, w3 = np.meshgrid(axis, axis, indexing="ij")
         amp23 = (gains[1] * w2 + gains[2] * w3).ravel()
         power23 = (w2**2 + w3**2).ravel()
-        best = np.inf
         amplitude = math.sqrt(target * 1.0)
-        for w1 in axis:
-            mask = amp23 >= amplitude - gains[0] * w1
-            if mask.any():
-                best = min(best, w1 * w1 + float(power23[mask].min()))
+        # The (w2, w3) points that reach the amplitude left by w1 are a
+        # suffix of the points sorted by amplitude: a running min from the end.
+        by_amp = np.argsort(amp23)
+        running = np.minimum.accumulate(power23[by_amp][::-1])[::-1]
+        first = np.searchsorted(amp23[by_amp], amplitude - gains[0] * axis, side="left")
+        fits = first < amp23.size
+        best = float(np.min(axis[fits] * axis[fits] + running[first[fits]]))
         assert solver_obj <= best + 1e-12
         assert best - solver_obj <= 1e-3
 
@@ -477,19 +482,24 @@ class TestSolveMinPower:
             solve_min_power(np.array([1.0]), 100.0, 1.0, cap=0.01)
 
 
-def bisect_capped_matched_filter(gains, cap, total_of, target):
-    """Reference solver: bisect mu so the increasing total of min(mu·g, s) meets ``target``."""
-    s = math.sqrt(cap)
-    if target == 0:
-        return np.zeros(gains.size)
-    lo, hi = 0.0, s / float(gains.min())  # every node capped: total is maximal
+def bisect_capped_matched_filter(gains, cap, power, target):
+    """Reference solver: bisect mu so the increasing total of min(mu·g, s) meets ``target``.
+
+    Each row of the 2-D ``gains``, ``cap`` and ``target`` is one instance,
+    padded with zero gains, whose weights are zero and add nothing to either
+    total: the transmit power sum(w²) when ``power`` is set, else the
+    coherent amplitude sum(g·w). The rows bisect together.
+    """
+    s = np.sqrt(cap)
+    lo = np.zeros_like(s)
+    hi = s / np.min(np.where(gains > 0, gains, np.inf), axis=1, keepdims=True)  # every node capped: total is maximal
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if total_of(np.minimum(mid * gains, s)) < target:
-            lo = mid
-        else:
-            hi = mid
-    return np.minimum(hi * gains, s)
+        w = np.minimum(mid * gains, s)
+        below = np.sum(w * w if power else gains * w, axis=1, keepdims=True) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.where(target == 0, 0.0, np.minimum(hi * gains, s))
 
 
 class TestCappedMatchedFilterCases:
@@ -513,6 +523,7 @@ class TestCappedMatchedFilterCases:
 
     def test_agrees_with_bisection(self):
         rng = np.random.default_rng(83)
+        instances = []
         for k in range(1000):
             n = int(rng.integers(1, 121))
             gains = 10 ** (rng.normal(0, 4.0, n) / 20)
@@ -522,10 +533,18 @@ class TestCappedMatchedFilterCases:
             fraction = 1.0 if k % 10 == 0 else float(rng.uniform(0.0, 1.0))  # 1.0: every node at the cap
             total = fraction * n * cap
             snr = (fraction * math.sqrt(cap) * float(gains.sum())) ** 2  # noise power 1
+            instances.append((gains, cap, total, snr))
+        padded = np.zeros((len(instances), 120))
+        for row, (gains, *_) in zip(padded, instances):
+            row[: gains.size] = gains
+        caps, totals, snrs = (np.array(column)[:, None] for column in list(zip(*instances))[1:])
+        by_power = bisect_capped_matched_filter(padded, caps, True, totals)
+        by_amplitude = bisect_capped_matched_filter(padded, caps, False, np.sqrt(snrs))
+        for k, (gains, cap, total, snr) in enumerate(instances):
             tol = 1e-12 * math.sqrt(cap)
-            ref = bisect_capped_matched_filter(gains, cap, lambda w: float(np.sum(w**2)), total)
+            ref = by_power[k, : gains.size]
             np.testing.assert_allclose(solve_max_gain(gains, total, cap), ref, rtol=0, atol=tol)
-            ref = bisect_capped_matched_filter(gains, cap, lambda w: float(gains @ w), math.sqrt(snr))
+            ref = by_amplitude[k, : gains.size]
             np.testing.assert_allclose(solve_min_power(gains, snr, 1.0, cap), ref, rtol=0, atol=tol)
 
 

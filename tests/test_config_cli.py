@@ -387,6 +387,14 @@ class TestCli:
         cfg_path.write_text(json.dumps({"p_max": -2.0}))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
 
+    def test_memory_budget_counts_each_link(self):
+        # Near the budget a second link tips n over it. Neither case runs: the
+        # one-link scenario would allocate about 1 GB.
+        cfg = replace(preset("pa-uniform"), n=7_500_000)
+        assert beamlife.cli._with_overrides(cfg, None, None) == cfg
+        with pytest.raises(ConfigError, match=r"^n: 7500000 nodes on 2 link\(s\)"):
+            beamlife.cli._with_overrides(replace(cfg, links=2), None, None)
+
     def test_negative_zero_shadowing_runs_as_zero(self, tmp_path):
         # sqrt(-0.0) is -0.0, a scale the channel draw would reject as negative
         written = []
@@ -434,6 +442,10 @@ class TestCli:
             ({"death": {"snr_drop_db": ["x" * 100000]}}, "death.snr_drop_db"),
             ({"links": 10**3999, "n": 10}, "links"),
             ({"n": 10**3999, "shadowing_sigma2_db": 1e4}, "shadowing_sigma2_db"),
+            # per-run arrays above the memory budget, refused before they are allocated
+            pytest.param({"n": 10**10, "runs": 1, "max_rounds": 5}, "n", id="n-over-memory-budget"),
+            pytest.param({"n": 7_500_000, "links": 2, "runs": 1, "max_rounds": 5}, "n", id="n-two-links-over-budget"),
+            pytest.param({"n": 10**150, "runs": 1}, "n", id="n-huge-over-budget"),
         ],
     )
     def test_malformed_value_exits_with_key_path(self, tmp_path, capsys, data, path):

@@ -10,9 +10,8 @@ nodes do not split evenly into its links.
 
 Each valid config runs at ``runs`` 1, with ``max_rounds`` clamped to 60 and
 ``n`` to 200 to keep the sweep within a few seconds. The ``n`` clamp also
-steps around a known defect: a config such as ``{"n": 10**10}`` passes
-validation and then fails to allocate its setup arrays, since no guard
-bounds the memory a run asks for yet.
+keeps library runs away from a config such as ``{"n": 10**10}``: it passes
+validation, and only the CLI refuses it, by its per-run memory.
 """
 
 import json

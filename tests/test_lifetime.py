@@ -873,8 +873,10 @@ def counted_calls(monkeypatch, name):
 @pytest.mark.parametrize("seed", range(3))
 def test_period_one_centralized_solves_only_after_deaths(kind, solver, seed, monkeypatch):
     # The gains are fixed and the alive set only shrinks, so the weights are
-    # solved in round 1 and again only in the rounds that follow a death.
-    calls = counted_calls(monkeypatch, solver)
+    # solved in round 1 and again only in the rounds that follow a death,
+    # by the engine's kernel: the round loop calls no public solver.
+    calls = counted_calls(monkeypatch, "_strategy_weights")
+    solver_calls = counted_calls(monkeypatch, solver)
     cfg = small_scenario(strategy=StrategySpec(kind=kind, levels=0, period=1))
     trace = run_lifetime(cfg, rng_for(cfg.master_seed, seed), record_nodes=True)
     alive_after = trace.node_alive.sum(axis=1)
@@ -882,6 +884,149 @@ def test_period_one_centralized_solves_only_after_deaths(kind, solver, seed, mon
     followed_deaths = np.count_nonzero((alive_after < alive_before)[:-1])
     assert followed_deaths >= 1
     assert len(calls) == 1 + followed_deaths < trace.lifetime
+    assert not solver_calls
+
+
+def solver_weights(out, kind, active, n_alive, gains, target_snr, noise_power, ch_stats, p_max, first_round):
+    """``out`` with the link's alive weights from the public solvers on the
+    gathered alive gains, or every alive node at the cap where min-power is
+    infeasible after round 1: the independent reference of the engine's
+    ``_strategy_weights``."""
+    ref = out.copy()
+    if kind == "centralized_min_power":
+        try:
+            ref[active] = solve_min_power(gains[active], target_snr, noise_power, p_max)
+        except InfeasibleAllocationError:
+            if first_round:
+                raise
+            ref[active] = math.sqrt(p_max)
+    else:
+        budget = min(n_alive * cbepa_weight(target_snr, n_alive, ch_stats, noise_power) ** 2, n_alive * p_max)
+        ref[active] = solve_max_gain(gains[active], budget, p_max)
+    return ref
+
+
+CENTRALIZED = ["centralized_min_power", "centralized_max_gain"]
+
+
+@pytest.mark.parametrize("kind", CENTRALIZED)
+def test_strategy_kernel_matches_the_solvers_at_the_call_site(kind, monkeypatch):
+    # Every call the round loop makes writes the public solvers' bits into
+    # the link's view, on configs where the cap binds, min-power falls back
+    # to the cap after round 1, and several links give strided views.
+    kernel = beamlife.lifetime._strategy_weights
+    scans = counted_calls(monkeypatch, "_capped_matched_filter")
+    seen = {"calls": 0, "partial": 0, "strided": 0, "fallback": 0}
+
+    def checked(out, kind, active, n_alive, gains, rank, target_snr, noise_power, ch_stats, p_max, first_round):
+        args = (target_snr, noise_power, ch_stats, p_max)
+        ref = solver_weights(out, kind, active, n_alive, gains, *args, first_round)
+        kernel(out, kind, active, n_alive, gains, rank, *args, first_round=first_round)
+        assert out.tobytes() == ref.tobytes()
+        reach = math.sqrt(p_max) * float(np.sum(gains[active]))  # all alive nodes at the cap
+        seen["fallback"] += kind == "centralized_min_power" and reach < math.sqrt(target_snr * noise_power)
+        seen["calls"] += 1
+        seen["partial"] += n_alive < gains.size
+        seen["strided"] += gains.strides[0] > gains.itemsize
+
+    monkeypatch.setattr(beamlife.lifetime, "_strategy_weights", checked)
+    for links, period, cap in [(1, 1, 1.5), (2, 1, 1.5), (3, 3, 1.5), (2, 1, 3.0), (2, 2, 1e4)]:
+        # small_scenario's cap is 1e4 times its equal-power weight's square
+        base = small_scenario(n=30, links=links, strategy=StrategySpec(kind=kind, levels=0, period=period))
+        energy = EnergySpec(kind="gaussian", e_max=1.0, mean=0.5, sigma=0.15)
+        cfg = replace(base, p_max=base.p_max * 1e-4 * cap * links**2, energy=energy)
+        for seed in range(4):
+            try:
+                run_lifetime(cfg, rng_for(cfg.master_seed, seed))
+            except InfeasibleAllocationError:
+                pass
+    assert seen["calls"] > seen["partial"] > 0 and seen["strided"] > 0
+    assert len(scans) > 0  # the cap bound, so the scan ran
+    if kind == "centralized_min_power":
+        assert seen["fallback"] > 0
+
+
+def ranked_kernel_weights(kind, gains, active, target_snr, noise_power, p_max, first_round):
+    """``_strategy_weights`` on one link's gains, ranked as the engine ranks them."""
+    out = np.zeros(gains.size)
+    rank = beamlife.lifetime._rank_gains(gains)
+    n_alive = int(np.count_nonzero(active))
+    ch = lognormal_channel_stats(16.0)
+    beamlife.lifetime._strategy_weights(
+        out, kind, active, n_alive, gains, rank, target_snr, noise_power, ch, p_max, first_round=first_round
+    )
+    ref = solver_weights(np.zeros(gains.size), kind, active, n_alive, gains, target_snr, noise_power, ch, p_max,
+                         first_round)
+    return out, ref
+
+
+@pytest.mark.parametrize("kind", CENTRALIZED)
+def test_strategy_kernel_matches_the_solvers_bit_for_bit(kind, monkeypatch):
+    # Seeded gains, with ties, partial alive masks and strided views, at
+    # targets from far below the cap to where every alive node is capped.
+    scans = counted_calls(monkeypatch, "_capped_matched_filter")
+    rng = np.random.default_rng(2027)
+    for k in range(400):
+        n = int(rng.integers(1, 60))
+        row = 10 ** (rng.normal(0.0, 4.0 + 10.0 * (k % 3), 3 * n) / 20)
+        if k % 4 == 0:  # ties
+            row = rng.choice(row[: max(1, n // 3)], 3 * n)
+        gains = row[k % 3 :: 3][:n] if k % 2 else row[:n]
+        active = rng.random(n) < rng.uniform(0.3, 1.0) if k % 5 else np.ones(n, dtype=bool)
+        if not active.any():
+            active[int(rng.integers(n))] = True
+        alive = gains[active]
+        p_max = float(rng.uniform(0.01, 2.0))
+        # min-power's reach at the cap, and the target where the matched filter's largest weight meets it
+        full = math.sqrt(p_max) * float(alive.sum())
+        edge = math.sqrt(p_max) / float(alive.max()) * float(np.sum(alive**2))
+        amplitude = min(edge, full) * float(rng.choice([0.3, 1.0, 1.0 + 1e-15, 1.5, 3.0]))
+        target = amplitude**2 if kind == "centralized_min_power" else float(rng.uniform(0.0, 10.0)) ** 2
+        noise = float(rng.choice([1.0, 1e-10]))
+        try:
+            out, ref = ranked_kernel_weights(kind, gains, active, target / noise, noise, p_max, first_round=False)
+        except InfeasibleAllocationError:
+            pytest.fail("min-power after round 1 puts every alive node at the cap")
+        assert out.tobytes() == ref.tobytes(), (k, kind)
+    assert len(scans) > 20  # the cap bound in many instances
+
+
+def test_min_power_kernel_infeasible_in_round_one_and_after():
+    gains = np.array([0.5, 2.0, 1.0, 0.25])
+    active = np.array([True, False, True, True])
+    target = 4.0  # amplitude 2, above the cap's reach 0.1 * 1.75
+    with pytest.raises(InfeasibleAllocationError) as solver:
+        solve_min_power(gains[active], target, 1.0, 0.01)
+    with pytest.raises(InfeasibleAllocationError) as engine:
+        ranked_kernel_weights("centralized_min_power", gains, active, target, 1.0, 0.01, first_round=True)
+    assert str(engine.value) == str(solver.value)
+    out, ref = ranked_kernel_weights("centralized_min_power", gains, active, target, 1.0, 0.01, first_round=False)
+    assert out.tobytes() == ref.tobytes() == np.array([0.1, 0.0, 0.1, 0.1]).tobytes()
+
+
+@pytest.mark.parametrize("kind", CENTRALIZED)
+@pytest.mark.parametrize("tiny", [1e-160, 2.0**-512])
+def test_engine_rejects_gains_whose_squares_are_subnormal(kind, tiny, monkeypatch):
+    # The engine checks the drawn gains once per run, with the solvers' error.
+    cfg = small_scenario(strategy=StrategySpec(kind=kind, levels=0, period=1), links=2)
+    drawn = []
+
+    def channel(n, sigma2_db, rng):
+        gains = sample_channel(n, sigma2_db, rng)
+        gains[0] = tiny  # a member of link 0
+        drawn.append(gains)
+        return gains
+
+    monkeypatch.setattr(beamlife.lifetime, "sample_channel", channel)
+    with pytest.raises(ValueError, match="squares") as engine:
+        run_lifetime(cfg, rng_for(cfg.master_seed))
+    link = drawn[0][0 :: cfg.links]
+    with pytest.raises(ValueError) as solver:
+        if kind == "centralized_min_power":
+            solve_min_power(link, cfg.target_snr_linear(), db_to_linear(cfg.noise_db), cfg.p_max)
+        else:
+            solve_max_gain(link, cfg.p_max, cfg.p_max)
+    assert str(engine.value) == str(solver.value)
 
 
 def test_cb_pa_period_one_runs_every_round_on_the_normal_path(monkeypatch):
