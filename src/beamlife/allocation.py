@@ -156,13 +156,6 @@ def _capped_matched_filter(gains, s, target, power):
     with a negative remainder read as 0. The optimum's j is the first whose
     node j stays at or below the cap; if there is none, every node is capped.
 
-    The uncapped matched filter, j = 0, is tried first in scalar arithmetic
-    with the float operations the scan applies at j = 0, so it returns the
-    scan's bits; the scan runs only when the largest gain's weight exceeds
-    the cap. It also runs when ``tail[0]`` or the j = 0 remainder is not
-    positive, where scalar Python would raise on a zero division or read
-    max(-0.0, 0.0) and NaN differently from numpy.
-
     A remainder over a tiny ``tail`` can overflow mu. Where mu is infinite,
     mu·g <= s is tested as rem·(g^p / tail) <= s^p, with p = 2 for power
     and 1 for amplitude, whose ratio is at most 1 or 1/g and so finite, and
@@ -171,12 +164,6 @@ def _capped_matched_filter(gains, s, target, power):
     """
     g = np.sort(gains)[::-1]
     tail = np.cumsum(g[::-1] ** 2)[::-1]
-    t0 = float(tail[0])
-    rem0 = target - 0.0 * (s * s) if power else target - s * 0.0
-    if t0 > 0 and rem0 > 0:
-        mu0 = math.sqrt(rem0 / t0) if power else rem0 / t0
-        if mu0 * float(g[0]) <= s:
-            return np.minimum(mu0 * gains, s)
     if power:
         rem = np.maximum(target - np.arange(g.size) * (s * s), 0.0)
     else:

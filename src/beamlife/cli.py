@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -209,19 +210,20 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if getattr(args, "workers", 1) < 1:  # presets takes no --workers
-            raise ConfigError("workers: must be at least 1")
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InfeasibleAllocationError as exc:
-        print(f"infeasible allocation: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 1
+    # a library warning is one line on stderr; the filters stay as they are
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except InfeasibleAllocationError as exc:
+            print(f"infeasible allocation: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -17,12 +17,13 @@ which can differ in the last bit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, _check, _echo
 from .geometry import linear_to_db
 from .lifetime import run_lifetime
 
@@ -96,8 +97,11 @@ def run_ensemble(scenario, workers=1):
     Run i draws from SeedSequence([scenario.master_seed, i]); change the
     run count or the seed with ``dataclasses.replace``. Round t of each
     curve averages the runs whose cluster was still alive in round t; the
-    surviving-run count is reported alongside.
+    surviving-run count is reported alongside. ``workers``, an integer of
+    at least 1, runs the seeds in that many processes with the same result.
     """
+    integral = isinstance(workers, numbers.Integral) and not isinstance(workers, bool)
+    _check(integral and workers >= 1, "workers", f"must be an integer of at least 1, got {_echo(workers)}")
     runs = scenario.runs
     run = partial(_run_indexed, scenario)
     # Workers beyond the run count would sit idle, and a fork-based pool

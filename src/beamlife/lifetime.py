@@ -37,7 +37,9 @@ baselines are the other family (``_strategy_weights``). Their gains are
 fixed, so each run checks each link's drawn gains once, as the solvers
 check them, and sorts them once (``_rank_gains``); a reallocation gathers
 the alive gains and applies the float operations of ``solve_min_power`` or
-``solve_max_gain``, so the weights have the solvers' bits. The round loop
+``solve_max_gain``, so the weights have the solvers' bits: it forms their
+capped scan's j = 0 candidate, the uncapped matched filter, from the sorted
+alive gains and runs the scan only where the cap binds. The round loop
 itself zeroes a link with no alive member or a zero target.
 
 One integer holds the reallocation schedule: ``realloc``, the next round
@@ -296,11 +298,13 @@ def _strategy_weights(out, kind, active, n_alive, gains, rank, target_snr, noise
     count and its ``_rank_gains``. ``out`` is zero at the link's dead nodes
     (module docstring), so only the alive ones are written. These are the
     float operations of ``solve_min_power`` and ``solve_max_gain``, and of
-    ``cbepa_weight`` in the max-gain budget, without their checks:
-    ``_capped_matched_filter``'s uncapped matched filter (j = 0) is tried
-    in scalar arithmetic on the alive gains in ascending order, whose
-    squares' running sum ends in the bits of its ``tail[0]``, and its scan
-    runs only where the largest alive gain's weight exceeds the cap.
+    ``cbepa_weight`` in the max-gain budget, without their checks. The j = 0
+    candidate of ``_capped_matched_filter``'s scan, the uncapped matched
+    filter, is formed in scalar arithmetic on the alive gains in ascending
+    order, whose squares' running sum ends in the bits of ``tail[0]``; where
+    it fits, the scan would pick it. The scan runs where it does not, or
+    where ``t0`` or the remainder is not positive: scalar Python would
+    divide by zero or read max(-0.0, 0.0) and NaN unlike numpy.
     """
     order, ranked = rank
     if n_alive < gains.size:

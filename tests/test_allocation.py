@@ -548,18 +548,29 @@ class TestCappedMatchedFilterCases:
             np.testing.assert_allclose(solve_min_power(gains, snr, 1.0, cap), ref, rtol=0, atol=tol)
 
 
-def scan_capped_matched_filter(gains, s, target, power):
-    """Reference: the full scan over capped counts, without the index-0 exit."""
+def scan_rows(gains, s, targets, power):
+    """Reference: the plain scan over capped counts, without the overflow
+    guard, one row per target.
+
+    Each target's row is formed by elementwise operations only, so it has
+    the bits of the scan run on that target alone.
+    """
     g = np.sort(gains)[::-1]
     tail = np.cumsum(g[::-1] ** 2)[::-1]
+    t = np.array(targets, dtype=float)[:, None]
     if power:
-        mu = np.sqrt(np.maximum(target - np.arange(g.size) * (s * s), 0.0) / tail)
+        mu = np.sqrt(np.maximum(t - np.arange(g.size) * (s * s), 0.0) / tail)
     else:
         head = np.concatenate(([0.0], np.cumsum(g[:-1])))
-        mu = np.maximum(target - s * head, 0.0) / tail
-    fits = np.flatnonzero(mu * g <= s)
-    j = fits[0] if fits.size else g.size - 1
-    return np.minimum(mu[j] * gains, s)
+        mu = np.maximum(t - s * head, 0.0) / tail
+    fits = mu * g <= s
+    j = np.where(fits.any(axis=1), fits.argmax(axis=1), g.size - 1)
+    return np.minimum(mu[np.arange(t.shape[0]), j][:, None] * gains, s)
+
+
+def scan_capped_matched_filter(gains, s, target, power):
+    """``scan_rows`` at a single target."""
+    return scan_rows(gains, s, [target], power)[0]
 
 
 def uncapped_limit(gains, s, power):
@@ -569,13 +580,16 @@ def uncapped_limit(gains, s, power):
 
 
 class TestIndexZeroExit:
-    """The uncapped matched filter, tried first, returns the full scan's bits."""
+    """The capped scan returns the bits of the tests' independent
+    ``scan_rows``, from the uncapped matched filter (j = 0) and the edge of
+    the cap to every node capped."""
 
-    def assert_same_bits(self, gains, s, target, power):
+    def assert_same_bits(self, gains, s, targets, power):
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero tail[0] divides by zero
-            expected = scan_capped_matched_filter(gains, s, target, power)
-            got = _capped_matched_filter(gains, s, target, power)
-        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), (gains, s, target, power)
+            rows = scan_rows(gains, s, targets, power)
+            for target, expected in zip(targets, rows):
+                got = _capped_matched_filter(gains, s, target, power)
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), (gains, s, target, power)
 
     def test_random_instances(self):
         rng = np.random.default_rng(2020)
@@ -589,7 +603,7 @@ class TestIndexZeroExit:
             for power in (True, False):
                 full = n * s * s if power else s * float(gains.sum())  # every node at the cap
                 edge = uncapped_limit(gains, s, power)
-                for target in (
+                targets = (
                     0.0,
                     full,
                     full * (1 - 1e-15),
@@ -598,8 +612,8 @@ class TestIndexZeroExit:
                     edge * (1 + 2e-16),
                     float(rng.uniform(0.0, 1.0)) * min(edge, full),
                     float(rng.uniform(0.0, 1.0)) * full,
-                ):
-                    self.assert_same_bits(gains, s, min(target, full), power)
+                )
+                self.assert_same_bits(gains, s, [min(target, full) for target in targets], power)
 
     @pytest.mark.parametrize("power", [True, False], ids=["power", "amplitude"])
     @pytest.mark.parametrize(
@@ -616,7 +630,7 @@ class TestIndexZeroExit:
         ],
     )
     def test_hand_made_cases(self, gains, s, target, power):
-        self.assert_same_bits(np.array(gains), s, target, power)
+        self.assert_same_bits(np.array(gains), s, [target], power)
 
 
 class TestOverflowingScan:

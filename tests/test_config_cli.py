@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -376,6 +377,20 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--out", str(out1), "--workers", "1"]) == 0
         assert main(["run", "--config", str(cfg_path), "--out", str(out2), "--workers", "2"]) == 0
         assert (out1 / "rounds.csv").read_bytes() == (out2 / "rounds.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_library_warning_is_one_line(self, tmp_path, capsys, command):
+        # Shown under the "default" filter: no source location, no code line.
+        paths = []
+        for name in ("a", "b")[: 1 + (command == "compare")]:
+            paths += ["--config", str(tmp_path / f"{name}.json")]
+            Path(paths[-1]).write_text(json.dumps(tiny_config_dict(n=101, links=2, runs=2)))
+        shown = warnings.showwarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            assert main([command, *paths, "--out", str(tmp_path / "out")]) == 0
+            assert warnings.showwarning is shown
+        assert capsys.readouterr().err == "warning: 101 nodes do not split evenly into 2 links\n"
 
     def test_infeasible_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

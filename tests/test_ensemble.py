@@ -69,6 +69,14 @@ class TestRunEnsemble:
         run_ensemble(replace(cfg, runs=1), workers=64)
         assert sizes == [3]
 
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5], ids=["zero", "negative", "bool", "float"])
+    def test_workers_must_be_an_integer_of_at_least_one(self, workers):
+        cfg = small_scenario(runs=2)
+        with pytest.raises(ValueError, match=r"^workers: must be an integer of at least 1"):
+            run_ensemble(cfg, workers=workers)
+        with pytest.raises(ValueError, match=r"^workers: "):
+            compare_strategies([cfg, cfg], workers=workers)
+
     def test_surviving_runs_non_increasing(self):
         result = run_ensemble(small_scenario(runs=12, master_seed=11))
         assert result.surviving_runs[0] == 12

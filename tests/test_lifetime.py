@@ -991,6 +991,51 @@ def test_strategy_kernel_matches_the_solvers_bit_for_bit(kind, monkeypatch):
     assert len(scans) > 20  # the cap bound in many instances
 
 
+def cap_with_amplitude(s):
+    """The per-node cap whose ``math.sqrt`` is exactly ``s``."""
+    p = s * s
+    for _ in range(8):
+        if math.sqrt(p) == s:
+            return p
+        p = float(np.nextafter(p, math.inf if math.sqrt(p) < s else 0.0))
+    raise AssertionError(f"no cap has amplitude {s!r}")
+
+
+@pytest.mark.parametrize("kind", CENTRALIZED)
+@pytest.mark.parametrize("mask", ["full", "partial"])
+def test_strategy_kernel_at_the_edge_of_the_cap(kind, mask, monkeypatch):
+    # Cap amplitudes on the uncapped matched filter's largest weight and on
+    # the last floats either side of it: the kernel keeps the uncapped filter
+    # up to that weight, calls the scan just below it, and on every side
+    # writes the bits of the solvers, which run the plain scan.
+    scans = counted_calls(monkeypatch, "_capped_matched_filter")
+    rng = np.random.default_rng(28)
+    ch = lognormal_channel_stats(16.0)
+    for k in range(60):
+        n = int(rng.integers(9, 80))
+        gains = 10 ** (rng.normal(0.0, 4.0 + 10.0 * (k % 3), n) / 20)
+        active = rng.random(n) < 0.6 if mask == "partial" else np.ones(n, dtype=bool)
+        active[np.argsort(gains)[:2]] = True  # at least two distinct alive gains
+        alive = gains[active]
+        tail = float(np.cumsum(np.sort(alive) ** 2)[-1])  # the scan's tail[0]
+        noise = float(rng.choice([1.0, 1e-10]))
+        target_snr = float(rng.uniform(0.1, 100.0)) / noise
+        if kind == "centralized_min_power":
+            mu = math.sqrt(target_snr * noise) / tail
+        else:
+            budget = alive.size * cbepa_weight(target_snr, alive.size, ch, noise) ** 2
+            mu = math.sqrt(budget / tail)
+        edge = mu * float(alive.max())
+        for side, s in [(-1, np.nextafter(edge, 0.0)), (0, edge), (1, np.nextafter(edge, math.inf))]:
+            p_max = cap_with_amplitude(float(s))
+            if kind == "centralized_max_gain":
+                assert budget < alive.size * p_max  # the budget, not the cap, is spent
+            before = len(scans)
+            out, ref = ranked_kernel_weights(kind, gains, active, target_snr, noise, p_max, first_round=True)
+            assert out.tobytes() == ref.tobytes(), (k, side)
+            assert len(scans) - before == (side < 0), (k, side)
+
+
 def test_min_power_kernel_infeasible_in_round_one_and_after():
     gains = np.array([0.5, 2.0, 1.0, 0.25])
     active = np.array([True, False, True, True])
