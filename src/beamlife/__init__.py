@@ -42,13 +42,7 @@ from .energy import (
 )
 from .ensemble import ComparisonResult, EnsembleResult, compare_strategies, run_ensemble
 from .geometry import db_to_linear, linear_to_db, sample_channel, sample_phase_errors
-from .lifetime import (
-    LifetimeTrace,
-    bit_rate,
-    evaluate_death,
-    partition_cluster,
-    run_lifetime,
-)
+from .lifetime import LifetimeTrace, bit_rate, evaluate_death, run_lifetime
 
 # the names imported above, not the submodules that importing them bound
 __all__ = sorted(name for name, value in globals().items() if not (name[0] == "_" or isinstance(value, _ModuleType)))

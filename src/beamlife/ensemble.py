@@ -4,7 +4,9 @@ The run count and the master seed are scenario settings
 (``ScenarioConfig.runs`` and ``.master_seed``), validated with the rest of
 the scenario. Run i draws its generator from
 SeedSequence([master_seed, i]), so results are reproducible for a fixed
-master seed no matter how many workers execute the runs.
+master seed no matter how many workers execute the runs. The runs never
+warn: a scenario whose nodes do not split evenly into its links warns
+once, in the calling process, before any run starts.
 Round t of each curve averages the runs still alive in round t, and the
 SNR is averaged in the linear domain. Each run's curves are added into
 round-indexed sums in run order as the run finishes, which is the sum
@@ -18,6 +20,8 @@ which can differ in the last bit.
 from __future__ import annotations
 
 import numbers
+import os
+import warnings
 from dataclasses import dataclass
 from functools import partial
 
@@ -98,15 +102,19 @@ def run_ensemble(scenario, workers=1):
     run count or the seed with ``dataclasses.replace``. Round t of each
     curve averages the runs whose cluster was still alive in round t; the
     surviving-run count is reported alongside. ``workers``, an integer of
-    at least 1, runs the seeds in that many processes with the same result.
+    at least 1, runs the seeds in up to that many processes with the same
+    result. A scenario whose nodes do not split evenly into its links warns
+    here, once, before any run starts.
     """
     integral = isinstance(workers, numbers.Integral) and not isinstance(workers, bool)
     _check(integral and workers >= 1, "workers", f"must be an integer of at least 1, got {_echo(workers)}")
-    runs = scenario.runs
+    n, links, runs = scenario.n, scenario.links, scenario.runs
+    if n % links:
+        warnings.warn(f"{n} nodes do not split evenly into {links} links", stacklevel=2)
     run = partial(_run_indexed, scenario)
-    # Workers beyond the run count would sit idle, and a fork-based pool
-    # starts every one of them at the first submit.
-    workers = min(workers, runs)
+    # Workers beyond the run count or the CPUs would sit idle, and a
+    # fork-based pool starts every one of them at the first submit.
+    workers = min(workers, runs, os.cpu_count() or 1)
     if workers > 1:
         # imported here: the pool's modules add to every command's start-up
         from concurrent.futures import ProcessPoolExecutor

@@ -13,7 +13,8 @@ built. The loop relies on these invariants:
   node pays only what it holds, so normalized weights lie in [0, 1];
 - ``strategy.levels`` is 0 or a power of two, so quantized weights need
   no clip;
-- ``partition_cluster`` gives each link's members as a strided slice;
+- node i serves link i % k, so link l's members are the strided slice
+  ``slice(l, None, k)`` (on an uneven split, link sizes differ by one);
 - the assigned weights are zero at every dead node and at every member
   of a down link, so the round gates them as they are and those nodes
   stay funded at zero cost. ``gate_and_charge`` zeroes, in place, the
@@ -110,7 +111,6 @@ instead of copying it; the trace's per-round arrays are expanded by one
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +123,7 @@ from .allocation import (
 )
 
 from .energy import gate_and_charge, sample_initial_energies
-from .geometry import _at_least, _gains, db_to_linear, sample_channel, sample_phase_errors
+from .geometry import _gains, db_to_linear, sample_channel, sample_phase_errors
 
 # The engine calls none of these: the round loop inlines the three cb_pa
 # helpers, which cb_epa runs at unit weights, ``_strategy_weights`` inlines
@@ -138,27 +138,10 @@ from .geometry import carrier_phase, deploy_cluster, propagation_phase  # noqa: 
 
 __all__ = [
     "LifetimeTrace",
-    "partition_cluster",
     "evaluate_death",
     "bit_rate",
     "run_lifetime",
 ]
-
-
-def partition_cluster(n, k):
-    """Split ``n`` nodes round-robin into ``k`` disjoint link groups.
-
-    Node i serves link i % k, so link l's members are the strided slice
-    ``slice(l, None, k)``; returns one slice per link. Group sizes are n/k
-    when k divides n; otherwise sizes differ by one and a warning flags
-    the uneven split.
-    """
-    _at_least(k, 1, "need at least 1 link")
-    if not k <= n:
-        raise ValueError(f"cannot split {n} nodes into {k} links")
-    if n % k:
-        warnings.warn(f"{n} nodes do not split evenly into {k} links", stacklevel=2)
-    return [slice(l, None, k) for l in range(k)]
 
 
 def evaluate_death(dead_fraction, realized_snr_db, criteria, nominal_snr_db):
@@ -415,7 +398,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
     # unused, so that every seed keeps its channel, phase-error and energy
     # streams; one (2, n) draw takes the same numbers as two of n.
     rng.random((2, n))
-    member_idx = partition_cluster(n, k)
+    member_idx = [slice(l, None, k) for l in range(k)]
     channels = [sample_channel(n, scenario.shadowing_sigma2_db, rng) for _ in range(k)]
     phase_errors = sample_phase_errors(n, math.radians(scenario.phase_error_deg_bound), rng)
 
@@ -435,9 +418,8 @@ def run_lifetime(scenario, rng, record_nodes=False):
     # members keep zero weight and so stay alive, and the counts always sum
     # to the alive total.
     up_counts = list(link_sizes)
-    link_alive = [True] * k
     link_lifetimes = np.zeros(k, dtype=int)
-    causes = [None] * k
+    causes = [None] * k  # a link is up while its cause is None
     nominal_db = [math.nan] * k  # every link is up in round 1, which sets it
     assigned = np.zeros(n)  # zero at dead nodes and at down links' members
     consumed = 0.0
@@ -503,7 +485,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
                 # Each link up writes all its members; a down link's members
                 # were zeroed when it went down.
                 for l in range(k):
-                    if not link_alive[l]:
+                    if causes[l] is not None:
                         continue
                     if up_counts[l] == 0 or target_snr == 0.0:
                         assigned_at[l].fill(0.0)
@@ -555,7 +537,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
             rate_total = 0.0
             link_down = False
             for l in range(k):
-                if not link_alive[l]:
+                if causes[l] is not None:
                     continue
                 product = np.multiply(assigned_at[l], coherent[l], out=products[l])
                 snr = float(abs(np.add.reduce(product)) ** 2) / noise_power
@@ -567,7 +549,6 @@ def run_lifetime(scenario, rng, record_nodes=False):
                 dead_fraction = 1.0 - up_counts[l] / link_sizes[l]
                 cause = evaluate_death(dead_fraction, snr_db, scenario.death, nominal_db[l])
                 if cause is not None:
-                    link_alive[l] = False
                     link_lifetimes[l] = t
                     causes[l] = cause
                     assigned_at[l].fill(0.0)
@@ -585,7 +566,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
             j += 1
             if record_nodes:
                 node_alive_rows.append(alive.copy())
-            if not any(link_alive):
+            if None not in causes:
                 break
             if link_down:
                 continue
@@ -625,7 +606,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
     counts = np.array(counts)
 
     for l in range(k):
-        if link_alive[l]:
+        if causes[l] is None:
             link_lifetimes[l] = t
             causes[l] = "max_rounds"
 

@@ -370,7 +370,8 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
         assert not out.exists()
 
-    def test_worker_flag_does_not_change_outputs(self, tmp_path):
+    def test_worker_flag_does_not_change_outputs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool, even on one CPU
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config_dict()))
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -378,9 +379,13 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--out", str(out2), "--workers", "2"]) == 0
         assert (out1 / "rounds.csv").read_bytes() == (out2 / "rounds.csv").read_bytes()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("command", ["run", "compare"])
-    def test_library_warning_is_one_line(self, tmp_path, capsys, command):
-        # Shown under the "default" filter: no source location, no code line.
+    def test_library_warning_is_one_line(self, tmp_path, capfd, monkeypatch, command, workers):
+        # Shown under the "default" filter: no source location, no code line,
+        # and raised once by the caller, never by a worker. capfd, not
+        # capsys: a forked worker writes to its own copy of sys.stderr.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         paths = []
         for name in ("a", "b")[: 1 + (command == "compare")]:
             paths += ["--config", str(tmp_path / f"{name}.json")]
@@ -388,9 +393,9 @@ class TestCli:
         shown = warnings.showwarning
         with warnings.catch_warnings():
             warnings.simplefilter("default")
-            assert main([command, *paths, "--out", str(tmp_path / "out")]) == 0
+            assert main([command, *paths, "--out", str(tmp_path / "out"), "--workers", workers]) == 0
             assert warnings.showwarning is shown
-        assert capsys.readouterr().err == "warning: 101 nodes do not split evenly into 2 links\n"
+        assert capfd.readouterr().err == "warning: 101 nodes do not split evenly into 2 links\n"
 
     def test_infeasible_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,17 +1,43 @@
 """Ensemble alignment, determinism, and comparison tests."""
 
 import concurrent.futures
+import multiprocessing
+import os
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from beamlife.config import ConfigError, StrategySpec, preset, preset_names
+from beamlife.config import ConfigError, ScenarioConfig, StrategySpec, preset, preset_names
 from beamlife.ensemble import EnsembleResult, compare_strategies, run_ensemble
 from beamlife.geometry import linear_to_db
 from beamlife.lifetime import run_lifetime
 
 from test_lifetime import rng_for, small_scenario
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """The sizes of the pools ``run_ensemble`` asks for; a stand-in runs their jobs inline."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    # run_ensemble imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 class TestRunEnsemble:
@@ -34,7 +60,8 @@ class TestRunEnsemble:
         np.testing.assert_array_equal(a.alive_fraction, b.alive_fraction)
         np.testing.assert_array_equal(a.snr_db, b.snr_db)
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool, even on one CPU
         cfg = small_scenario()
         serial = run_ensemble(replace(cfg, runs=8, master_seed=5), workers=1)
         parallel = run_ensemble(replace(cfg, runs=8, master_seed=5), workers=2)
@@ -42,32 +69,42 @@ class TestRunEnsemble:
         np.testing.assert_array_equal(serial.alive_fraction, parallel.alive_fraction)
         np.testing.assert_array_equal(serial.residual_total, parallel.residual_total)
 
-    def test_pool_never_exceeds_run_count(self, monkeypatch):
+    def test_pool_never_exceeds_run_count(self, monkeypatch, recorded_pools):
         # A fork-based pool starts all its workers at the first submit, so
-        # the pool is sized to the runs; this stand-in runs jobs inline.
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
-        # run_ensemble imports the pool from concurrent.futures when it needs one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        # the pool is sized to the runs.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         cfg = small_scenario()
         pooled = run_ensemble(replace(cfg, runs=3), workers=64)
-        assert sizes == [3]
+        assert recorded_pools == [3]
         np.testing.assert_array_equal(pooled.lifetimes, run_ensemble(replace(cfg, runs=3)).lifetimes)
         run_ensemble(replace(cfg, runs=1), workers=64)
-        assert sizes == [3]
+        assert recorded_pools == [3]
+
+    @pytest.mark.parametrize("cpus, sizes", [(3, [3]), (1, []), (None, [])], ids=["three", "one", "unknown"])
+    def test_pool_never_exceeds_cpu_count(self, monkeypatch, recorded_pools, cpus, sizes):
+        # os.cpu_count() may return None; one CPU, or an unknown count, runs serially
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = small_scenario(runs=8)
+        pooled = run_ensemble(cfg, workers=5000)
+        assert recorded_pools == sizes
+        np.testing.assert_array_equal(pooled.lifetimes, run_ensemble(cfg).lifetimes)
+
+    def test_uneven_split_warns_once_and_spawned_workers_stay_silent(self, monkeypatch, capfd):
+        # A spawned worker keeps neither the caller's warning filters nor its
+        # registry, so a warning raised in a run would print there, with a
+        # source line, once per worker.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        spawn = partial(concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn)
+        cfg = ScenarioConfig(n=101, links=2, runs=4)
+        message = r"^101 nodes do not split evenly into 2 links$"
+        with pytest.warns(UserWarning, match=message) as serial_warnings:
+            serial = run_ensemble(cfg)
+        with pytest.warns(UserWarning, match=message) as pooled_warnings:
+            pooled = run_ensemble(cfg, workers=2)
+        assert len(serial_warnings) == len(pooled_warnings) == 1
+        np.testing.assert_array_equal(pooled.lifetimes, serial.lifetimes)
+        assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("workers", [0, -3, True, 2.5], ids=["zero", "negative", "bool", "float"])
     def test_workers_must_be_an_integer_of_at_least_one(self, workers):
@@ -133,9 +170,10 @@ def nanmean_reduction(traces):
     "name, runs, workers",
     [("pa-uniform", 40, 1), ("epa-uniform", 40, 1), ("multi-link", 40, 1), ("pa-uniform", 1, 1), ("pa-uniform", 6, 2)],
 )
-def test_run_order_fold_has_nanmean_bits(name, runs, workers):
+def test_run_order_fold_has_nanmean_bits(monkeypatch, name, runs, workers):
     # adding each run's curves in run order is nanmean's axis-0 sum over the
     # padded matrix, so every curve keeps its bits
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool, even on one CPU
     cfg = replace(preset(name), runs=runs)
     traces = [run_lifetime(cfg, rng_for(cfg.master_seed, i)) for i in range(runs)]
     if name == "multi-link":

@@ -34,7 +34,7 @@ from beamlife.config import (
 )
 from beamlife.energy import sample_initial_energies
 from beamlife.geometry import db_to_linear, sample_channel, sample_phase_errors
-from beamlife.lifetime import LifetimeTrace, bit_rate, evaluate_death, partition_cluster, run_lifetime
+from beamlife.lifetime import LifetimeTrace, bit_rate, evaluate_death, run_lifetime
 
 
 def rng_for(seed, index=0):
@@ -87,33 +87,14 @@ class TestStrategyAndCriteria:
 
 
 def members(n, k, link):
-    return np.arange(n)[partition_cluster(n, k)[link]]
+    """The nodes that serve ``link``: node i serves link i % k."""
+    return np.arange(link, n, k)
 
 
-def link_mask(n, idx):
+def link_mask(n, k, link):
     mask = np.zeros(n, dtype=bool)
-    mask[idx] = True
+    mask[members(n, k, link)] = True
     return mask
-
-
-class TestPartition:
-    def test_even_split(self):
-        # node i serves link i % k
-        for l in range(2):
-            np.testing.assert_array_equal(members(100, 2, l), np.flatnonzero(np.arange(100) % 2 == l))
-
-    def test_identity(self):
-        np.testing.assert_array_equal(members(10, 1, 0), np.arange(10))
-
-    def test_too_many_links(self):
-        with pytest.raises(ValueError):
-            partition_cluster(3, 4)
-
-    def test_uneven_split_warns(self):
-        with pytest.warns(UserWarning):
-            part = partition_cluster(10, 3)
-        sizes = sorted(np.arange(10)[idx].size for idx in part)
-        assert sizes == [3, 3, 4]
 
 
 class TestDeathRule:
@@ -438,7 +419,9 @@ def test_engine_matches_naive_replay_between_reallocations(strategy, seed):
     assert_matches_naive_replay(small_scenario(strategy=strategy), seed)
 
 
-@pytest.mark.parametrize("n, k", [(100, 2), (99, 3)], ids=["2-links", "3-links"])
+@pytest.mark.parametrize(
+    "n, k", [(100, 2), (99, 3), (101, 2), (100, 3)], ids=["2-links", "3-links", "uneven-2-links", "uneven-3-links"]
+)
 @pytest.mark.parametrize("seed", range(3))
 def test_multi_link_round_one_snr_matches_setup_replay(n, k, seed):
     # A link's SNR sums its own funded members over their own channel draw,
@@ -467,10 +450,10 @@ def test_multi_link_round_one_snr_matches_setup_replay(n, k, seed):
     phases = rng.uniform(-bound, bound, n)
     energies = rng.uniform(0.0, cfg.energy.e_max, n)
     for l in range(k):
-        members = np.arange(l, n, k)
-        na = members.size
+        idx = members(n, k, l)
+        na = idx.size
         w = min(math.sqrt(cfg.target_snr_linear() * noise / (na * v_a + na * na * m_a * m_a)), math.sqrt(cfg.p_max))
-        funded = members[energies[members] >= w * w * cfg.t_slot_s]
+        funded = idx[energies[idx] >= w * w * cfg.t_slot_s]
         field = np.sum(w * gains[l][funded] * np.exp(1j * phases[funded]))
         expected = 10 * math.log10(abs(field) ** 2 / noise)
         assert trace.snr_db[0, l] == pytest.approx(expected, rel=1e-12), f"link {l}"
@@ -482,10 +465,9 @@ def helper_chain_weights(cfg, residuals, alive, up_links):
     noise = db_to_linear(cfg.noise_db)
     gamma = cfg.target_snr_linear()
     ch = lognormal_channel_stats(cfg.shadowing_sigma2_db)
-    idx = partition_cluster(cfg.n, cfg.links)
     w = np.zeros(cfg.n)
     for l in up_links:
-        active = alive & link_mask(cfg.n, idx[l])
+        active = alive & link_mask(cfg.n, cfg.links, l)
         n_alive = int(active.sum())
         if n_alive == 0:
             continue
@@ -554,11 +536,10 @@ def round_charges(cfg, trace, t, initial, gains):
         w = helper_chain_weights(cfg, residuals, alive, up)
     else:
         ch = lognormal_channel_stats(cfg.shadowing_sigma2_db)
-        idx = partition_cluster(cfg.n, cfg.links)
         w = np.zeros(cfg.n)
         gamma, noise, cap = cfg.target_snr_linear(), db_to_linear(cfg.noise_db), math.sqrt(cfg.p_max)
         for l in up:
-            active = alive & link_mask(cfg.n, idx[l])
+            active = alive & link_mask(cfg.n, cfg.links, l)
             na = int(active.sum())
             w0 = cbepa_weight(gamma, na, ch, noise)
             if cfg.strategy.kind == "cb_epa":
@@ -609,7 +590,6 @@ def clipped_uneven_links():
     return replace(cfg, p_max=(1.01 * w6 / e0) ** 2, t_slot_s=e0 / (30 * w6**2))
 
 
-@pytest.mark.filterwarnings("ignore:13 nodes do not split evenly")
 @pytest.mark.parametrize(
     "case",
     [
@@ -1102,7 +1082,6 @@ def rounds_that_gate(cfg, trace, initial):
     the last allocation. Any other round repeats the last one, so it gates
     only if some node dies in it.
     """
-    idx = partition_cluster(cfg.n, cfg.links)
     starts = np.vstack([initial, trace.node_residuals[:-1]])
     alive = np.vstack([np.ones(cfg.n, dtype=bool), trace.node_alive])
     alive_counts = alive.sum(axis=1)  # alive_counts[t]: after round t
@@ -1110,7 +1089,7 @@ def rounds_that_gate(cfg, trace, initial):
     def levels(t):
         return [
             quantize_weights(
-                cbpa_normalized_weights(starts[t - 1][alive[t - 1] & link_mask(cfg.n, idx[l])], cfg.energy.e_max),
+                cbpa_normalized_weights(starts[t - 1][alive[t - 1] & link_mask(cfg.n, cfg.links, l)], cfg.energy.e_max),
                 cfg.strategy.levels,
             )
             for l in range(cfg.links)
