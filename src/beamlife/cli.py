@@ -34,18 +34,6 @@ _RUN_BYTES = 2**30
 _NODE_VECTORS = 16
 
 
-def _resolve_scenario(args):
-    if args.config and args.preset:
-        raise ConfigError("give either --config or --preset, not both")
-    if args.config:
-        cfg = load_config(args.config)
-    elif args.preset:
-        cfg = preset(args.preset)
-    else:
-        cfg = preset("pa-uniform")
-    return cfg
-
-
 def _with_overrides(cfg, runs, seed):
     """Apply ``--runs``/``--seed`` to the scenario, so its manifest reproduces
     the run, and refuse an ``n`` whose per-run arrays exceed ``_RUN_BYTES``."""
@@ -57,6 +45,17 @@ def _with_overrides(cfg, runs, seed):
         )
     seed = cfg.master_seed if seed is None else seed
     return replace(cfg, runs=cfg.runs if runs is None else runs, master_seed=seed)
+
+
+def _scenarios(args):
+    """Labels and scenarios of ``--preset``/``--config`` in command-line order (``pa-uniform`` if none), each
+    at the first one's run count and master seed after ``--runs``/``--seed``: a comparison's paired seeds."""
+    labels, configs = [], []
+    for flag, value in args.sources or [("preset", "pa-uniform")]:
+        labels.append(value if flag == "preset" else Path(value).stem)
+        configs.append(preset(value) if flag == "preset" else load_config(value))
+    first = _with_overrides(configs[0], args.runs, args.seed)
+    return labels, [_with_overrides(cfg, first.runs, first.master_seed) for cfg in configs]
 
 
 def _causes_line(result):
@@ -111,7 +110,9 @@ def _write_ensemble_dir(out, result, cfg):
 
 
 def _cmd_run(args):
-    cfg = _with_overrides(_resolve_scenario(args), args.runs, args.seed)
+    if len(args.sources or ()) > 1:
+        raise ConfigError(f"run takes one scenario, got {len(args.sources)} (--preset/--config); compare takes several")
+    _, (cfg,) = _scenarios(args)
     result = run_ensemble(cfg, workers=args.workers)
     out = Path(args.out)
     _write_ensemble_dir(out, result, cfg)
@@ -125,22 +126,14 @@ def _cmd_run(args):
 
 
 def _cmd_compare(args):
-    sources = []
-    for name in args.preset or []:
-        sources.append((name, preset(name)))
-    for path in args.config or []:
-        sources.append((Path(path).stem, load_config(path)))
-    if len(sources) < 2:
+    labels, scenarios = _scenarios(args)
+    if len(scenarios) < 2:
         raise ConfigError("compare needs at least two scenarios (--preset/--config, repeatable)")
-    labels = [name for name, _ in sources]
     for label in labels:
         if labels.count(label) > 1:
             raise ConfigError(f"scenario label {label!r} given twice; both would write to {label}/")
         if label in (".", ".."):  # the stems of "..json" and "...json"
             raise ConfigError(f"scenario label {label!r} names no directory of its own under --out; rename its file")
-    # paired seeds: every scenario runs the first one's run count and master seed
-    first = _with_overrides(sources[0][1], args.runs, args.seed)
-    scenarios = [_with_overrides(cfg, first.runs, first.master_seed) for _, cfg in sources]
     comparison = compare_strategies(scenarios, workers=args.workers, labels=labels)
     out = Path(args.out)
     for label, cfg, ensemble in zip(labels, scenarios, comparison.ensembles):
@@ -191,15 +184,19 @@ def build_parser():
     common.add_argument("--runs", type=int, help="override the configured run count")
     common.add_argument("--seed", type=int, help="override the configured master seed")
     common.add_argument("--workers", type=int, default=1, help="parallel workers (does not affect results)")
+    # one list of scenarios, in command-line order, each tagged by its flag
+    common.add_argument("--preset", action="append", dest="sources", type=lambda v: ("preset", v), metavar="NAME",
+                        help="named preset scenario (see 'presets'), labelled by its name")
+    common.add_argument("--config", action="append", dest="sources", type=lambda v: ("config", v), metavar="PATH",
+                        help="scenario config JSON or a previous run's manifest, labelled by the file's stem")
 
-    run_p = sub.add_parser("run", parents=[common], help="run one scenario ensemble and write CSV tables")
-    run_p.add_argument("--config", help="scenario config JSON (or a previous run manifest)")
-    run_p.add_argument("--preset", help="named preset scenario (see 'presets')")
+    run_p = sub.add_parser("run", parents=[common], help="run one scenario ensemble and write CSV tables",
+                           description="Run one scenario: one --preset or --config, pa-uniform if neither.")
     run_p.set_defaults(func=_cmd_run)
 
-    cmp_p = sub.add_parser("compare", parents=[common], help="paired-seed comparison of two or more scenarios")
-    cmp_p.add_argument("--preset", action="append", help="preset name (repeatable)")
-    cmp_p.add_argument("--config", action="append", help="config path (repeatable)")
+    cmp_p = sub.add_parser("compare", parents=[common], help="paired-seed comparison of two or more scenarios",
+                           description="Compare scenarios in the order their --preset/--config flags are given; the "
+                           "first is the baseline and sets every scenario's run count and master seed.")
     cmp_p.set_defaults(func=_cmd_compare)
 
     presets_p = sub.add_parser("presets", help="list the built-in scenario presets")

@@ -260,6 +260,7 @@ def load_config(path):
         raise ConfigError(f"{path}: integer too long to read ({exc})") from exc
     if isinstance(data, dict) and "config" in data and "artifact_version" in data:
         data = data["config"]  # a run manifest round-trips as a config
+        _check(isinstance(data, dict), "config", "must be an object")
     return from_dict(data)
 
 

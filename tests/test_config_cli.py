@@ -466,6 +466,8 @@ class TestCli:
             pytest.param({"n": 10**10, "runs": 1, "max_rounds": 5}, "n", id="n-over-memory-budget"),
             pytest.param({"n": 7_500_000, "links": 2, "runs": 1, "max_rounds": 5}, "n", id="n-two-links-over-budget"),
             pytest.param({"n": 10**150, "runs": 1}, "n", id="n-huge-over-budget"),
+            # a manifest whose config is not an object
+            pytest.param({"artifact_version": "0.1.0", "config": [1, 2]}, "config", id="manifest-config-not-an-object"),
         ],
     )
     def test_malformed_value_exits_with_key_path(self, tmp_path, capsys, data, path):
@@ -590,6 +592,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: n: ")
         assert "'n10'" in err and "'n20'" in err
+        assert not out.exists()
+
+    def test_compare_takes_scenarios_in_command_line_order(self, tmp_path):
+        # the first scenario given is the baseline and sets every scenario's run count and master seed
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps({"n": 100, "runs": 3, "master_seed": 5}))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(a), "--preset", "quant-2", "--out", str(out)]) == 0
+        with open(out / "comparison.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["scenario"] for row in rows] == ["a", "quant-2"]
+        assert float(rows[0]["lifetime_ratio"]) == 1.0
+        manifest = json.loads((out / "quant-2" / "manifest.json").read_text())
+        assert (manifest["runs"], manifest["master_seed"]) == (3, 5)
+        assert (manifest["config"]["runs"], manifest["config"]["master_seed"]) == (3, 5)
+
+    @pytest.mark.parametrize(
+        "scenarios",
+        [["--preset", "quant-2", "--preset", "epa-uniform"], ["--config", "a.json", "--preset", "pa-uniform"]],
+        ids=["two-presets", "config-and-preset"],
+    )
+    def test_run_refuses_a_second_scenario(self, tmp_path, capsys, scenarios):
+        (tmp_path / "a.json").write_text(json.dumps(tiny_config_dict()))
+        scenarios = [str(tmp_path / v) if v.endswith(".json") else v for v in scenarios]
+        out = tmp_path / "out"
+        assert main(["run", *scenarios, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run takes one scenario") and err.count("\n") == 1
         assert not out.exists()
 
     def test_compare_needs_two(self, tmp_path):

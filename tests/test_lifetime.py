@@ -271,7 +271,12 @@ def naive_single_link_replay(cfg, rng):
     gains = 10.0 ** (shadow / 20)
     bound = math.radians(cfg.phase_error_deg_bound)
     phases = rng.uniform(-bound, bound, n) if bound > 0 else np.zeros(n)
-    energies = rng.uniform(0.0, cfg.energy.e_max, n)
+    if cfg.energy.kind == "uniform":
+        energies = rng.uniform(0.0, cfg.energy.e_max, n)
+    else:  # gaussian, clamped into [0, e_max]; at sigma 0 nothing is drawn
+        sigma = cfg.energy.sigma
+        draws = rng.normal(cfg.energy.mean, sigma, n) if sigma > 0 else np.full(n, cfg.energy.mean)
+        energies = np.clip(draws, 0.0, cfg.energy.e_max)
 
     coherent = gains * np.exp(1j * phases)
     e = energies.copy()
@@ -417,6 +422,33 @@ def test_engine_matches_naive_replay(case, seed):
 def test_engine_matches_naive_replay_between_reallocations(strategy, seed):
     # Rounds between reallocations are the ones the engine steps in bulk.
     assert_matches_naive_replay(small_scenario(strategy=strategy), seed)
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        StrategySpec(kind="cb_epa", levels=0, period=2),
+        StrategySpec(kind="cb_epa", levels=0, period=10**9),
+        StrategySpec(kind="cb_pa", levels=8, period=1),
+        StrategySpec(kind="cb_pa", levels=0, period=10**9),
+        StrategySpec(kind="centralized_min_power", levels=0, period=2),
+        StrategySpec(kind="centralized_min_power", levels=0, period=10**9),
+        StrategySpec(kind="centralized_max_gain", levels=0, period=3),
+        StrategySpec(kind="centralized_max_gain", levels=0, period=10**9),
+    ],
+    ids=[
+        "cb_epa-2", "cb_epa-one-shot", "cb_pa-1", "cb_pa-one-shot",
+        "min_power-2", "min_power-one-shot", "max_gain-3", "max_gain-one-shot",
+    ],
+)
+@pytest.mark.parametrize("sigma", [0.15, 0.4, 0.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_engine_matches_naive_replay_on_gaussian_energy(strategy, sigma, seed):
+    # At sigma 0.4 about a fifth of the nodes start clamped at exactly 0 or
+    # e_max, which uniform draws never give; at sigma 0 every node starts at
+    # the mean, so equal weights die in one round.
+    energy = EnergySpec(kind="gaussian", e_max=1.0, mean=0.5, sigma=sigma)
+    assert_matches_naive_replay(small_scenario(energy=energy, strategy=strategy), seed)
 
 
 @pytest.mark.parametrize(
