@@ -5,44 +5,32 @@ residual battery energy, scaled in closed form to hold a target average
 SNR) against equal power allocation and centralized optimal baselines,
 under log-normal shadowing, carrier phase errors, weight quantization and
 multi-destination operation.
+
+The package root holds the scenario, the runs and their results; the
+lower-level helpers are imported from their submodules, such as
+``beamlife.allocation`` and ``beamlife.geometry``.
 """
 
 __version__ = "0.1.0"
 
-from types import ModuleType as _ModuleType
-
-from .allocation import (
-    ChannelStats,
-    InfeasibleAllocationError,
-    ReiStats,
-    analytic_average_snr,
-    cbepa_weight,
-    cbpa_normalized_weights,
-    compute_wmax,
-    lognormal_channel_stats,
-    quantize_weights,
-    solve_max_gain,
-    solve_min_power,
-)
-from .config import (
-    ConfigError,
-    DeathSpec,
-    EnergySpec,
-    ScenarioConfig,
-    StrategySpec,
-    load_config,
-    preset,
-    preset_description,
-    preset_names,
-)
-from .energy import (
-    LinkBudget,
-    required_tx_power_db,
-    sample_initial_energies,
-)
+from .allocation import InfeasibleAllocationError
+from .config import ConfigError, DeathSpec, EnergySpec, ScenarioConfig, StrategySpec, load_config, preset
 from .ensemble import ComparisonResult, EnsembleResult, compare_strategies, run_ensemble
-from .geometry import db_to_linear, linear_to_db, sample_channel, sample_phase_errors
-from .lifetime import LifetimeTrace, bit_rate, evaluate_death, run_lifetime
+from .lifetime import LifetimeTrace, run_lifetime
 
-# the names imported above, not the submodules that importing them bound
-__all__ = sorted(name for name, value in globals().items() if not (name[0] == "_" or isinstance(value, _ModuleType)))
+__all__ = [
+    "preset",
+    "load_config",
+    "ScenarioConfig",
+    "EnergySpec",
+    "StrategySpec",
+    "DeathSpec",
+    "run_lifetime",
+    "LifetimeTrace",
+    "run_ensemble",
+    "EnsembleResult",
+    "compare_strategies",
+    "ComparisonResult",
+    "ConfigError",
+    "InfeasibleAllocationError",
+]

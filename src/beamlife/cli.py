@@ -132,7 +132,7 @@ def _cmd_compare(args):
     for label in labels:
         if labels.count(label) > 1:
             raise ConfigError(f"scenario label {label!r} given twice; both would write to {label}/")
-        if label in (".", ".."):  # the stems of "..json" and "...json"
+        if label in (".", "..", "comparison.csv"):  # stems of "..json", "...json", "comparison.csv.json"
             raise ConfigError(f"scenario label {label!r} names no directory of its own under --out; rename its file")
     comparison = compare_strategies(scenarios, workers=args.workers, labels=labels)
     out = Path(args.out)

@@ -1,4 +1,4 @@
-"""Node energy accounting: initial budgets, slot costs and the link budget.
+"""Node energy accounting: initial budgets and slot costs.
 
 Only the amplifier energy of a transmission slot is modeled; transceiver
 electronics draw the same for every strategy and are left out.
@@ -6,19 +6,11 @@ electronics draw the same for every strategy and are left out.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .geometry import _at_least, _finite, _positive
+from .geometry import _at_least
 
-__all__ = [
-    "LinkBudget",
-    "sample_initial_energies",
-    "required_tx_power_db",
-    "gate_and_charge",
-]
+__all__ = ["sample_initial_energies", "gate_and_charge"]
 
 
 def sample_initial_energies(spec, n, rng):
@@ -32,34 +24,6 @@ def sample_initial_energies(spec, n, rng):
         return rng.uniform(0.0, spec.e_max, n)
     draws = rng.normal(spec.mean, spec.sigma, n) if spec.sigma > 0 else np.full(n, spec.mean)
     return np.clip(draws, 0.0, spec.e_max)
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Free-space link budget parameters (dB bookkeeping)."""
-
-    pl0_db: float       # path loss at the reference distance
-    alpha: float        # path loss exponent
-    distance_m: float   # link distance
-    d0_m: float = 1.0   # reference distance
-    noise_db: float = -100.0
-
-    def __post_init__(self):
-        _positive(self.alpha, "path loss exponent must be positive")
-        _finite((self.pl0_db, self.noise_db), f"pl0_db and noise_db must be finite, got {self.pl0_db}, {self.noise_db}")
-        if not math.inf > self.distance_m >= self.d0_m > 0:
-            raise ValueError(f"need distance >= d0 > 0, got distance {self.distance_m}, d0 {self.d0_m}")
-
-
-def required_tx_power_db(budget, target_snr_db):
-    """Total transmit power (dB) that compensates path loss for a target SNR.
-
-    The received power is target SNR plus noise power, then the reference
-    path loss and the distance term are added back.
-    """
-    _finite(target_snr_db, f"target SNR must be finite, got {target_snr_db}")
-    p_rx = target_snr_db + budget.noise_db
-    return p_rx + budget.pl0_db + 10.0 * budget.alpha * math.log10(budget.distance_m / budget.d0_m)
 
 
 def gate_and_charge(residual, weights, slot_length):

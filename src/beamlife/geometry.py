@@ -2,8 +2,8 @@
 
 All distances are expressed in carrier wavelengths, so the wavelength drops
 out of every phase expression. Per-node channel gains model shadowing only
-and have 0 dB (log-)mean; deterministic path loss is accounted for in the
-link budget instead (see :mod:`beamlife.energy`).
+and have 0 dB (log-)mean; a scenario sets its noise power ``noise_db``
+directly, so no path loss is modeled.
 """
 
 from __future__ import annotations

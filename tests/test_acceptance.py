@@ -21,7 +21,6 @@ from beamlife.allocation import (
     solve_min_power,
 )
 from beamlife.config import EnergySpec, ScenarioConfig, StrategySpec, preset
-from beamlife.energy import LinkBudget, required_tx_power_db
 from beamlife.ensemble import compare_strategies, run_ensemble
 from beamlife.lifetime import run_lifetime
 
@@ -66,13 +65,6 @@ def quantization_study():
         levels: preset_ensemble(f"quant-{levels}")
         for levels in (2, 4, 8)
     }
-
-
-def test_criterion_1_link_budget():
-    budget = LinkBudget(pl0_db=40.0, alpha=2.0, distance_m=1000.0, d0_m=1.0, noise_db=-100.0)
-    value = required_tx_power_db(budget, 11.76)
-    check(1, "required transmit power at the preset operating point",
-          f"{value:.12f} dB vs 11.76 dB", abs(value - 11.76) < 1e-9)
 
 
 def _empirical_mean_snr(seed, n, sigma2, scale, with_energy, draws=100_000):

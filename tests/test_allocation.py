@@ -27,7 +27,6 @@ from beamlife.allocation import (
     solve_max_gain,
     solve_min_power,
 )
-from beamlife.energy import LinkBudget, required_tx_power_db
 from beamlife.geometry import sample_channel, sample_phase_errors
 from beamlife.lifetime import bit_rate
 
@@ -708,10 +707,6 @@ ONE_ARGUMENT = {
     "analytic_average_snr-scale": lambda x: analytic_average_snr(x, 10, REI, CH, NOISE),
     "sample_channel-sigma2_db": lambda x: sample_channel(3, x, np.random.default_rng(0)),
     "sample_phase_errors-bound_rad": lambda x: sample_phase_errors(3, x, np.random.default_rng(0)),
-    "LinkBudget-alpha": lambda x: LinkBudget(pl0_db=40.0, alpha=x, distance_m=10.0),
-    "LinkBudget-pl0_db": lambda x: LinkBudget(pl0_db=x, alpha=2.0, distance_m=10.0),
-    "LinkBudget-noise_db": lambda x: LinkBudget(pl0_db=40.0, alpha=2.0, distance_m=10.0, noise_db=x),
-    "required_tx_power_db-target_snr_db": lambda x: required_tx_power_db(LinkBudget(40.0, 2.0, 10.0), x),
     "bit_rate": lambda x: bit_rate(x),
 }
 

@@ -571,9 +571,12 @@ class TestCli:
         assert "'pa-uniform'" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("name, label", [("...json", ".."), ("..json", ".")])
+    @pytest.mark.parametrize(
+        "name, label", [("...json", ".."), ("..json", "."), ("comparison.csv.json", "comparison.csv")]
+    )
     def test_compare_rejects_dot_labels(self, tmp_path, capsys, name, label):
-        # label ".." would write its ensemble beside --out, "." beside comparison.csv
+        # label ".." would write its ensemble beside --out, "." beside comparison.csv, and
+        # "comparison.csv" into the directory that the comparison table is then written over
         (tmp_path / "cfg").mkdir()
         dots, b = tmp_path / "cfg" / name, tmp_path / "cfg" / "b.json"
         dots.write_text(json.dumps(tiny_config_dict()))

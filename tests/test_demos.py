@@ -4,6 +4,7 @@ Each runs a small ensemble cleanly. Both use only the public API, so a
 change that narrows it, or that makes a run warn, fails here.
 """
 
+import importlib
 import os
 import re
 import subprocess
@@ -45,15 +46,41 @@ def test_readme_library_block_runs(capsys):
 
 
 def test_public_api_is_what_the_readme_and_demos_use():
-    # Geometry the engine never reads stays importable from beamlife.geometry
-    # but is not part of the package's API.
+    # The root exports what the README block and the demos call, plus the scenario
+    # loader and the scenario, result and error types that they hand around; every
+    # other helper is imported from its submodule, such as beamlife.allocation.
     used = set(re.findall(r"\bbl\.(\w+)", readme_library_block()))
     for demo in DEMOS:
         for names in re.findall(r"^from beamlife import (.+)$", demo.read_text(encoding="utf-8"), re.MULTILINE):
             used.update(name.strip() for name in names.split(","))
     assert {"preset", "run_lifetime", "run_ensemble", "compare_strategies"} <= used
-    assert used <= set(beamlife.__all__)
-    hidden = {"Destination", "FarFieldWarning", "PolarPoint", "carrier_phase", "deploy_cluster", "far_field_distance"}
-    assert not hidden & set(beamlife.__all__)
+    named = {
+        "load_config", "ScenarioConfig", "EnergySpec", "StrategySpec", "DeathSpec",
+        "LifetimeTrace", "EnsembleResult", "ComparisonResult", "ConfigError", "InfeasibleAllocationError",
+    }
+    assert sorted(beamlife.__all__) == sorted(used | named)
     # `from beamlife import *` binds no submodule, such as `config`
     assert not [name for name in beamlife.__all__ if isinstance(getattr(beamlife, name), types.ModuleType)]
+
+
+# The lower-level helpers: public in their submodules, not re-exported by the root.
+SUBMODULE_HELPERS = {
+    "allocation": [
+        "ChannelStats", "ReiStats", "analytic_average_snr", "cbepa_weight", "cbpa_normalized_weights",
+        "compute_wmax", "lognormal_channel_stats", "quantize_weights", "solve_max_gain", "solve_min_power",
+    ],
+    "config": ["preset_description", "preset_names"],
+    "energy": ["sample_initial_energies"],
+    "geometry": ["db_to_linear", "linear_to_db", "sample_channel", "sample_phase_errors"],
+    "lifetime": ["bit_rate", "evaluate_death"],
+}
+HELPERS = [(module, name) for module, names in SUBMODULE_HELPERS.items() for name in names]
+
+
+@pytest.mark.parametrize("module, name", HELPERS, ids=[f"{module}.{name}" for module, name in HELPERS])
+def test_helper_is_imported_from_its_submodule(module, name):
+    submodule = importlib.import_module(f"beamlife.{module}")
+    assert name in submodule.__all__
+    assert callable(getattr(submodule, name))
+    assert name not in beamlife.__all__
+    assert not hasattr(beamlife, name)

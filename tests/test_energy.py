@@ -6,7 +6,7 @@ import pytest
 from beamlife import lifetime
 from beamlife.allocation import cbepa_weight, lognormal_channel_stats
 from beamlife.config import ConfigError, EnergySpec, ScenarioConfig, StrategySpec
-from beamlife.energy import LinkBudget, gate_and_charge, required_tx_power_db, sample_initial_energies
+from beamlife.energy import gate_and_charge, sample_initial_energies
 from beamlife.geometry import db_to_linear
 from beamlife.lifetime import run_lifetime
 
@@ -49,27 +49,6 @@ class TestSlotEnergy:
             _, _, consumed = gate_and_charge(residual, np.array([w]), slot)
             assert consumed == pytest.approx(cost)
             assert residual[0] == pytest.approx(1.0 - cost)
-
-
-class TestLinkBudget:
-    def test_headline_operating_point_exact(self):
-        budget = LinkBudget(pl0_db=40.0, alpha=2.0, distance_m=1000.0, d0_m=1.0, noise_db=-100.0)
-        assert abs(required_tx_power_db(budget, 11.76) - 11.76) < 1e-9
-
-    def test_reference_distance(self):
-        budget = LinkBudget(pl0_db=0.0, alpha=2.0, distance_m=1.0, d0_m=1.0, noise_db=-20.0)
-        assert required_tx_power_db(budget, 20.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_cubic_exponent(self):
-        # -90 received + 40 reference + 10*3*log10(100) = 10 dB
-        budget = LinkBudget(pl0_db=40.0, alpha=3.0, distance_m=100.0, d0_m=1.0, noise_db=-100.0)
-        assert required_tx_power_db(budget, 10.0) == pytest.approx(10.0, abs=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LinkBudget(pl0_db=40.0, alpha=0.0, distance_m=10.0)
-        with pytest.raises(ValueError):
-            LinkBudget(pl0_db=40.0, alpha=2.0, distance_m=0.5, d0_m=1.0)
 
 
 class TestChargeRound:
