@@ -214,6 +214,9 @@ def validate(cfg):
     noise = _linear_or_inf(lambda: db_to_linear(cfg.noise_db))
     _check(0 < noise < math.inf, "noise_db",
            f"the linear noise power of {cfg.noise_db} dB must be finite and positive, got {noise}")
+    # 2**64 of headroom below the float maximum for the realized received power
+    _check(cfg.target_snr_linear() * noise <= 2.0**960, target_key,
+           "too large: the target received power, target SNR times noise power, exceeds 2**960")
     _check(cfg.shadowing_sigma2_db >= 0, "shadowing_sigma2_db", "must be non-negative")
     _check(_channel_moments_finite(cfg), "shadowing_sigma2_db",
            f"too large: the channel gain moments overflow at n={n}")
@@ -229,9 +232,14 @@ def validate(cfg):
         )
     _check(cfg.energy.sigma >= 0, "energy.sigma", "must be non-negative")
     _check(cfg.strategy.kind in STRATEGY_KINDS, "strategy.kind", f"unknown kind {_echo(cfg.strategy.kind)}")
+    # n * levels <= 2**53 keeps level sums exact integers, and a normal e_max / levels
+    # is exact (lifetime docstring); an n past 2**53 fails at any levels, under n
+    _check(cfg.n <= 2**53, "n", f"must be at most 2**53, got {n}")
     levels = cfg.strategy.levels
-    _check(0 <= levels < 2**1024 and (levels == 0 or levels & (levels - 1) == 0), "strategy.levels",
-           f"must be 0 or a power of two below 2**1024 (a finite float), got {_echo(levels)}")
+    _check(levels == 0 or (0 < levels <= 2**53 // cfg.n and levels & (levels - 1) == 0
+                           and cfg.energy.e_max >= levels * 2.0**-1022), "strategy.levels",
+           f"must be 0 (continuous weights) or a power of two with n * levels <= 2**53 and "
+           f"e_max >= levels * 2**-1022, got {_echo(levels)}")
     _check(cfg.strategy.period >= 1, "strategy.period", "must be at least 1")
     _check(0 < cfg.death.max_dead_fraction <= 1, "death.max_dead_fraction", "must lie in (0, 1]")
     _check(cfg.death.snr_drop_db > 0, "death.snr_drop_db", "must be positive")
@@ -239,6 +247,9 @@ def validate(cfg):
     _check(cfg.master_seed >= 0, "master_seed", "must be non-negative")
     _check(cfg.t_slot_s > 0, "t_slot_s", "must be positive")
     _check(cfg.p_max > 0, "p_max", "must be positive")
+    cap = math.sqrt(cfg.p_max)  # no weight exceeds it; gate_and_charge charges w * w * t_slot_s
+    _check(math.isfinite(cap * cap * cfg.t_slot_s), "p_max",
+           f"too large for t_slot_s={_echo(cfg.t_slot_s)}: the slot energy at the cap overflows")
     _check(cfg.max_rounds >= 1, "max_rounds", "must be at least 1")
     return cfg
 

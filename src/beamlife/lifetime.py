@@ -12,7 +12,8 @@ built. The loop relies on these invariants:
 - residuals stay in [0, e_max]: initial draws are clamped into it and a
   node pays only what it holds, so normalized weights lie in [0, 1];
 - ``strategy.levels`` is 0 or a power of two, so quantized weights need
-  no clip;
+  no clip, with ``n * levels <= 2**53`` and ``e_max / levels`` normal, so
+  level sums are exact integers and ``e_max / levels`` is exact;
 - node i serves link i % k, so link l's members are the strided slice
   ``slice(l, None, k)`` (on an uneven split, link sizes differ by one);
 - the assigned weights are zero at every dead node and at every member
@@ -63,12 +64,9 @@ link has gone down since the last allocation either, that allocation's
 weights stand bit for bit, ``realloc`` moves on a period, and the round
 opens a static stretch (below) that runs from it to ``realloc - 1``.
 Otherwise each link up allocates from its view of ``q`` in level units:
-``levels`` is a power of two, so the moments of ``q`` scaled by ``levels``
-and ``levels**2``, and ``q * (scale / levels)``, have the bits of the
-moments of ``q / levels`` and of ``(q / levels) * scale``. This holds while
-``n * levels <= 2**53`` (``_level_rule``), where every level sum is an
-exact integer and ``levels**2`` is finite; past that bound every boundary
-reallocates from ``q / levels``.
+the moments of ``q`` scaled by ``levels`` and ``levels**2``, and ``q *
+(scale / levels)``, have the bits of the moments of ``q / levels`` and of
+``(q / levels) * scale`` (the invariants above).
 
 Each run has one buffer of at most ``_ROW_ELEMENTS`` residuals: row j
 holds the residual vector after a round, written by the normal path and
@@ -186,26 +184,21 @@ class LifetimeTrace:
     node_alive: np.ndarray = None      # (rounds, n) when recorded
 
 
-def _cbpa_units(out, residual, divisor, factor, levels, unit):
-    """Every node's ``cb_pa`` weight before scaling, in units of ``1 / unit``,
-    written into ``out``.
+def _cbpa_units(out, residual, divisor, levels):
+    """Every node's ``cb_pa`` weight before scaling, written into ``out``:
+    the normalized residuals, or with ``levels`` the levels ``floor(levels
+    * r / e_max + 0.5)``, as ``cbpa_normalized_weights`` and then
+    ``quantize_weights`` give them (times ``levels``) without their checks.
 
-    These are the normalized residuals, or with ``levels`` their quantized
-    values, as ``cbpa_normalized_weights`` and then ``quantize_weights``
-    give them but without their checks, on the invariants the module
-    docstring lists. The engine passes ``_quantization_grid``'s divisor and
-    factor. With ``unit == levels`` they are the levels
-    ``floor(levels * r / e_max + 0.5)`` themselves; with ``unit == 1`` they
-    are divided by ``levels``.
+    ``divisor`` is ``e_max / levels``, exact (module docstring), or ``e_max``
+    at 0 levels: one division gives ``(r / e_max) * levels`` rounded once,
+    as a power-of-two factor scales without rounding, unless ``r / e_max``
+    is subnormal, where both are below 2**-969 and quantize to 0.
     """
     u = np.divide(residual, divisor, out=out)
-    if levels > 0:
-        if factor != 1:
-            u *= factor
+    if levels:
         u += 0.5
         np.floor(u, out=u)
-        if unit != levels:
-            u /= levels
     return u
 
 
@@ -217,16 +210,17 @@ def _cbpa_weights(out, u, total, active, n_alive, unit, target_snr, noise_power,
     ``1 / unit``: ``_cbpa_units``' for ``cb_pa``, ones for ``cb_epa``
     (module docstring), and ``total`` its sum or None. The closed-form scale
     targets the weights actually transmitted, ``u / unit`` at the alive
-    members, so it is fed their mean and variance. ``unit`` is 1 or a power of two up to 2**53
-    (``_level_rule``), so the moments of ``u`` divided by ``unit`` and
-    ``unit**2`` have the bits of ``(u / unit).mean()`` and ``.var()``, and
-    ``u * (scale / unit)`` those of ``(u / unit) * scale``: scaling by a
-    power of two rounds nothing inside the normal range, and ``scale``, a
-    square root, is 0 or above 1e-162. These are the float operations of
-    ``compute_wmax`` on a ``ReiStats`` built from them; the divisions are
-    Python's, as numpy scalar ones are slow. ``out`` is zero at the link's
-    dead nodes (module docstring), so only the alive ones are written: with
-    every member alive straight from ``u``, else through a gather.
+    members, so it is fed their mean and variance. ``unit`` is 1 or a power
+    of two with ``n * unit <= 2**53`` (``validate``), so the moments of
+    ``u`` divided by ``unit`` and ``unit**2`` have the bits of ``(u /
+    unit).mean()`` and ``.var()``, and ``u * (scale / unit)`` those of
+    ``(u / unit) * scale``: scaling by a power of two rounds nothing inside
+    the normal range, and ``scale``, a square root, is 0 or above 1e-162.
+    These are the float operations of ``compute_wmax`` on a ``ReiStats``
+    built from them; the divisions are Python's, as numpy scalar ones are
+    slow. ``out`` is zero at the link's dead nodes (module docstring), so
+    only the alive ones are written: with every member alive straight from
+    ``u``, else through a gather.
     """
     everyone = n_alive == u.size
     if not everyone:
@@ -319,29 +313,6 @@ def _strategy_weights(out, kind, active, n_alive, gains, rank, target_snr, noise
     out[active] = _capped_matched_filter(gains, s, target, power)
 
 
-def _quantization_grid(e_max, levels):
-    """Divisor and factor that take residuals to ``levels`` times their
-    normalized value, the first step of ``quantize_weights``.
-
-    Where ``e_max / levels`` is exact and ``levels`` at most 2**1000, one
-    division by it does both steps: ``r / (e_max / levels)`` is the number
-    ``(r / e_max) * levels`` rounded once, as the power-of-two factor scales
-    without rounding. Only where ``r / e_max`` is subnormal can the two
-    differ, and both are then below 2**-22 and quantize to 0.
-    """
-    if levels and levels <= 2**1000 and e_max / levels * levels == e_max:
-        return e_max / levels, 1
-    return e_max, levels
-
-
-def _level_rule(n, levels):
-    """Whether a ``cb_pa`` run on ``n`` nodes quantized to ``levels`` takes
-    its weights in level units and steps the rounds whose levels repeat
-    (module docstring): while ``n * levels <= 2**53`` every level sum is an
-    exact integer and ``levels**2`` is finite."""
-    return 0 < levels and n * levels <= 2**53
-
-
 # Elements of a run's residual-row buffer (512 KB of float64), so its memory
 # grows with neither n nor the run length.
 _ROW_ELEMENTS = 2**16
@@ -392,7 +363,6 @@ def run_lifetime(scenario, rng, record_nodes=False):
     target_db = scenario.resolved_target_snr_db()  # the reference of a link silent in round 1
     ch_stats = lognormal_channel_stats(scenario.shadowing_sigma2_db)
     strategy = scenario.strategy
-    divisor, factor = _quantization_grid(scenario.energy.e_max, strategy.levels)
 
     # fixed draw order. The node layout's radius and azimuth draws stay,
     # unused, so that every seed keeps its channel, phase-error and energy
@@ -461,8 +431,8 @@ def run_lifetime(scenario, rng, record_nodes=False):
     # that sum at the last allocation, kept until a node dies or a link goes
     # down: a boundary that finds them again opens a stretch (module docstring)
     levels = strategy.levels
-    quantized = reads_residuals and _level_rule(n, levels)
-    unit = float(levels) if quantized else 1.0
+    unit = float(levels) if reads_residuals and levels else 1.0
+    divisor = scenario.energy.e_max / (levels or 1)
     units = np.ones(n)
     units_at = [units[idx] for idx in member_idx]
     sums = [None] * k
@@ -475,8 +445,8 @@ def run_lifetime(scenario, rng, record_nodes=False):
         if t == realloc:
             realloc = t + period if reads_residuals else never
             if reads_residuals:
-                _cbpa_units(units, residual, divisor, factor, levels, unit)
-                if quantized:
+                _cbpa_units(units, residual, divisor, levels)
+                if levels:
                     sums = [float(np.add.reduce(u)) for u in units_at]
                     repeat = sums == level_sums  # every level repeated: the round opens a stretch
                     level_sums = sums

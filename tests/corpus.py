@@ -52,7 +52,8 @@ NEVER_REALLOCATE = 10**9
 CENTRALIZED = ("centralized_min_power", "centralized_max_gain")
 DIMENSIONS = {
     "kind": ("cb_epa", "cb_pa", *CENTRALIZED),
-    "levels": (0, 1, 2, 8, 2**60),  # cb_pa only; 2**60 is past the level-unit rule's n * levels <= 2**53
+    # cb_pa only; 2**47 is the largest grid that validate's n * levels <= 2**53 accepts at every n <= 62 here
+    "levels": (0, 1, 2, 8, 2**47),
     "period": (1, 2, 3, NEVER_REALLOCATE),
     "links": (1, 2, 3),
     "split": ("even", "uneven"),  # links > 1 only

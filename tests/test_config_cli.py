@@ -452,6 +452,12 @@ class TestCli:
             ({"target_rate_bits": 2000, "target_snr_db": None, "runs": 1}, "target_rate_bits"),
             ({"noise_db": -4000, "max_rounds": 5, "runs": 1}, "noise_db"),
             ({"strategy": {"levels": 2**1024}, "runs": 1, "max_rounds": 5}, "strategy.levels"),
+            # past n * levels <= 2**53 or e_max >= levels * 2**-1022, where level sums and steps are exact
+            ({"n": 100, "strategy": {"levels": 2**47}}, "strategy.levels"),
+            ({"n": 100, "strategy": {"levels": 2**60}}, "strategy.levels"),
+            ({"n": 100, "strategy": {"levels": 2**1023}}, "strategy.levels"),
+            ({"energy": {"kind": "uniform", "e_max": 2.0**-1020, "mean": 2.0**-1021}, "strategy": {"levels": 8}},
+             "strategy.levels"),
             # long values, which the message echoes cut
             ({"energy": {"kind": "x" * 100000}}, "energy.kind"),
             ({"strategy": {"kind": "x" * 100000}}, "strategy.kind"),

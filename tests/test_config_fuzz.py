@@ -16,6 +16,7 @@ validation, and only the CLI refuses it, by its per-run memory.
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import asdict, replace
 
@@ -25,6 +26,7 @@ import pytest
 from beamlife.allocation import InfeasibleAllocationError
 from beamlife.cli import main
 from beamlife.config import ConfigError, from_dict, preset
+from beamlife.energy import gate_and_charge
 from beamlife.ensemble import run_ensemble
 
 PRESETS = ["pa-uniform", "epa-uniform", "multi-link"]
@@ -107,6 +109,35 @@ def test_seeded_mixes_of_fields():
     assert counts["config"] and counts["ran"]
 
 
+def test_levels_straddle_the_exact_sum_bound():
+    # every preset has n = 100: 2**46 levels keep n * levels <= 2**53, 2**47 do not
+    counts = sweep((name, {"strategy.levels": levels}) for name in PRESETS for levels in (2**46, 2**47))
+    assert counts == {"ran": len(PRESETS), "config": len(PRESETS)}
+
+
+# Before validate refused them, the first probe exited 0 with every node dead of an
+# infinite charge, and the second overflowed its realized SNR into a traceback.
+SLOT_OVERFLOW = {"noise_db": 2800, "target_snr_db": 80, "p_max": 1e300, "t_slot_s": 1e30, "max_rounds": 5}
+SNR_OVERFLOW = {"noise_db": 3000, "target_snr_db": 82.0, "p_max": 1e308, "t_slot_s": 1e-306, "runs": 3, "max_rounds": 5}
+
+
+def test_slot_energy_at_the_cap_is_finite_up_to_the_bound():
+    # The largest t_slot_s that validate accepts at the probe's cap: an engine
+    # weight is at most sqrt(p_max), whose slot energy stays finite there.
+    cap = math.sqrt(SLOT_OVERFLOW["p_max"])
+    slot = sys.float_info.max / (cap * cap)
+    while math.isfinite(cap * cap * math.nextafter(slot, math.inf)):
+        slot = math.nextafter(slot, math.inf)
+    while not math.isfinite(cap * cap * slot):
+        slot = math.nextafter(slot, 0.0)
+    with pytest.raises(ConfigError, match=r"^p_max: "):
+        from_dict({**SLOT_OVERFLOW, "t_slot_s": math.nextafter(slot, math.inf)})
+    assert outcome({**SLOT_OVERFLOW, "t_slot_s": slot}) == "ran"
+    with np.errstate(all="raise"):
+        charge, unfunded, _ = gate_and_charge(np.full(1, sys.float_info.max), np.full(1, cap), slot)
+    assert unfunded is None and math.isfinite(charge[0])
+
+
 @pytest.mark.parametrize(
     "data, code",
     [
@@ -118,9 +149,12 @@ def test_seeded_mixes_of_fields():
         ({"master_seed": -0.0}, 1),
         ({"p_max": 5e-324}, 2),
         ({"strategy": {"kind": "cb_epa", "levels": 0}, "p_max": 1e-30}, 2),
+        (SLOT_OVERFLOW, 1),
+        (SNR_OVERFLOW, 1),
+        ({**SNR_OVERFLOW, "strategy": {"kind": "cb_epa", "levels": 0}}, 1),
     ],
     ids=["signed-zero-shadowing", "subnormal-slot", "uneven-links", "nan-slot", "bool-levels", "float-seed",
-         "subnormal-cap", "epa-infeasible"],
+         "subnormal-cap", "epa-infeasible", "slot-energy-overflow", "snr-overflow", "epa-snr-overflow"],
 )
 def test_cli_exit_codes(tmp_path, capsys, data, code):
     cfg_path = tmp_path / "cfg.json"

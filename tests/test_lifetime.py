@@ -587,6 +587,18 @@ def round_charges(cfg, trace, t, initial, gains):
     return w * w * cfg.t_slot_s
 
 
+def assert_rows_match_round_charges(cfg, trace, initial, gains=None):
+    """Every residual row after round 1 equals the row before it less
+    ``round_charges``' costs, where the node can pay them; returns the
+    costs, indexed by round."""
+    charges = [None, None] + [round_charges(cfg, trace, t, initial, gains) for t in range(2, trace.lifetime + 1)]
+    for t in range(2, trace.lifetime + 1):
+        prev = trace.node_residuals[t - 2]
+        expected = np.where(prev >= charges[t], prev - charges[t], prev)
+        assert np.array_equal(trace.node_residuals[t - 1], expected), f"round {t}"
+    return charges
+
+
 def run_with_normal_rounds(cfg, seed, monkeypatch):
     """Recorded trace plus the rounds that ran gate_and_charge (the normal path)."""
     entries = []
@@ -671,12 +683,8 @@ def test_bulk_stepped_rounds_are_bit_exact(case, monkeypatch):
     assert stepped
 
     initial = np.full(cfg.n, cfg.energy.mean)  # only read for cb_pa, whose budgets are equal
-    gains = setup_gains(cfg, 0)
-    charges = [None, None] + [round_charges(cfg, trace, t, initial, gains) for t in range(2, trace.lifetime + 1)]
+    charges = assert_rows_match_round_charges(cfg, trace, initial, setup_gains(cfg, 0))
     for t in range(2, trace.lifetime + 1):
-        prev = trace.node_residuals[t - 2]
-        expected = np.where(prev >= charges[t], prev - charges[t], prev)
-        assert np.array_equal(trace.node_residuals[t - 1], expected), f"round {t}"
         assert trace.residual_total[t - 1] == float(trace.node_residuals[t - 1].sum()), f"round {t}"
 
     first_down = int(trace.link_lifetimes.min())
@@ -740,11 +748,6 @@ def quantized_case(case):
             master_seed=101,
         )
         return replace(cfg, t_slot_s=cfg.t_slot_s / 8)
-    if case.startswith("quant-past-"):
-        # n * levels past 2**53: the level sums are inexact, and at 2**600
-        # the squared levels overflow
-        levels = 2**60 if case == "quant-past-guard" else 2**600
-        return small_scenario(strategy=StrategySpec(kind="cb_pa", levels=levels, period=1))
     return deaths_on_two_links()
 
 
@@ -811,13 +814,15 @@ def stepping_case(case, monkeypatch):
     "case",
     ["epa-one-shot", "epa-period-7", "pa-period-2", "pa-period-5", "min_power-1", "max_gain-1", "link_down",
      "max_rounds", "pa-max_rounds", "chunk_flush", "short_stretch", "quant-2", "quant-8", "quant-2-links",
-     "quant-deaths", "quant-period-3", "quant-link-down", "quant-past-guard", "quant-past-square"],
+     "quant-deaths", "quant-period-3", "quant-link-down"],
 )
 def test_bulk_stepping_is_invisible(case, monkeypatch):
     # A run that steps static stretches and rounds whose levels repeat, and
-    # one that runs every round on the normal path, reallocating at every
-    # boundary, give the same trace, bit for bit: the repeated records of
-    # stepped rounds included, not only the residuals.
+    # one that runs every round on the normal path, give the same trace, bit
+    # for bit: the repeated records of stepped rounds included, not only the
+    # residuals. Both skip the reallocations whose levels repeat, so every
+    # residual row must also be the public helper chain's, reallocated at
+    # every period boundary.
     cfg = stepping_case(case, monkeypatch)
     gate_calls = counted_calls(monkeypatch, "gate_and_charge")
     stretch_rounds = []
@@ -829,13 +834,10 @@ def test_bulk_stepping_is_invisible(case, monkeypatch):
             lambda residual, cost, rows: stretch_rounds.append(len(rows)) or full(residual, cost, rows),
         )
     stepped = run_lifetime(cfg, rng_for(cfg.master_seed), record_nodes=True)
-    if case.startswith("quant-past-"):
-        assert len(gate_calls) == stepped.lifetime  # every round reallocates
-    else:
-        assert len(gate_calls) < stepped.lifetime
+    assert len(gate_calls) < stepped.lifetime
     normal_rounds = len(gate_calls)
+    assert_rows_match_round_charges(cfg, stepped, initial_residuals(cfg, 0), setup_gains(cfg, 0))
     monkeypatch.setattr(beamlife.lifetime, "_static_stretch", lambda residual, cost, rows: 0)
-    monkeypatch.setattr(beamlife.lifetime, "_level_rule", lambda n, levels: False)
     del gate_calls[:]
     normal = run_lifetime(cfg, rng_for(cfg.master_seed), record_nodes=True)
     assert len(gate_calls) == normal.lifetime
@@ -1177,9 +1179,7 @@ def test_a_death_reallocates_although_the_levels_repeat(monkeypatch):
     trace = run_lifetime(cfg, rng_for(1), record_nodes=True)
     assert trace.node_alive.sum(axis=1).tolist() == [2, 0]
     assert trace.node_residuals[0] == pytest.approx([0.825, 0.155, 0.155], abs=1e-12)
-    monkeypatch.setattr(beamlife.lifetime, "_level_rule", lambda n, levels: False)
-    reference = run_lifetime(cfg, rng_for(1), record_nodes=True)
-    assert trace.node_residuals.tobytes() == reference.node_residuals.tobytes()
+    assert_rows_match_round_charges(cfg, trace, np.array([0.825, 0.175, 0.175]))
 
 
 def test_repeated_levels_that_a_node_cannot_pay_run_the_gate(monkeypatch):
@@ -1200,14 +1200,11 @@ def test_repeated_levels_that_a_node_cannot_pay_run_the_gate(monkeypatch):
     # round 1 sends u = 1/2 at scale 2 * sqrt(target * noise): weight sqrt(target * noise)
     cfg = replace(cfg, t_slot_s=0.36 / (cfg.target_snr_linear() * db_to_linear(cfg.noise_db)))
     calls = counted_calls(monkeypatch, "gate_and_charge")
-    trace = run_lifetime(cfg, rng_for(1))
+    trace = run_lifetime(cfg, rng_for(1), record_nodes=True)
     assert len(calls) == trace.lifetime == 2 and trace.causes == ("nodes",)
     assert trace.residual_total.tolist() == pytest.approx([0.34, 0.34], abs=1e-12)
     assert np.floor(0.34 * 2 + 0.5) == np.floor(0.7 * 2 + 0.5) == 1  # the level repeated
-    monkeypatch.setattr(beamlife.lifetime, "_level_rule", lambda n, levels: False)
-    reference = run_lifetime(cfg, rng_for(1))
-    assert trace.residual_total.tobytes() == reference.residual_total.tobytes()
-    assert trace.consumed_j == reference.consumed_j
+    assert_rows_match_round_charges(cfg, trace, np.full(1, 0.7))
 
 
 @pytest.mark.parametrize("kind", ["cb_pa", "centralized_min_power"])
@@ -1335,15 +1332,26 @@ def test_stretch_ends_like_a_test_of_every_row():
     assert {0, 1, 2, 5} <= overshoots
 
 
-@pytest.mark.parametrize("levels", [1, 2, 8, 2**20, 2**52, 2**1000, 2**1001, 2**1023])
+@pytest.mark.parametrize("levels", [1, 2, 8, 2**20, 2**52, 2**53])
 def test_one_division_quantizes_like_divide_then_scale(levels):
-    # The engine divides the residuals by _quantization_grid's divisor and
-    # multiplies by its factor; the grid points must be those of dividing by
-    # e_max and multiplying by levels, for every e_max the schema accepts
-    # (any positive finite float), tiny residuals and half-way ties included.
+    # The engine divides the residuals by e_max / levels; the grid points
+    # must be those of dividing by e_max and multiplying by levels, for every
+    # e_max that validate accepts at these levels (e_max / levels normal,
+    # down to the boundary e_max = levels * 2**-1022), tiny residuals and
+    # half-way ties included.
+    def accepted(e_max):
+        energy = EnergySpec(kind="gaussian", e_max=e_max, mean=e_max, sigma=0.0)
+        try:
+            return ScenarioConfig(n=1, energy=energy, strategy=StrategySpec(levels=levels)) is not None
+        except ConfigError:
+            return False
+
     rng = np.random.default_rng(levels % 1009)
+    boundary = levels * 2.0**-1022
     e_maxes = [5e-324, 2.0**-1070, 1e-310, 2.0**-1022, 1e-300, 3e-10, 1.0, 3.7, 1e300, np.finfo(float).max]
-    e_maxes += list(10.0 ** rng.uniform(-323, 308, 100))
+    e_maxes += list(10.0 ** rng.uniform(-323, 308, 100)) + [boundary]
+    e_maxes = [e_max for e_max in e_maxes if accepted(e_max)]
+    assert boundary in e_maxes and not accepted(np.nextafter(boundary, 0.0)) and len(e_maxes) > 80
     for e_max in e_maxes:
         ties = (np.arange(min(levels, 64)) + 0.5) / levels * e_max
         r = np.concatenate([
@@ -1353,11 +1361,19 @@ def test_one_division_quantizes_like_divide_then_scale(levels):
             ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
         ])
         r = np.clip(r, 0.0, e_max)
-        divisor, factor = beamlife.lifetime._quantization_grid(e_max, levels)
-        u = r / divisor
-        if factor != 1:
-            u *= factor
         expected = r / e_max
         expected *= levels
-        assert np.floor(u + 0.5).tobytes() == np.floor(expected + 0.5).tobytes(), e_max
-    assert beamlife.lifetime._quantization_grid(1.0, levels)[1] == (1 if levels <= 2**1000 else levels)
+        u = beamlife.lifetime._cbpa_units(np.empty_like(r), r, e_max / levels, levels)
+        assert u.tobytes() == np.floor(expected + 0.5).tobytes(), e_max
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_levels_at_the_exact_sum_bound_match_the_helper_chain(seed):
+    # n * levels == 2**53, the largest grid validate accepts on two nodes; the
+    # cap that small_scenario sets keeps round 1 feasible
+    cfg = small_scenario(n=2, strategy=StrategySpec(kind="cb_pa", levels=2**52, period=1))
+    with pytest.raises(ConfigError, match=r"^strategy\.levels: "):
+        replace(cfg, n=3)
+    trace = run_lifetime(cfg, rng_for(cfg.master_seed, seed), record_nodes=True)
+    assert trace.lifetime >= 3
+    assert_charges_match_helper_chain(cfg, trace)
