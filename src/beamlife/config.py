@@ -244,6 +244,11 @@ def validate(cfg):
     _check(0 < cfg.death.max_dead_fraction <= 1, "death.max_dead_fraction", "must lie in (0, 1]")
     _check(cfg.death.snr_drop_db > 0, "death.snr_drop_db", "must be positive")
     _check(cfg.runs >= 1, "runs", "must be at least 1")
+    # An ensemble adds up its runs' energy curves, each at most n * e_max, and
+    # wasted_pct multiplies by 100 < 2**7: below 2**1016 every sum stays finite
+    _check(cfg.energy.e_max <= 2**1016 / (cfg.runs * cfg.n), "energy.e_max",
+           f"too large: runs * n * e_max must be at most 2**1016, got {_echo(cfg.runs)} * {n} * "
+           f"{_echo(cfg.energy.e_max)}")
     _check(cfg.master_seed >= 0, "master_seed", "must be non-negative")
     _check(cfg.t_slot_s > 0, "t_slot_s", "must be positive")
     _check(cfg.p_max > 0, "p_max", "must be positive")

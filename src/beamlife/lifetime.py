@@ -68,36 +68,63 @@ the moments of ``q`` scaled by ``levels`` and ``levels**2``, and ``q *
 (scale / levels)``, have the bits of the moments of ``q / levels`` and of
 ``(q / levels) * scale`` (the invariants above).
 
-Each run has one buffer of at most ``_ROW_ELEMENTS`` residuals: row j
-holds the residual vector after a round, written by the normal path and
-by the stretches below alike. When it is full, and when the run ends, it
-is flushed: ``np.add.reduce(rows, axis=1)`` gives the rounds'
-``residual_total`` (axis-1 row sums have the bits of the 1-D
-``residual.sum()``), and a recorded run keeps a copy of the rows.
-
 The loop steps static stretches in bulk. After a round t in which no link
 went down, the next round's assigned weights equal this round's funded
 weights bit for bit, unless it reallocates with new inputs; its slot
 costs, payment, SNR, rate and death test then repeat exactly and only the
 residuals move. Rounds t + 1 to ``realloc - 1`` (at a boundary whose
-levels repeated, t is the round before it) are stepped into the row buffer
-with the charge that the last ``gate_and_charge`` returned: their rows are
-the residuals that in-place ``residual -= charge`` steps give, bit for
-bit, and a stretch that fills the buffer flushes it and goes on, so no
-bound on its length is needed. A stretch also ends at ``max_rounds`` and
-before the first round in which some node's residual is below its cost;
-for ``cb_pa`` at period 1 only repeated levels open one. A one-round
-stretch is stepped as it stands; a longer one is cut to ``min(due) - t``
-rounds: ``due`` holds each node's estimated last payable round,
-``t + residual / cost`` (inf at zero cost), from the first such stretch
-after a reallocation until a link goes down or a normal round has neither
-a death nor a reallocation (the estimate fell short); a death sets the
-dying node's entry to inf. Near a whole ratio the estimate can promise a
-round too many. A residual never rises (``fl(r - c) <= r`` for ``c >= 0``),
-so the rounds that can pay are a prefix of the stepped ones: the stretch
-tests the last stepped round's start and, only if that fails, searches
-back, instead of testing every row. A round that is not stepped runs the
-normal path, as does every round that changes state.
+levels repeated, t is the round before it) are handed to ``_advance`` with
+the charge that the last ``gate_and_charge`` returned. A stretch also ends
+at ``max_rounds`` and before the first round in which some node's residual
+is below its cost; for ``cb_pa`` at period 1 only repeated levels open
+one. A stretch of more than one round is first cut to ``min(due) - t``
+rounds: ``due`` holds each node's estimated last payable round, ``t +
+residual / cost`` (inf at zero cost), from the first such stretch after a
+reallocation until a link goes down or a normal round has neither a death
+nor a reallocation (the estimate fell short); a death sets the dying
+node's entry to inf. Near a whole ratio the estimate can promise a round
+too many, so ``_advance``, not the estimate, decides which rounds are
+paid. A round that is not stepped runs the normal path, as does every
+round that changes state.
+
+``_advance`` jumps a stretch to its end in closed form, with the bits of
+the in-place ``residual -= cost`` steps (Goldberg, "What every computer
+scientist should know about floating-point arithmetic", ACM Computing
+Surveys 23(1), 1991, gives the rounding model). In one binade [2**e,
+2**(e+1)) a float is a multiple of u = 2**(e-52), so ``fl(r - c)`` is ``r
+- d`` with d the cost rounded to a multiple of u, as long as both lie in
+that binade. On a tie (c / u ends in exactly one half) the rounding goes
+to the even multiple, so the first step settles the parity and every later
+step takes the same d. ``_advance`` therefore takes two explicit steps, x1
+and x2, and reads each node's decrement ``d = x1 - x2``; then ``y = x2 -
+(rounds - 2) * d`` is exact wherever ``y`` stays at least one ulp above the
+bottom of x2's binade, and so is every round before it. The bottom is
+read from x2's int64 view; below the normal range it is +0.0, so y must
+be at least the smallest subnormal, and a negative or zero x2 never
+passes. Such a node
+pays every round, since ``fl(r - c) > 0`` means ``r > c``. The other
+nodes, the crossers, are few: those about to die or to cross a binade
+edge (and those at zero, or at a binade's bottom with a cost too small to
+move them). They are stepped exactly, by one ``np.subtract.accumulate``
+over a ``(rounds + 1, crossers)`` block of their residuals, which also
+gives the first round one of them cannot pay (a residual never rises,
+``fl(r - c) <= r`` for ``c >= 0``, so the rounds a node can pay are a
+prefix). ``_CROSSER_BLOCK`` bounds the block's size, and a longer stretch
+goes on in further blocks, so a stretch's memory grows neither with its
+length nor, past an eighth of the nodes crossing, with n: then every node
+is stepped row by row, each row's start tested. A stretch of at most
+``_SHORT`` rounds is stepped as it stands, testing only its last round's
+start.
+
+The trace's ``residual_total`` is the realized initial energy less the
+energy paid so far: ``initial_j - np.add.accumulate(paid)`` over the
+rounds' payments, each record's payment repeated for its stepped rounds.
+That accumulation has the bits of a per-round ``consumed += paid``, so a
+stepped round and a normal round give the same value, and ``consumed_j``
+is its last element. It differs from the exact sum of the node residuals
+only by rounding (README states the bound). A recorded run expands each
+stretch's node rows by the same ``np.subtract.accumulate``, with the
+loop's bits.
 
 A normal round records its alive fraction, SNR row and rate (and, when
 nodes are recorded, its alive mask) once. The m stepped rounds after it
@@ -172,7 +199,7 @@ class LifetimeTrace:
     alive_fraction: np.ndarray     # (rounds,)
     snr_db: np.ndarray             # (rounds, links), NaN once a link is down
     rate_total: np.ndarray         # (rounds,) summed over links, bits/s/Hz
-    residual_total: np.ndarray     # (rounds,) joules left in the whole cluster
+    residual_total: np.ndarray     # (rounds,) initial_j less the joules paid through each round
     lifetime: int                  # rounds until the last link died
     link_lifetimes: np.ndarray     # (links,)
     causes: tuple                  # per-link death cause
@@ -313,38 +340,85 @@ def _strategy_weights(out, kind, active, n_alive, gains, rank, target_snr, noise
     out[active] = _capped_matched_filter(gains, s, target, power)
 
 
-# Elements of a run's residual-row buffer (512 KB of float64), so its memory
-# grows with neither n nor the run length.
-_ROW_ELEMENTS = 2**16
+# Stretches of at most ``_SHORT`` rounds are stepped as they stand. A
+# crosser block holds at most ``_CROSSER_BLOCK`` residuals (512 KB of
+# float64), and crossers are stepped in blocks only while they number at
+# most ``_FEW`` or an eighth of the nodes, so that ``_advance`` holds no more
+# than about two node vectors besides its arguments, whatever the stretch.
+_SHORT = 8
+_CROSSER_BLOCK = 2**16
+_FEW = 1024
+_EXPONENT = 0x7FF0000000000000  # the exponent field of a float64's bits
 
 
-def _static_stretch(residual, cost, rows):
-    """Step up to ``len(rows) >= 1`` rounds in which every node pays ``cost``.
+def _advance(residual, cost, rounds):
+    """Step up to ``rounds`` rounds in which every node pays ``cost``.
 
-    Writes the residuals after each stepped round into ``rows``, leaves
-    ``residual`` at the last one and returns how many rounds were stepped.
-    Stepping stops before the first round whose starting residuals do not
-    cover ``cost`` everywhere (the test of ``gate_and_charge``), so that
-    round runs the normal path.
+    Leaves ``residual`` where the in-place ``residual -= cost`` steps leave
+    it and returns how many rounds were stepped: every one up to the first
+    whose starting residuals do not cover ``cost`` everywhere (the test of
+    ``gate_and_charge``), so that round runs the normal path. Longer
+    stretches jump to their end in closed form (module docstring).
     """
-    # Row by row, as ``residual -= cost`` would: np.subtract.accumulate
-    # along axis 0 gives the same bits but walks the buffer column by
-    # column, 2-4x slower per row at n = 500-1000. Rows listed once per run
-    # and a positional ``out`` cost less per row than a 2-D slice's rows.
-    prev = residual
-    for row in rows:
-        prev = np.subtract(prev, cost, row)
-    # A residual never rises (fl(r - c) <= r for c >= 0), so the rounds whose
-    # starting residuals cover the cost are a prefix: if the last stepped
-    # round's start does, all do; otherwise search back from it. Counting
-    # the mask is faster than ``.all()``, as in ``gate_and_charge``.
-    stepped = len(rows)
-    while stepped > 1 and np.count_nonzero(rows[stepped - 2] >= cost) < residual.size:
-        stepped -= 1
-    if stepped == 1 and np.count_nonzero(residual >= cost) < residual.size:
+    if rounds <= _SHORT:
+        # Residuals never rise, so if the last round's start covers the cost,
+        # every earlier one does; otherwise try a round fewer.
+        for stepped in range(rounds, 0, -1):
+            start = residual
+            for _ in range(stepped - 1):
+                start = start - cost
+            if np.count_nonzero(start >= cost) == residual.size:
+                np.subtract(start, cost, out=residual)
+                return stepped
         return 0
-    residual[:] = rows[stepped - 1]
-    return stepped
+    y = np.subtract(residual, cost)      # x1
+    lo = np.subtract(y, cost)            # x2
+    np.subtract(y, lo, out=y)            # d
+    np.multiply(y, rounds - 2, out=y)
+    np.subtract(lo, y, out=y)            # y = x2 - (rounds - 2) * d
+    bits = lo.view(np.int64)
+    np.bitwise_and(bits, _EXPONENT, out=bits)  # the bottom of x2's binade, +0.0 below the normal range
+    crossing = np.less_equal(y, lo)
+    del lo, bits
+    if np.count_nonzero(crossing) > max(residual.size >> 3, _FEW):
+        del y, crossing  # too many crossers to copy: step every row, testing its start
+        for stepped in range(rounds):
+            if np.count_nonzero(residual >= cost) < residual.size:
+                return stepped
+            residual -= cost
+        return rounds
+    crossers = crossing.nonzero()[0]
+    if crossers.size:
+        c = cost[crossers]
+        rows = max(_CROSSER_BLOCK // crossers.size, 1)
+        block = np.empty((min(rows, rounds) + 1, crossers.size))
+        np.take(residual, crossers, out=block[0])
+        done = 0
+        while True:
+            m = min(rows, rounds - done)
+            steps = block[: m + 1]
+            steps[1:] = c
+            np.subtract.accumulate(steps, axis=0, out=steps)
+            paid = int(np.minimum.reduce(np.add.reduce(steps[:m] >= c, axis=0)))
+            done += paid
+            if paid < m or done == rounds:
+                break
+            block[0] = steps[m]
+        if done < rounds:
+            del y
+            return _advance(residual, cost, done)  # every round up to done is paid
+        y[crossers] = steps[paid]
+    residual[:] = y
+    return rounds
+
+
+def _stepped_rows(start, cost, rounds):
+    """The residual rows of ``rounds`` stepped rounds from ``start``, with the bits of ``residual -= cost``."""
+    steps = np.empty((rounds + 1, start.size))
+    steps[0] = start
+    steps[1:] = cost
+    np.subtract.accumulate(steps, axis=0, out=steps)
+    return steps[1:]
 
 
 def run_lifetime(scenario, rng, record_nodes=False):
@@ -392,30 +466,16 @@ def run_lifetime(scenario, rng, record_nodes=False):
     causes = [None] * k  # a link is up while its cause is None
     nominal_db = [math.nan] * k  # every link is up in round 1, which sets it
     assigned = np.zeros(n)  # zero at dead nodes and at down links' members
-    consumed = 0.0
 
     alive_at = [alive[idx] for idx in member_idx]
     gains_at = [channels[l][idx] for l, idx in enumerate(member_idx)]
     assigned_at = [assigned[idx] for idx in member_idx]
     products = [np.empty(size, dtype=complex) for size in link_sizes]
 
-    # residual rows, flushed into their sums (module docstring)
-    rows = np.empty((max(min(scenario.max_rounds, _ROW_ELEMENTS // n), 1), n))
-    j = 0
-    row_sums = []
-    node_chunks = [] if record_nodes else None
-
-    def flush():
-        nonlocal j
-        row_sums.append(np.add.reduce(rows[:j], axis=1))
-        if record_nodes:
-            node_chunks.append(rows[:j].copy())
-        j = 0
-
     # one record per normal round, and how many rounds it stands for: its own
     # and the stepped ones after it (module docstring)
-    alive_rows, snr_rows, rate_rows, counts = [], [], [], []
-    node_alive_rows = [] if record_nodes else None
+    alive_rows, snr_rows, rate_rows, paids, counts = [], [], [], [], []
+    node_rows, node_alive_rows = ([], []) if record_nodes else (None, None)
     period = strategy.period
     reads_residuals = strategy.kind == "cb_pa"
     closed_form = strategy.kind in ("cb_pa", "cb_epa")  # the rest run the solvers
@@ -425,7 +485,6 @@ def run_lifetime(scenario, rng, record_nodes=False):
     never = scenario.max_rounds + 1
     realloc = 1  # the next round that reallocates with new inputs
     due = None  # each node's estimated last payable round (module docstring)
-    row_list = None  # the buffer's rows, listed at the first stretch of more than one round
     # The closed-form kinds' unscaled weights: cb_epa's ones, set here, or
     # cb_pa's, in level units where quantized; each link's sum of levels, and
     # that sum at the last allocation, kept until a node dies or a link goes
@@ -492,7 +551,6 @@ def run_lifetime(scenario, rng, record_nodes=False):
             t -= 1  # the stretch below starts at this round
         else:
             charge, unfunded, paid = gate_and_charge(residual, assigned, slot)
-            consumed += paid
             if unfunded is None:
                 due = None  # reallocated, or the estimate fell short
             else:
@@ -529,12 +587,10 @@ def run_lifetime(scenario, rng, record_nodes=False):
             alive_rows.append(sum(up_counts) / n)
             snr_rows.append(snr_row)
             rate_rows.append(rate_total)
+            paids.append(paid)
             counts.append(1)
-            if j == len(rows):
-                flush()
-            rows[j] = residual
-            j += 1
             if record_nodes:
+                node_rows.append(residual[None].copy())
                 node_alive_rows.append(alive.copy())
             if None not in causes:
                 break
@@ -548,32 +604,23 @@ def run_lifetime(scenario, rng, record_nodes=False):
             continue
         rounds = min(rounds, scenario.max_rounds - t)
         if rounds > 1:
-            # Only sizes the stretch; the stepped rows decide which rounds count.
+            # Only sizes the stretch; _advance decides which rounds are paid.
             if due is None:
                 with np.errstate(over="ignore"):  # a tiny charge gives inf, the right estimate
                     due = np.divide(residual, charge, out=np.full(n, np.inf), where=charge > 0)
                 due += t
-                row_list = row_list or list(rows)
             ratio = due.min() - t
             if ratio < rounds:
                 rounds = int(ratio)
-        m = 0
-        while m < rounds:
-            if j == len(rows):
-                flush()
-            room = min(rounds - m, len(rows) - j)
-            # rows are listed only for stretches that may run more than one round
-            stepped = _static_stretch(residual, charge, row_list[j : j + room] if row_list else [rows[j]])
-            j += stepped
-            m += stepped
-            if stepped < room:
-                break
-        for _ in range(m):
-            consumed += paid  # one addition per round: m * paid rounds differently
+        start = residual.copy() if record_nodes else None
+        m = _advance(residual, charge, rounds)
+        if record_nodes and m:
+            node_rows.append(_stepped_rows(start, charge, m))
         counts[-1] += m
         t += m
-    flush()
     counts = np.array(counts)
+    # the energy paid through each round, summed round by round (module docstring)
+    consumed = np.add.accumulate(np.array(paids).repeat(counts))
 
     for l in range(k):
         if causes[l] is None:
@@ -587,14 +634,14 @@ def run_lifetime(scenario, rng, record_nodes=False):
         alive_fraction=np.array(alive_rows).repeat(counts),
         snr_db=np.array(snr_rows).repeat(counts, axis=0),
         rate_total=np.array(rate_rows).repeat(counts),
-        residual_total=np.concatenate(row_sums),
+        residual_total=initial_total - consumed,
         lifetime=t,
         link_lifetimes=link_lifetimes,
         causes=tuple(causes),
         wasted_j=wasted_j,
         wasted_pct=wasted_pct,
-        consumed_j=consumed,
+        consumed_j=float(consumed[-1]),
         initial_j=initial_total,
-        node_residuals=np.concatenate(node_chunks) if record_nodes else None,
+        node_residuals=np.concatenate(node_rows) if record_nodes else None,
         node_alive=np.array(node_alive_rows).repeat(counts, axis=0) if record_nodes else None,
     )

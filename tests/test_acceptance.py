@@ -25,6 +25,7 @@ from beamlife.ensemble import compare_strategies, run_ensemble
 from beamlife.lifetime import run_lifetime
 
 from test_allocation import SPREADS, grid_best_max_gain, grid_best_min_power
+from test_lifetime import assert_residual_curve_within_bound
 
 RUNS = 200
 NOISE = 1e-10
@@ -306,9 +307,13 @@ def test_criterion_9_property_suite_on_mini_scenarios():
                 run_lifetime(cfg, fresh_rng(), record_nodes=True)
             continue
 
-        # conservation: initial energy = consumed + stranded
-        drift = abs(trace.initial_j - trace.consumed_j - trace.residual_total[-1])
+        # conservation: initial energy = consumed + stranded, where the
+        # stranded energy is the end-of-run sum of the node residuals
+        drift = abs(trace.initial_j - trace.consumed_j - trace.wasted_j)
         assert drift <= 1e-9 * max(trace.initial_j, 1e-30), f"seed {seed}: conservation drift {drift}"
+        # the residual curve, initial energy less the energy paid, lies within
+        # its bound of each row's exact sum
+        assert_residual_curve_within_bound(trace)
 
         # range: residuals stay in [0, e_max], which lets the engine skip
         # per-round range checks on its normalized weights

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -18,9 +19,12 @@ import pytest
 import beamlife.cli
 from beamlife.cli import _write_ensemble_dir, main
 from beamlife.ensemble import EnsembleResult, run_ensemble
+from beamlife.lifetime import run_lifetime
 from beamlife.config import (
     ConfigError,
+    EnergySpec,
     ScenarioConfig,
+    StrategySpec,
     from_dict,
     load_config,
     preset,
@@ -415,6 +419,38 @@ class TestCli:
         with pytest.raises(ConfigError, match=r"^n: 7500000 nodes on 2 link\(s\)"):
             beamlife.cli._with_overrides(replace(cfg, links=2), None, None)
 
+    @pytest.mark.parametrize("case", ["epa-one-shot", "epa-one-shot-crossing", "pa-period-1"])
+    def test_run_memory_fits_the_budget(self, case):
+        # The budget the CLI refuses an n by must hold a run's traced peak.
+        # Narrow gaussian budgets keep every node alive for the 12 rounds, so
+        # the one-shot runs jump an 11-round stretch and cb_pa reallocates
+        # every round. In the crossing case every node starts 3.5 slot
+        # charges above 0.5 and crosses that binade edge in the stretch.
+        n = 200_000
+        one_shot = StrategySpec(kind="cb_epa", levels=0, period=10**9)
+        cfg = replace(
+            preset("pa-uniform"),
+            n=n,
+            strategy=one_shot if case.startswith("epa") else StrategySpec(kind="cb_pa", levels=8, period=1),
+            energy=EnergySpec(kind="gaussian", e_max=1.0, mean=0.5, sigma=0.05),
+            max_rounds=12,
+            runs=1,
+        )
+        if case == "epa-one-shot-crossing":
+            flat = replace(cfg, energy=replace(cfg.energy, sigma=0.0), max_rounds=1)
+            charge = run_lifetime(flat, np.random.default_rng(0)).consumed_j / n
+            cfg = replace(cfg, energy=replace(flat.energy, mean=0.5 + 3.5 * charge))
+        tracemalloc.start()
+        try:
+            trace = run_lifetime(cfg, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.lifetime == 12 and trace.alive_fraction[-1] == 1.0
+        if case == "epa-one-shot-crossing":
+            assert trace.wasted_j < 0.5 * n < trace.initial_j
+        assert peak <= 8 * n * (cfg.links + beamlife.cli._NODE_VECTORS)
+
     def test_negative_zero_shadowing_runs_as_zero(self, tmp_path):
         # sqrt(-0.0) is -0.0, a scale the channel draw would reject as negative
         written = []
@@ -474,6 +510,11 @@ class TestCli:
             pytest.param({"n": 10**150, "runs": 1}, "n", id="n-huge-over-budget"),
             # a manifest whose config is not an object
             pytest.param({"artifact_version": "0.1.0", "config": [1, 2]}, "config", id="manifest-config-not-an-object"),
+            # the cluster's energy sums overflow: runs * n * e_max above 2**1016
+            pytest.param({"energy": {"kind": "uniform", "e_max": 1e308, "mean": 5e307}, "runs": 2, "max_rounds": 5},
+                         "energy.e_max", id="e_max-sums-overflow"),
+            pytest.param({"energy": {"kind": "gaussian", "e_max": 1e308, "mean": 5e307}, "runs": 2, "max_rounds": 5},
+                         "energy.e_max", id="e_max-sums-overflow-gaussian"),
         ],
     )
     def test_malformed_value_exits_with_key_path(self, tmp_path, capsys, data, path):

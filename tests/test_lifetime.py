@@ -326,6 +326,16 @@ def naive_single_link_replay(cfg, rng):
     return rows
 
 
+def assert_residual_curve_within_bound(trace):
+    """``residual_total`` is ``initial_j`` less the energy paid; at every
+    round t it lies within (2t + 2 ceil(log2 n) + 2) * 2**-53 * initial_j of
+    the exact sum of the node residuals (README, rounds.csv)."""
+    depth = 2 * math.ceil(math.log2(trace.node_residuals.shape[1])) + 2
+    for t, row in enumerate(trace.node_residuals, start=1):
+        gap = abs(float(trace.residual_total[t - 1]) - math.fsum(row))
+        assert gap <= (2 * t + depth) * 2.0**-53 * trace.initial_j, f"round {t}: {gap}"
+
+
 def assert_matches_naive_replay(cfg, seed):
     trace = run_lifetime(cfg, rng_for(cfg.master_seed, seed))
     rows = naive_single_link_replay(cfg, rng_for(cfg.master_seed, seed))
@@ -644,16 +654,15 @@ def clipped_uneven_links():
         "funded_link_down",
         "min_power-1",
         "max_gain-1",
-        "chunk_flush",
+        "block_bound",
     ],
 )
 def test_bulk_stepped_rounds_are_bit_exact(case, monkeypatch):
     # Every round charges exactly what gate_and_charge would, whether the
     # engine ran it or stepped it in bulk, around each way a stretch ends,
-    # and every round's residual row and total survive the row buffer's
-    # flushes.
+    # also where each crosser block holds one row, and every round's
+    # residual total lies within its bound of the exact row sum.
     cfg = one_shot()
-    chunk = 32  # rows of the residual-row buffer in the chunk_flush case
     if case == "reallocation":
         cfg = small_scenario(strategy=StrategySpec(kind="cb_epa", levels=0, period=7))
     elif case == "link_down":
@@ -672,20 +681,19 @@ def test_bulk_stepped_rounds_are_bit_exact(case, monkeypatch):
         full, normal = run_with_normal_rounds(cfg, 0, monkeypatch)
         inside = [t for t in range(3, full.lifetime) if not {t - 2, t - 1, t, t + 1} & normal]
         cfg = replace(cfg, max_rounds=inside[0])
-    elif case == "chunk_flush":
-        monkeypatch.setattr(beamlife.lifetime, "_ROW_ELEMENTS", chunk * cfg.n)
+    elif case == "block_bound":
+        monkeypatch.setattr(beamlife.lifetime, "_CROSSER_BLOCK", 1)  # one crosser row per block
         cfg = replace(cfg, t_slot_s=cfg.t_slot_s / 10)
         full, normal = run_with_normal_rounds(cfg, 0, monkeypatch)
         inside = [t for t in range(3, full.lifetime) if not {t - 2, t - 1, t, t + 1} & normal]
-        cfg = replace(cfg, max_rounds=[t for t in inside if t % chunk][-1])
+        cfg = replace(cfg, max_rounds=inside[-1])
     trace, normal = run_with_normal_rounds(cfg, 0, monkeypatch)
     stepped = set(range(1, trace.lifetime + 1)) - normal
     assert stepped
 
     initial = np.full(cfg.n, cfg.energy.mean)  # only read for cb_pa, whose budgets are equal
     charges = assert_rows_match_round_charges(cfg, trace, initial, setup_gains(cfg, 0))
-    for t in range(2, trace.lifetime + 1):
-        assert trace.residual_total[t - 1] == float(trace.node_residuals[t - 1].sum()), f"round {t}"
+    assert_residual_curve_within_bound(trace)
 
     first_down = int(trace.link_lifetimes.min())
     if case == "unfunded":
@@ -702,15 +710,14 @@ def test_bulk_stepped_rounds_are_bit_exact(case, monkeypatch):
         assert trace.lifetime == cfg.max_rounds and cfg.max_rounds in stepped
         assert trace.causes == ("max_rounds",)
         assert trace.consumed_j + trace.wasted_j == pytest.approx(trace.initial_j, rel=1e-12)
-    elif case == "chunk_flush":
-        # the buffer flushes after rounds chunk, 2 * chunk, ...
-        flushes = range(chunk, trace.lifetime, chunk)
-        both = [b for b in flushes
-                if all(normal & set(r) and stepped & set(r)
-                       for r in (range(b - chunk + 1, b + 1), range(b + 1, b + chunk + 1)))]
-        assert both, "normal rounds and stretches on both sides of a flush"
-        assert [b for b in flushes if {b, b + 1} <= stepped], "a stretch across a flush"
-        assert trace.lifetime == cfg.max_rounds and cfg.max_rounds % chunk and cfg.max_rounds in stepped
+    elif case == "block_bound":
+        # some stretch jumped in closed form takes a node across a binade
+        # edge after its second round, which leaves it to the crosser blocks
+        short = beamlife.lifetime._SHORT
+        edges = [t for t in sorted(normal) if set(range(t + 1, t + short + 2)) <= stepped
+                 and np.any(np.frexp(trace.node_residuals[t + 1])[1] != np.frexp(trace.node_residuals[t + short])[1])]
+        assert edges
+        assert trace.lifetime == cfg.max_rounds and cfg.max_rounds in stepped
         assert trace.causes == ("max_rounds",)
     elif case == "link_down":
         assert first_down < trace.lifetime
@@ -784,11 +791,11 @@ def stepping_case(case, monkeypatch):
     if case == "short_stretch":
         # every stretch of more than one round steps one round fewer, so
         # normal rounds with neither a death nor a reallocation follow
-        full = beamlife.lifetime._static_stretch
+        full = beamlife.lifetime._advance
         monkeypatch.setattr(
             beamlife.lifetime,
-            "_static_stretch",
-            lambda residual, cost, rows: full(residual, cost, rows[:-1] if len(rows) > 1 else rows),
+            "_advance",
+            lambda residual, cost, rounds: full(residual, cost, rounds - 1 if rounds > 1 else rounds),
         )
         cfg = one_shot()
         return replace(cfg, t_slot_s=cfg.t_slot_s / 10)
@@ -803,8 +810,8 @@ def stepping_case(case, monkeypatch):
         return replace(cfg, max_rounds=inside[len(inside) // 2])
     cfg = one_shot()
     cfg = replace(cfg, t_slot_s=cfg.t_slot_s / 10)  # longer stretches
-    if case == "chunk_flush":
-        monkeypatch.setattr(beamlife.lifetime, "_ROW_ELEMENTS", 32 * cfg.n)
+    if case == "block_bound":
+        monkeypatch.setattr(beamlife.lifetime, "_CROSSER_BLOCK", 2)
     full, normal = run_with_normal_rounds(cfg, 0, monkeypatch)
     inside = [t for t in range(3, full.lifetime) if not {t - 1, t, t + 1} & normal]
     return replace(cfg, max_rounds=inside[len(inside) // 2])
@@ -813,7 +820,7 @@ def stepping_case(case, monkeypatch):
 @pytest.mark.parametrize(
     "case",
     ["epa-one-shot", "epa-period-7", "pa-period-2", "pa-period-5", "min_power-1", "max_gain-1", "link_down",
-     "max_rounds", "pa-max_rounds", "chunk_flush", "short_stretch", "quant-2", "quant-8", "quant-2-links",
+     "max_rounds", "pa-max_rounds", "block_bound", "short_stretch", "quant-2", "quant-8", "quant-2-links",
      "quant-deaths", "quant-period-3", "quant-link-down"],
 )
 def test_bulk_stepping_is_invisible(case, monkeypatch):
@@ -827,17 +834,17 @@ def test_bulk_stepping_is_invisible(case, monkeypatch):
     gate_calls = counted_calls(monkeypatch, "gate_and_charge")
     stretch_rounds = []
     if case == "pa-period-2":
-        full = beamlife.lifetime._static_stretch
+        full = beamlife.lifetime._advance
         monkeypatch.setattr(
             beamlife.lifetime,
-            "_static_stretch",
-            lambda residual, cost, rows: stretch_rounds.append(len(rows)) or full(residual, cost, rows),
+            "_advance",
+            lambda residual, cost, rounds: stretch_rounds.append(rounds) or full(residual, cost, rounds),
         )
     stepped = run_lifetime(cfg, rng_for(cfg.master_seed), record_nodes=True)
     assert len(gate_calls) < stepped.lifetime
     normal_rounds = len(gate_calls)
     assert_rows_match_round_charges(cfg, stepped, initial_residuals(cfg, 0), setup_gains(cfg, 0))
-    monkeypatch.setattr(beamlife.lifetime, "_static_stretch", lambda residual, cost, rows: 0)
+    monkeypatch.setattr(beamlife.lifetime, "_advance", lambda residual, cost, rounds: 0)
     del gate_calls[:]
     normal = run_lifetime(cfg, rng_for(cfg.master_seed), record_nodes=True)
     assert len(gate_calls) == normal.lifetime
@@ -852,7 +859,7 @@ def test_bulk_stepping_is_invisible(case, monkeypatch):
             assert a == b, field.name
     if case == "link_down":
         assert stepped.link_lifetimes.min() < stepped.lifetime
-    elif case in ("max_rounds", "pa-max_rounds", "chunk_flush"):
+    elif case in ("max_rounds", "pa-max_rounds", "block_bound"):
         assert stepped.lifetime == cfg.max_rounds and stepped.causes == ("max_rounds",)
     elif case == "pa-period-2":
         # one-round stretches after a boundary that reallocated, and
@@ -1236,8 +1243,8 @@ def test_gate_sees_one_weights_array_per_run(kind, monkeypatch):
 
 def test_stretch_stops_where_the_node_cannot_pay():
     # A stretch's length is estimated as residual / cost, which near a whole
-    # ratio can promise one round more than repeated subtraction leaves; the
-    # stepped rows, not the estimate, decide. One node on a one-shot equal
+    # ratio can promise one round more than repeated subtraction leaves;
+    # _advance, not the estimate, decides. One node on a one-shot equal
     # weight gets a budget for which the estimate overshoots, and must still
     # die in the first round it cannot pay, with every residual exact.
     cfg = ScenarioConfig(
@@ -1265,11 +1272,12 @@ def test_stretch_stops_where_the_node_cannot_pay():
     overshoot = [b for b in budgets if int((b - cost) / cost) > len(residuals(b - cost)) - 1]
     assert overshoot
     budget = float(overshoot[0])
-    trace = run_lifetime(replace(cfg, energy=replace(cfg.energy, mean=budget)), rng_for(1))
+    trace = run_lifetime(replace(cfg, energy=replace(cfg.energy, mean=budget)), rng_for(1), record_nodes=True)
     rows = residuals(budget)
     assert trace.lifetime == len(rows)
     assert trace.causes == ("nodes",)
-    assert trace.residual_total.tolist() == rows[1:] + [rows[-1]]
+    assert trace.node_residuals[:, 0].tolist() == rows[1:] + [rows[-1]]
+    assert_residual_curve_within_bound(trace)
 
 
 def all_rows_stretch(residual, cost, rounds):
@@ -1285,51 +1293,106 @@ def all_rows_stretch(residual, cost, rounds):
     return acc[1 : stepped + 1]
 
 
-def stretch_inputs(rng):
-    """A residual/cost pair with zero costs, ties, exact multiples or costs
-    too small to move the residual, and the engine's estimate of its length."""
-    n = int(rng.integers(1, 7))
+TINY = 2.0**-1074  # the smallest subnormal
+
+
+def stretch_inputs(rng, n, longest):
+    """A residual/cost pair of ``n`` nodes whose stretches run up to about
+    ``longest`` rounds, and the engine's estimate of its length. Nodes draw
+    zero costs, ties (costs an odd number of half-ulps of the residual's
+    binade), exact multiples, costs too small to move the residual, whole
+    ratios, residuals at and just above powers of two, subnormal residuals
+    and costs, zero residuals, residuals that cannot pay round 1 and
+    stretches that end on the bottom of a binade."""
     residual = rng.random(n)
-    cost = rng.random(n) * 10.0 ** -rng.integers(0, 3)
-    for i in range(n):
-        pick = rng.integers(6)
+    lengths = rng.integers(1, longest + 1) * rng.uniform(1.0, 4.0, n)  # rounds each node can pay, about
+    cost = residual / lengths
+    picks = rng.choice(12, size=int(rng.integers(1, 5)), replace=False)  # this case's kinds of node
+    for i in rng.choice(n, size=min(n, int(rng.choice([1, 3, 40]))), replace=False):
+        pick = rng.choice(picks)
+        length = int(lengths[i])
         if pick == 0:
             cost[i] = 0.0
         elif pick == 1:
             cost[i] = residual[i]  # r == c: one round, then nothing left
         elif pick == 2:
-            cost[i] = 2.0 ** -int(rng.integers(2, 6))
-            residual[i] = cost[i] * int(rng.integers(0, 30))  # ties after every exact step
+            cost[i] = 2.0 ** -int(rng.integers(2, 12))
+            residual[i] = cost[i] * int(rng.integers(0, min(length, 2000) + 1))  # ties after every exact step
         elif pick == 3:
             cost[i] = residual[i] * 2.0**-60  # fl(r - c) == r
         elif pick == 4:
-            cost[i] = residual[i] / int(rng.integers(1, 40))  # near a whole ratio
+            cost[i] = residual[i] / length  # near a whole ratio
+        elif pick == 5:
+            ulp = np.spacing(residual[i])
+            cost[i] = (2 * int(residual[i] / ulp / length / 2) + 1) * ulp / 2  # a tie in every round
+        elif pick == 6:
+            residual[i] = 2.0 ** -int(rng.integers(0, 60))  # a power of two, or just above it
+            residual[i] += np.spacing(residual[i]) * int(rng.integers(0, 3))
+            cost[i] = residual[i] / length * rng.choice([1.0, 2.0**-52, 2.0**-53, 3 * 2.0**-54])
+        elif pick == 7:
+            residual[i] = TINY * int(rng.integers(0, 2**20))  # subnormal
+            cost[i] = TINY * int(rng.integers(0, 2**12)) if rng.random() < 0.5 else residual[i] / length
+        elif pick == 8:
+            residual[i] = 0.0
+            cost[i] = 0.0 if rng.random() < 0.5 else TINY
+        elif pick == 9:
+            cost[i] = np.nextafter(residual[i], np.inf) if rng.random() < 0.5 else residual[i] * 1.5  # cannot pay
+        elif pick == 10:
+            residual[i] = 2.0**-1022 + TINY * int(rng.integers(0, 3))  # the smallest normal binade
+            cost[i] = TINY * int(rng.integers(1, 4))
+        elif pick == 11:
+            # k ulps a round, from k + 1/4, k + 1/2 or k + 3/4 of them, for up
+            # to ``longest`` rounds down to the bottom of the binade
+            ulp, k = 2.0 ** -int(rng.integers(53, 80)), int(rng.integers(1, 2**20))
+            residual[i] = 2.0**52 * ulp + int(rng.integers(1, longest + 1)) * k * ulp
+            cost[i] = (k + rng.choice([0.25, 0.5, 0.75])) * ulp
     charged = cost > 0
-    estimate = int((residual[charged] / cost[charged]).min()) if charged.any() else 40
-    return residual, cost, min(estimate, 40)
+    estimate = int((residual[charged] / cost[charged]).min()) if charged.any() else longest
+    return residual, cost, min(estimate, longest)
 
 
-def test_stretch_ends_like_a_test_of_every_row():
-    # _static_stretch tests only the last stepped round's start and searches
-    # back, relying on residuals never rising; it must step the same rounds
-    # and rows as testing every row does, whatever the estimate of the length.
-    # The engine passes a list of the buffer's rows, the tests here a 2-D
-    # array too.
+def test_stretch_ends_like_a_test_of_every_row(monkeypatch):
+    # _advance jumps a stretch to its end in closed form and steps only the
+    # crossers, in blocks; it must step the same rounds and leave the same
+    # residuals as testing every row does, whatever the estimate of the
+    # length. Small crosser bounds make one stretch span several blocks, and
+    # without the floor of ``_FEW`` crossers, stretches in which more than an
+    # eighth of the nodes cross step every row.
     rng = np.random.default_rng(2024)
-    overshoots = set()
+    overshoots, multi_block_cuts, general, wide = set(), 0, 0, 0
     for i in range(3000):
-        residual, cost, estimate = stretch_inputs(rng)
-        rounds = max(estimate + int(rng.integers(-2, 6)), 1)
+        n, longest = (int(rng.integers(1, 7)), 40) if i % 10 < 6 else (int(rng.integers(1, 1001)), 60)
+        if i % 20 == 19:
+            n, longest = int(rng.integers(1, 9)), 5000
+        if i % 500 == 0:
+            n, longest = 1000, 5000
+        residual, cost, estimate = stretch_inputs(rng, n, longest)
+        rounds = max(estimate + int(rng.integers(-2, 6)), 1) if i % 4 else int(rng.integers(1, longest + 1))
+        bound = int(rng.choice([1, 2, 3, 7, 2**16] if longest < 5000 else [256, 2048, 2**16]))
+        monkeypatch.setattr(beamlife.lifetime, "_CROSSER_BLOCK", bound)
+        monkeypatch.setattr(beamlife.lifetime, "_FEW", 0 if i % 3 == 0 else 1024)  # 0: many crossers step every row
         expected = all_rows_stretch(residual, cost, rounds)
-        overshoots.add(rounds - len(expected))
         start = residual.copy()
-        buffer = np.full((rounds, residual.size), np.nan)
-        rows = list(buffer) if i % 2 else buffer
-        stepped = beamlife.lifetime._static_stretch(residual, cost, rows)
-        assert stepped == len(expected)
-        assert buffer[:stepped].tobytes() == expected.tobytes()
-        assert residual.tobytes() == (expected[-1] if stepped else start).tobytes()
+        stepped = beamlife.lifetime._advance(residual, cost, rounds)
+        assert stepped == len(expected), i
+        assert residual.tobytes() == (expected[-1] if stepped else start).tobytes(), i
+        overshoots.add(rounds - stepped)
+        general += rounds > beamlife.lifetime._SHORT
+        multi_block_cuts += stepped < rounds and stepped > bound
+        wide += n >= 500 and stepped > 2
     assert {0, 1, 2, 5} <= overshoots
+    assert general > 1500 and multi_block_cuts > 200 and wide > 100
+
+
+def test_a_static_million_rounds_take_one_advance(monkeypatch):
+    # The 1-link, zero-target, one-shot probe pays nothing in any round, so
+    # every round after the first is one stretch, jumped in a single call.
+    calls = counted_calls(monkeypatch, "_advance")
+    cfg = replace(preset("epa-uniform"), target_snr_db=None, target_rate_bits=0.0, max_rounds=10**6)
+    trace = run_lifetime(cfg, rng_for(cfg.master_seed))
+    assert len(calls) == 1
+    assert trace.lifetime == 10**6 and trace.causes == ("max_rounds",)
+    assert trace.consumed_j == 0.0 and trace.residual_total[-1] == trace.initial_j == trace.wasted_j
 
 
 @pytest.mark.parametrize("levels", [1, 2, 8, 2**20, 2**52, 2**53])
