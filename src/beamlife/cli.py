@@ -29,20 +29,33 @@ _ROUNDS_BLOCK = 2**14
 # Memory budget of one run's arrays, in bytes. A run holds 8 bytes per node
 # for each link's gains and for about 16 per-node vectors besides (the setup
 # draws, phasors, residuals, weights and their link copies), and a scenario
-# whose n would need more is refused before anything is allocated.
+# whose n would need more is refused before anything is allocated. Its trace
+# holds 8 bytes per round for each link's SNR and for about 12 per-round
+# vectors besides (the alive, rate and residual curves, the payments expanded
+# and summed, the ensemble's five running sums and their growth), and a
+# max_rounds that would need more is refused too. The two peak apart: the
+# per-round arrays are expanded as the run ends and folded after its node
+# arrays are freed. The fold's link mean briefly holds about three more
+# copies of the SNR rows, which this count leaves out (ROADMAP item 7).
 _RUN_BYTES = 2**30
 _NODE_VECTORS = 16
+_ROUND_VECTORS = 12
 
 
 def _with_overrides(cfg, runs, seed):
     """Apply ``--runs``/``--seed`` to the scenario, so its manifest reproduces
-    the run, and refuse an ``n`` whose per-run arrays exceed ``_RUN_BYTES``."""
-    need = 8 * cfg.n * (cfg.links + _NODE_VECTORS)
-    if need > _RUN_BYTES:
-        raise ConfigError(
-            f"n: {_echo(cfg.n)} nodes on {cfg.links} link(s) need about {need / 2**20:.4g} MiB "
-            f"per run, above the budget of {_RUN_BYTES // 2**20} MiB"
-        )
+    the run, and refuse an ``n`` or a ``max_rounds`` whose per-run arrays
+    exceed ``_RUN_BYTES``."""
+    for key, count, vectors, what in (
+        ("n", cfg.n, _NODE_VECTORS, "nodes"),
+        ("max_rounds", cfg.max_rounds, _ROUND_VECTORS, "rounds"),
+    ):
+        need = 8 * count * (cfg.links + vectors)
+        if need > _RUN_BYTES:
+            raise ConfigError(
+                f"{key}: {_echo(count)} {what} on {cfg.links} link(s) need about {need / 2**20:.4g} MiB "
+                f"per run, above the budget of {_RUN_BYTES // 2**20} MiB"
+            )
     seed = cfg.master_seed if seed is None else seed
     return replace(cfg, runs=cfg.runs if runs is None else runs, master_seed=seed)
 

@@ -249,6 +249,10 @@ def validate(cfg):
     _check(cfg.energy.e_max <= 2**1016 / (cfg.runs * cfg.n), "energy.e_max",
            f"too large: runs * n * e_max must be at most 2**1016, got {_echo(cfg.runs)} * {n} * "
            f"{_echo(cfg.energy.e_max)}")
+    # wasted_pct is 100 * wasted_j / (n * mean) with wasted_j at most n * e_max
+    _check(cfg.energy.e_max / cfg.energy.mean <= 2**1016, "energy.mean",
+           f"too small for e_max={_echo(cfg.energy.e_max)}: e_max / mean must be at most 2**1016, "
+           f"got {_echo(cfg.energy.mean)}")
     _check(cfg.master_seed >= 0, "master_seed", "must be non-negative")
     _check(cfg.t_slot_s > 0, "t_slot_s", "must be positive")
     _check(cfg.p_max > 0, "p_max", "must be positive")

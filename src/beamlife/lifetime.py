@@ -18,8 +18,9 @@ built. The loop relies on these invariants:
   ``slice(l, None, k)`` (on an uneven split, link sizes differ by one);
 - the assigned weights are zero at every dead node and at every member
   of a down link, so the round gates them as they are and those nodes
-  stay funded at zero cost. ``gate_and_charge`` zeroes, in place, the
-  weights of the nodes that cannot pay, and the loop marks them dead;
+  stay funded at zero cost. ``gate_and_charge``, or a walked round (below),
+  zeroes in place the weights of the nodes that cannot pay, and the loop
+  marks them dead;
 - the alive set changes only in a round in which some node cannot pay,
   so the per-link alive counts are taken then and handed to the
   allocation, not recounted in every round. The per-link views of the
@@ -68,53 +69,64 @@ the moments of ``q`` scaled by ``levels`` and ``levels**2``, and ``q *
 (scale / levels)``, have the bits of the moments of ``q / levels`` and of
 ``(q / levels) * scale`` (the invariants above).
 
-The loop steps static stretches in bulk. After a round t in which no link
-went down, the next round's assigned weights equal this round's funded
-weights bit for bit, unless it reallocates with new inputs; its slot
-costs, payment, SNR, rate and death test then repeat exactly and only the
-residuals move. Rounds t + 1 to ``realloc - 1`` (at a boundary whose
-levels repeated, t is the round before it) are handed to ``_advance`` with
-the charge that the last ``gate_and_charge`` returned. A stretch also ends
-at ``max_rounds`` and before the first round in which some node's residual
-is below its cost; for ``cb_pa`` at period 1 only repeated levels open
-one. A stretch of more than one round is first cut to ``min(due) - t``
-rounds: ``due`` holds each node's estimated last payable round, ``t +
-residual / cost`` (inf at zero cost), from the first such stretch after a
-reallocation until a link goes down or a normal round has neither a death
-nor a reallocation (the estimate fell short); a death sets the dying
-node's entry to inf. Near a whole ratio the estimate can promise a round
-too many, so ``_advance``, not the estimate, decides which rounds are
-paid. A round that is not stepped runs the normal path, as does every
-round that changes state.
+The loop walks static stretches. After a round t in which no link went
+down, the next round's assigned weights equal this round's funded weights
+bit for bit, unless it reallocates with new inputs: each node pays the
+charge that the last ``gate_and_charge`` returned, round after round,
+until it cannot. For every node, ``_walk`` gives how many of rounds t + 1
+to ``realloc - 1`` (at a boundary whose levels repeated, t is the round
+before it), and at most to ``max_rounds``, it can pay, and its residual
+after them. The rounds before the first node runs out are stepped: their
+payment, SNR, rate and death test repeat round t's exactly. In the round
+in which some nodes run out, those nodes die: their weights and charges
+are zeroed as ``gate_and_charge`` would zero them, the round pays
+``np.add.reduce`` of the charges left, the gate's bits, and it runs the
+SNR, rate and death block of a normal round. The survivors' charges have
+not changed, so their counts still hold, and the stretch runs on through
+the deaths to the next reallocation boundary, which a death may bring
+forward, or to ``max_rounds``. A link that goes down ends it, and the next
+round runs the normal path, as does a round that some node cannot pay
+right after a normal one (``_walk`` at a horizon of 0 makes every round
+normal). At period 1 a death reallocates in the next round, so the stretch
+ends at its first death: its walk's horizon is ``int(min(residual /
+charge)) + 1`` rounds, the estimated first death, and a walk that ends
+short of any death is followed by another from where it ended.
 
-``_advance`` jumps a stretch to its end in closed form, with the bits of
-the in-place ``residual -= cost`` steps (Goldberg, "What every computer
+Residuals are materialized only where something reads them: where a
+stretch ends (the allocation that follows, or ``wasted_j``), where a link
+goes down, and, in a recorded run, at each death round, whose node rows
+show them. Each is a walk from the stretch's start for the rounds stepped
+(or the walk's own final residuals, at its horizon), which stops every
+node that died where it died.
+
+``_walk`` has the bits of the gate's test ``residual >= cost``, followed
+by ``residual -= cost``, round by round (Goldberg, "What every computer
 scientist should know about floating-point arithmetic", ACM Computing
-Surveys 23(1), 1991, gives the rounding model). In one binade [2**e,
-2**(e+1)) a float is a multiple of u = 2**(e-52), so ``fl(r - c)`` is ``r
-- d`` with d the cost rounded to a multiple of u, as long as both lie in
-that binade. On a tie (c / u ends in exactly one half) the rounding goes
-to the even multiple, so the first step settles the parity and every later
-step takes the same d. ``_advance`` therefore takes two explicit steps, x1
-and x2, and reads each node's decrement ``d = x1 - x2``; then ``y = x2 -
-(rounds - 2) * d`` is exact wherever ``y`` stays at least one ulp above the
-bottom of x2's binade, and so is every round before it. The bottom is
-read from x2's int64 view; below the normal range it is +0.0, so y must
-be at least the smallest subnormal, and a negative or zero x2 never
-passes. Such a node
-pays every round, since ``fl(r - c) > 0`` means ``r > c``. The other
-nodes, the crossers, are few: those about to die or to cross a binade
-edge (and those at zero, or at a binade's bottom with a cost too small to
-move them). They are stepped exactly, by one ``np.subtract.accumulate``
-over a ``(rounds + 1, crossers)`` block of their residuals, which also
-gives the first round one of them cannot pay (a residual never rises,
-``fl(r - c) <= r`` for ``c >= 0``, so the rounds a node can pay are a
-prefix). ``_CROSSER_BLOCK`` bounds the block's size, and a longer stretch
-goes on in further blocks, so a stretch's memory grows neither with its
-length nor, past an eighth of the nodes crossing, with n: then every node
-is stepped row by row, each row's start tested. A stretch of at most
-``_SHORT`` rounds is stepped as it stands, testing only its last round's
-start.
+Surveys 23(1), 1991, gives the rounding model). A residual never rises,
+``fl(r - c) <= r`` for ``c >= 0``, so a node's paid rounds are a prefix,
+and ``fl(r - c) < 0`` exactly when ``r < c``. A walk of at most ``_SHORT``
+rounds steps its rows: after ``horizon - 1`` of them a node that is not
+negative paid them all, so only the last round's test is left. A longer
+walk, or one in which some node stops before the last round, crosses one
+binade per pass. In a binade [2**e, 2**(e+1)) a float is a multiple of u =
+2**(e-52), so ``fl(r - c)`` is ``r - d`` with d the cost rounded to a
+multiple of u, as long as the exact difference stays in the binade. On a
+tie (c / u ends in exactly one half) the rounding goes to the even
+multiple; a residual that a step brought into the binade is even, so every
+later step takes the same d. A pass therefore takes two explicit steps, x1
+and x2, and reads ``d = x1 - x2``. The bottom of x2's binade is x2's
+exponent bits, read from the int64 view; below the normal range it is
++0.0, so the subnormals form one binade whose u is the smallest subnormal.
+The pass then jumps to ``x2 - j * d`` for the most rounds j that stay
+above the bottom: ``j = floor((x2 - bottom) / d)``, less one where j * d
+reaches the gap (j * d is exact there). The node pays all of them,
+as a cost above the bottom leaves no such round. A node whose steps do not
+move it, at a zero charge or one below half an ulp (``d == 0``), pays to
+the horizon. A node that could not pay one of the two steps, or that
+reached the horizon, leaves the walk, and the rest go on from just above
+the bottom into the next binade: 15 or 16 passes on ``epa-long``'s
+one-shot runs. Nodes are walked in blocks of ``_BLOCK``, which bounds the
+walk's temporaries.
 
 The trace's ``residual_total`` is the realized initial energy less the
 energy paid so far: ``initial_j - np.add.accumulate(paid)`` over the
@@ -340,85 +352,93 @@ def _strategy_weights(out, kind, active, n_alive, gains, rank, target_snr, noise
     out[active] = _capped_matched_filter(gains, s, target, power)
 
 
-# Stretches of at most ``_SHORT`` rounds are stepped as they stand. A
-# crosser block holds at most ``_CROSSER_BLOCK`` residuals (512 KB of
-# float64), and crossers are stepped in blocks only while they number at
-# most ``_FEW`` or an eighth of the nodes, so that ``_advance`` holds no more
-# than about two node vectors besides its arguments, whatever the stretch.
-_SHORT = 8
-_CROSSER_BLOCK = 2**16
-_FEW = 1024
-_EXPONENT = 0x7FF0000000000000  # the exponent field of a float64's bits
-
-
-def _advance(residual, cost, rounds):
-    """Step up to ``rounds`` rounds in which every node pays ``cost``.
-
-    Leaves ``residual`` where the in-place ``residual -= cost`` steps leave
-    it and returns how many rounds were stepped: every one up to the first
-    whose starting residuals do not cover ``cost`` everywhere (the test of
-    ``gate_and_charge``), so that round runs the normal path. Longer
-    stretches jump to their end in closed form (module docstring).
-    """
-    if rounds <= _SHORT:
-        # Residuals never rise, so if the last round's start covers the cost,
-        # every earlier one does; otherwise try a round fewer.
-        for stepped in range(rounds, 0, -1):
-            start = residual
-            for _ in range(stepped - 1):
-                start = start - cost
-            if np.count_nonzero(start >= cost) == residual.size:
-                np.subtract(start, cost, out=residual)
-                return stepped
-        return 0
-    y = np.subtract(residual, cost)      # x1
-    lo = np.subtract(y, cost)            # x2
-    np.subtract(y, lo, out=y)            # d
-    np.multiply(y, rounds - 2, out=y)
-    np.subtract(lo, y, out=y)            # y = x2 - (rounds - 2) * d
-    bits = lo.view(np.int64)
-    np.bitwise_and(bits, _EXPONENT, out=bits)  # the bottom of x2's binade, +0.0 below the normal range
-    crossing = np.less_equal(y, lo)
-    del lo, bits
-    if np.count_nonzero(crossing) > max(residual.size >> 3, _FEW):
-        del y, crossing  # too many crossers to copy: step every row, testing its start
-        for stepped in range(rounds):
-            if np.count_nonzero(residual >= cost) < residual.size:
-                return stepped
-            residual -= cost
-        return rounds
-    crossers = crossing.nonzero()[0]
-    if crossers.size:
-        c = cost[crossers]
-        rows = max(_CROSSER_BLOCK // crossers.size, 1)
-        block = np.empty((min(rows, rounds) + 1, crossers.size))
-        np.take(residual, crossers, out=block[0])
-        done = 0
-        while True:
-            m = min(rows, rounds - done)
-            steps = block[: m + 1]
-            steps[1:] = c
-            np.subtract.accumulate(steps, axis=0, out=steps)
-            paid = int(np.minimum.reduce(np.add.reduce(steps[:m] >= c, axis=0)))
-            done += paid
-            if paid < m or done == rounds:
-                break
-            block[0] = steps[m]
-        if done < rounds:
-            del y
-            return _advance(residual, cost, done)  # every round up to done is paid
-        y[crossers] = steps[paid]
-    residual[:] = y
-    return rounds
+# A walk of at most ``_SHORT`` rounds steps its rows unless a node stops early:
+# a binade pass costs about as many array operations as 30 rows.
+_SHORT = 32
+_BLOCK = 2**14  # nodes that jump together, which bounds a walk's temporaries
+_EXPONENT = np.int64(0x7FF0000000000000)  # the exponent field of a float64's bits
 
 
 def _stepped_rows(start, cost, rounds):
-    """The residual rows of ``rounds`` stepped rounds from ``start``, with the bits of ``residual -= cost``."""
+    """The residual rows of ``rounds`` rounds after ``start``, with the bits of ``residual -= cost``."""
     steps = np.empty((rounds + 1, start.size))
     steps[0] = start
     steps[1:] = cost
     np.subtract.accumulate(steps, axis=0, out=steps)
     return steps[1:]
+
+
+def _walk(residual, cost, horizon):
+    """Each node's payable rounds at its fixed ``cost``, up to ``horizon``, and its residual after them.
+
+    Node i pays a round while its residual covers ``cost[i]``, each payment
+    is ``residual -= cost``, and it stops at the first round it cannot pay:
+    the test and the bits of ``gate_and_charge``, round by round. Returns
+    ``(fewest, paid, final)``: the fewest rounds any node paid, each node's
+    count (None when every node paid all ``horizon``) and its residual after
+    them. ``residual`` is left as it is. A walk of at most ``_SHORT`` rounds
+    in which no node stops before the last steps its rows; any other jumps
+    across one binade per pass (module docstring).
+    """
+    n = residual.size
+    if horizon == 0:
+        return 0, None, residual
+    if horizon <= _SHORT:
+        # fl(x - c) < 0 exactly when x < c, and residuals never rise: a node whose
+        # residual after horizon - 1 rounds is not negative paid all of them
+        x = residual
+        for _ in range(horizon - 1):
+            x = x - cost
+        if horizon == 1 or np.count_nonzero(x >= 0.0) == n:
+            last = x >= cost
+            if np.count_nonzero(last) == n:
+                return horizon, None, x - cost
+            return horizon - 1, last + (horizon - 1), np.where(last, x - cost, x)
+        # some node stops before the last round
+    paid = np.empty(n, dtype=np.int64)
+    final = np.empty(n)
+    with np.errstate(divide="ignore", invalid="ignore"):  # d == 0: the node pays to the horizon
+        for lo in range(0, n, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            x, c, rounds, at = residual[block], cost[block], float(horizon), None
+            paid_at, final_at = paid[block], final[block]
+            while True:
+                x1 = x - c
+                x2 = x1 - c
+                d = x1 - x2
+                bottom = np.bitwise_and(x2.view(np.int64), _EXPONENT).view(np.float64)
+                gap = np.subtract(x2, bottom, out=bottom)
+                # the most further rounds j with x2 - j * d above the bottom of x2's binade
+                j = np.floor(gap / d)
+                j -= j * d >= gap
+                del gap, bottom
+                np.fmin(j, rounds - 2, out=j)
+                np.fmax(j, 0.0, out=j)
+                once = x >= c
+                twice = x1 >= c
+                twice &= rounds >= 2
+                j *= twice
+                np.copyto(x1, x, where=~once)  # x1 becomes the node's residual after this pass
+                d *= j
+                np.subtract(x2, d, out=x1, where=twice)
+                del x2, d
+                j += once
+                j += twice
+                rounds = rounds - j
+                on = twice & (rounds > 0)  # at the bottom of a binade with rounds to go
+                going = np.count_nonzero(on)
+                if going == on.size:
+                    x = x1
+                    continue
+                off = ~on
+                done = off if at is None else at[off]
+                paid_at[done] = horizon - rounds[off]
+                final_at[done] = x1[off]
+                if not going:
+                    break
+                at = on.nonzero()[0] if at is None else at[on]
+                x, c, rounds = x1[on], c[on], rounds[on]
+    return int(paid.min()), paid, final
 
 
 def run_lifetime(scenario, rng, record_nodes=False):
@@ -484,7 +504,6 @@ def run_lifetime(scenario, rng, record_nodes=False):
     ranks = None if closed_form or target_snr == 0.0 else [_rank_gains(g) for g in gains_at]
     never = scenario.max_rounds + 1
     realloc = 1  # the next round that reallocates with new inputs
-    due = None  # each node's estimated last payable round (module docstring)
     # The closed-form kinds' unscaled weights: cb_epa's ones, set here, or
     # cb_pa's, in level units where quantized; each link's sum of levels, and
     # that sum at the last allocation, kept until a node dies or a link goes
@@ -497,11 +516,32 @@ def run_lifetime(scenario, rng, record_nodes=False):
     sums = [None] * k
     level_sums = None
 
+    # The stretch under way (module docstring): it started after round t0,
+    # from the residuals ``start`` at the charge ``cost``, and its walk of
+    # ``horizon`` rounds gave each node's payable rounds and final residual.
+    # Between stretches t0 is None and ``residual`` holds the residuals.
+    t0 = None
+
+    def walked_to_t():
+        """The residuals after round t of the stretch."""
+        return final if t - t0 == horizon else _walk(start, cost, t - t0)[2]
+
     t = 0
     while t < scenario.max_rounds:
         t += 1
         repeat = False
-        if t == realloc:
+        if t0 is not None:
+            # a round of the stretch: the nodes whose payable rounds ran out cannot
+            # pay it, and gate_and_charge would zero their weights and charges
+            unfunded = (payable == t - 1 - t0).nonzero()[0]
+            assigned[unfunded] = 0.0
+            charge = charge.copy()
+            charge[unfunded] = 0.0
+            paid = float(np.add.reduce(charge))
+            payable[unfunded] = horizon  # they pay nothing from now on
+            if record_nodes:
+                residual = walked_to_t()
+        elif t == realloc:
             realloc = t + period if reads_residuals else never
             if reads_residuals:
                 _cbpa_units(units, residual, divisor, levels)
@@ -510,7 +550,6 @@ def run_lifetime(scenario, rng, record_nodes=False):
                     repeat = sums == level_sums  # every level repeated: the round opens a stretch
                     level_sums = sums
             if not repeat:
-                due = None
                 # Each link up writes all its members; a down link's members
                 # were zeroed when it went down.
                 for l in range(k):
@@ -550,16 +589,13 @@ def run_lifetime(scenario, rng, record_nodes=False):
         if repeat:
             t -= 1  # the stretch below starts at this round
         else:
-            charge, unfunded, paid = gate_and_charge(residual, assigned, slot)
-            if unfunded is None:
-                due = None  # reallocated, or the estimate fell short
-            else:
+            if t0 is None:
+                charge, unfunded, paid = gate_and_charge(residual, assigned, slot)
+            if unfunded is not None:
                 alive[unfunded] = False
                 level_sums = None
                 up_counts = [int(np.count_nonzero(view)) for view in alive_at]
                 realloc = t + 1 + (-t % period)  # the next period boundary
-                if due is not None:
-                    due[unfunded] = math.inf
 
             snr_row = [math.nan] * k
             rate_total = 0.0
@@ -581,7 +617,6 @@ def run_lifetime(scenario, rng, record_nodes=False):
                     causes[l] = cause
                     assigned_at[l].fill(0.0)
                     link_down = True
-                    due = None
                     level_sums = None
 
             alive_rows.append(sum(up_counts) / n)
@@ -592,32 +627,44 @@ def run_lifetime(scenario, rng, record_nodes=False):
             if record_nodes:
                 node_rows.append(residual[None].copy())
                 node_alive_rows.append(alive.copy())
-            if None not in causes:
-                break
             if link_down:
+                if t0 is not None:
+                    residual, t0 = walked_to_t(), None
+                if None not in causes:
+                    break
                 continue
 
-        # Rounds t + 1 to realloc - 1 are static until a node cannot pay
-        # (module docstring): step them in bulk and repeat the last record.
-        rounds = realloc - 1 - t
-        if rounds < 1:
-            continue
-        rounds = min(rounds, scenario.max_rounds - t)
-        if rounds > 1:
-            # Only sizes the stretch; _advance decides which rounds are paid.
-            if due is None:
-                with np.errstate(over="ignore"):  # a tiny charge gives inf, the right estimate
-                    due = np.divide(residual, charge, out=np.full(n, np.inf), where=charge > 0)
-                due += t
-            ratio = due.min() - t
-            if ratio < rounds:
-                rounds = int(ratio)
-        start = residual.copy() if record_nodes else None
-        m = _advance(residual, charge, rounds)
-        if record_nodes and m:
-            node_rows.append(_stepped_rows(start, charge, m))
-        counts[-1] += m
-        t += m
+        # Rounds t + 1 to realloc - 1 repeat round t's charge (module docstring):
+        # walk them, step to the first round in which some node cannot pay, and
+        # repeat the last record for the stepped rounds.
+        while t0 is not None or t < realloc - 1:
+            end = realloc - 1 if realloc <= scenario.max_rounds else scenario.max_rounds
+            if t0 is None:
+                horizon = end - t
+                if horizon < 1:
+                    break
+                if period == 1 and horizon > _SHORT:
+                    # a death reallocates at the next round, so the stretch ends at the first
+                    with np.errstate(all="ignore"):
+                        first = np.fmin.reduce(residual / charge)
+                    if first < horizon:
+                        horizon = int(first) + 1
+                m, payable, final = _walk(residual, charge, horizon)
+                if m == 0:
+                    break  # some node cannot pay round t + 1, which runs the normal path
+                t0, start, cost = t, residual, charge
+            else:
+                m = int(payable.min())
+            stop = t0 + m if t0 + m < end else end
+            if record_nodes and stop > t:
+                node_rows.append(_stepped_rows(residual, charge, stop - t))
+            counts[-1] += stop - t
+            t = stop
+            if m < horizon and t < end:
+                break  # round t + 1 is a round of the stretch in which nodes die
+            residual, t0 = walked_to_t(), None
+            if t == end:
+                break
     counts = np.array(counts)
     # the energy paid through each round, summed round by round (module docstring)
     consumed = np.add.accumulate(np.array(paids).repeat(counts))

@@ -419,13 +419,25 @@ class TestCli:
         with pytest.raises(ConfigError, match=r"^n: 7500000 nodes on 2 link\(s\)"):
             beamlife.cli._with_overrides(replace(cfg, links=2), None, None)
 
-    @pytest.mark.parametrize("case", ["epa-one-shot", "epa-one-shot-crossing", "pa-period-1"])
+    def test_round_budget_holds_the_default_rounds(self):
+        # The default max_rounds fits, on one link and on the 100-link
+        # zero-target probe; ten times as many rounds on 100 links do not.
+        # None of these runs.
+        probe = replace(preset("epa-uniform"), links=100, target_snr_db=None, target_rate_bits=0.0)
+        for cfg in (preset("pa-uniform"), probe):
+            assert cfg.max_rounds == 10**6 and beamlife.cli._with_overrides(cfg, None, None) == cfg
+        with pytest.raises(ConfigError, match=r"^max_rounds: 10000000 rounds on 100 link\(s\)"):
+            beamlife.cli._with_overrides(replace(probe, max_rounds=10**7), None, None)
+
+    @pytest.mark.parametrize("case", ["epa-one-shot", "epa-one-shot-crossing", "pa-period-1", "epa-one-shot-walk"])
     def test_run_memory_fits_the_budget(self, case):
         # The budget the CLI refuses an n by must hold a run's traced peak.
         # Narrow gaussian budgets keep every node alive for the 12 rounds, so
-        # the one-shot runs jump an 11-round stretch and cb_pa reallocates
+        # the one-shot runs step an 11-round stretch and cb_pa reallocates
         # every round. In the crossing case every node starts 3.5 slot
-        # charges above 0.5 and crosses that binade edge in the stretch.
+        # charges above 0.5 and crosses that binade edge in the stretch. The
+        # walk case's 39-round stretch is longer than the walk steps row by
+        # row, so it jumps by binades.
         n = 200_000
         one_shot = StrategySpec(kind="cb_epa", levels=0, period=10**9)
         cfg = replace(
@@ -433,7 +445,7 @@ class TestCli:
             n=n,
             strategy=one_shot if case.startswith("epa") else StrategySpec(kind="cb_pa", levels=8, period=1),
             energy=EnergySpec(kind="gaussian", e_max=1.0, mean=0.5, sigma=0.05),
-            max_rounds=12,
+            max_rounds=40 if case == "epa-one-shot-walk" else 12,
             runs=1,
         )
         if case == "epa-one-shot-crossing":
@@ -446,7 +458,9 @@ class TestCli:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert trace.lifetime == 12 and trace.alive_fraction[-1] == 1.0
+        assert trace.lifetime == cfg.max_rounds and trace.alive_fraction[-1] == 1.0
+        if case == "epa-one-shot-walk":
+            assert cfg.max_rounds - 1 > beamlife.lifetime._SHORT
         if case == "epa-one-shot-crossing":
             assert trace.wasted_j < 0.5 * n < trace.initial_j
         assert peak <= 8 * n * (cfg.links + beamlife.cli._NODE_VECTORS)
@@ -515,6 +529,13 @@ class TestCli:
                          "energy.e_max", id="e_max-sums-overflow"),
             pytest.param({"energy": {"kind": "gaussian", "e_max": 1e308, "mean": 5e307}, "runs": 2, "max_rounds": 5},
                          "energy.e_max", id="e_max-sums-overflow-gaussian"),
+            # a zero charge jumps any stretch at once, but the per-round trace cannot hold its rounds
+            pytest.param({"n": 10, "target_rate_bits": 0.0, "target_snr_db": None,
+                          "strategy": {"kind": "cb_epa", "levels": 0, "period": 10**9}, "runs": 1, "max_rounds": 10**20},
+                         "max_rounds", id="max_rounds-over-memory-budget"),
+            # wasted_pct divides by n * mean, which wasted_j can pass by e_max / mean
+            pytest.param({"energy": {"kind": "gaussian", "e_max": 1e300, "mean": 1e-300, "sigma": 1e300}, "runs": 2,
+                          "max_rounds": 5}, "energy.mean", id="wasted-pct-overflow"),
         ],
     )
     def test_malformed_value_exits_with_key_path(self, tmp_path, capsys, data, path):

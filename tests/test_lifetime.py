@@ -654,13 +654,13 @@ def clipped_uneven_links():
         "funded_link_down",
         "min_power-1",
         "max_gain-1",
-        "block_bound",
+        "binade_edge",
     ],
 )
 def test_bulk_stepped_rounds_are_bit_exact(case, monkeypatch):
     # Every round charges exactly what gate_and_charge would, whether the
     # engine ran it or stepped it in bulk, around each way a stretch ends,
-    # also where each crosser block holds one row, and every round's
+    # also where a walk jumps a node across a binade edge, and every round's
     # residual total lies within its bound of the exact row sum.
     cfg = one_shot()
     if case == "reallocation":
@@ -681,8 +681,7 @@ def test_bulk_stepped_rounds_are_bit_exact(case, monkeypatch):
         full, normal = run_with_normal_rounds(cfg, 0, monkeypatch)
         inside = [t for t in range(3, full.lifetime) if not {t - 2, t - 1, t, t + 1} & normal]
         cfg = replace(cfg, max_rounds=inside[0])
-    elif case == "block_bound":
-        monkeypatch.setattr(beamlife.lifetime, "_CROSSER_BLOCK", 1)  # one crosser row per block
+    elif case == "binade_edge":
         cfg = replace(cfg, t_slot_s=cfg.t_slot_s / 10)
         full, normal = run_with_normal_rounds(cfg, 0, monkeypatch)
         inside = [t for t in range(3, full.lifetime) if not {t - 2, t - 1, t, t + 1} & normal]
@@ -710,9 +709,9 @@ def test_bulk_stepped_rounds_are_bit_exact(case, monkeypatch):
         assert trace.lifetime == cfg.max_rounds and cfg.max_rounds in stepped
         assert trace.causes == ("max_rounds",)
         assert trace.consumed_j + trace.wasted_j == pytest.approx(trace.initial_j, rel=1e-12)
-    elif case == "block_bound":
-        # some stretch jumped in closed form takes a node across a binade
-        # edge after its second round, which leaves it to the crosser blocks
+    elif case == "binade_edge":
+        # some stretch longer than _SHORT, which the walk jumps by binades,
+        # takes a node across a binade edge after its second round
         short = beamlife.lifetime._SHORT
         edges = [t for t in sorted(normal) if set(range(t + 1, t + short + 2)) <= stepped
                  and np.any(np.frexp(trace.node_residuals[t + 1])[1] != np.frexp(trace.node_residuals[t + short])[1])]
@@ -774,8 +773,22 @@ def deaths_on_two_links():
 
 def stepping_case(case, monkeypatch):
     """Scenario of one ``test_bulk_stepping_is_invisible`` case."""
+    gaussian = EnergySpec(kind="gaussian", e_max=1.0, mean=0.5, sigma=0.15)
     if case == "epa-one-shot":
         return one_shot()
+    if case == "epa-equal-budgets":
+        # every node pays the same charge from the same budget: all die in one round
+        return one_shot(energy=EnergySpec(kind="gaussian", e_max=1.0, mean=0.5, sigma=0.0))
+    if case == "epa-three-uneven-links":
+        # links of 5, 5 and 4 nodes; the third goes down in a round in which nodes die
+        cfg = one_shot(n=14, links=3, energy=gaussian, death=DeathSpec(max_dead_fraction=0.9, snr_drop_db=60.0),
+                       master_seed=0)
+        return replace(cfg, t_slot_s=cfg.t_slot_s / 10)
+    if case == "death-downs-a-link":
+        # a node's death takes its link past max_dead_fraction inside a stretch; the other link goes on
+        cfg = one_shot(links=2, energy=gaussian, death=DeathSpec(max_dead_fraction=0.3, snr_drop_db=60.0),
+                       master_seed=0)
+        return replace(cfg, t_slot_s=cfg.t_slot_s / 3)
     if case == "epa-period-7":
         return small_scenario(strategy=StrategySpec(kind="cb_epa", levels=0, period=7))
     if case == "pa-period-2":
@@ -783,22 +796,20 @@ def stepping_case(case, monkeypatch):
         return replace(cfg, t_slot_s=cfg.t_slot_s / 8)  # several rounds per level
     if case == "pa-period-5":
         return small_scenario(strategy=StrategySpec(kind="cb_pa", levels=8, period=5))
+    if case == "pa-period-5-last-round":
+        # nodes die in round 10, the last of a period and inside its stretch
+        return small_scenario(strategy=StrategySpec(kind="cb_pa", levels=8, period=5), master_seed=3)
     if case in ("min_power-1", "max_gain-1"):
         kind = "centralized_" + case[:-2]
         return small_scenario(strategy=StrategySpec(kind=kind, levels=0, period=1))
     if case == "link_down":
         return one_shot(links=2, target_snr_db=5.0)
     if case == "short_stretch":
-        # every stretch of more than one round steps one round fewer, so
-        # normal rounds with neither a death nor a reallocation follow
-        full = beamlife.lifetime._advance
-        monkeypatch.setattr(
-            beamlife.lifetime,
-            "_advance",
-            lambda residual, cost, rounds: full(residual, cost, rounds - 1 if rounds > 1 else rounds),
-        )
-        cfg = one_shot()
-        return replace(cfg, t_slot_s=cfg.t_slot_s / 10)
+        # At period 1 a stretch is walked only as far as residual / charge
+        # estimates the first death. For one node on a budget near 40 charges
+        # the estimate is a round short, so the walk ends with no death and a
+        # second walk from there finds it.
+        return period_one_shortfall()
     if case.startswith("quant-"):
         return quantized_case(case)
     if case == "pa-max_rounds":
@@ -810,41 +821,79 @@ def stepping_case(case, monkeypatch):
         return replace(cfg, max_rounds=inside[len(inside) // 2])
     cfg = one_shot()
     cfg = replace(cfg, t_slot_s=cfg.t_slot_s / 10)  # longer stretches
-    if case == "block_bound":
-        monkeypatch.setattr(beamlife.lifetime, "_CROSSER_BLOCK", 2)
+    if case == "binade_walk":
+        monkeypatch.setattr(beamlife.lifetime, "_SHORT", 2)  # every stretch of 3 or more rounds jumps by binades
     full, normal = run_with_normal_rounds(cfg, 0, monkeypatch)
     inside = [t for t in range(3, full.lifetime) if not {t - 1, t, t + 1} & normal]
     return replace(cfg, max_rounds=inside[len(inside) // 2])
 
 
+def one_node(period):
+    """One node on one link, at unit gains and no phase error, and its slot charge."""
+    cfg = ScenarioConfig(
+        n=1,
+        links=1,
+        target_snr_db=6.0,
+        shadowing_sigma2_db=0.0,
+        phase_error_deg_bound=0.0,
+        energy=EnergySpec(kind="gaussian", e_max=1.0, mean=0.5, sigma=0.0),
+        strategy=StrategySpec(kind="cb_epa", levels=0, period=period),
+        t_slot_s=1e6,
+        p_max=1.0,
+        max_rounds=100,
+    )
+    w = cbepa_weight(cfg.target_snr_linear(), 1, lognormal_channel_stats(0.0), db_to_linear(cfg.noise_db))
+    return cfg, w * w * cfg.t_slot_s
+
+
+def residual_rows(budget, cost):
+    """``budget`` and its residuals after each round it pays at ``cost``, subtracting round by round."""
+    rows = [budget]
+    while rows[-1] >= cost:
+        rows.append(rows[-1] - cost)
+    return rows
+
+
+def period_one_shortfall():
+    cfg, cost = one_node(period=1)
+    budgets = np.nextafter(40 * cost, 0.0) + cost * np.arange(-8, 9) * 2.0**-45
+    short = [b for b in budgets if len(residual_rows(b, cost)) - 1 > int(b / cost)]
+    assert short
+    return replace(cfg, energy=replace(cfg.energy, mean=float(short[0])))
+
+
 @pytest.mark.parametrize(
     "case",
-    ["epa-one-shot", "epa-period-7", "pa-period-2", "pa-period-5", "min_power-1", "max_gain-1", "link_down",
-     "max_rounds", "pa-max_rounds", "block_bound", "short_stretch", "quant-2", "quant-8", "quant-2-links",
+    ["epa-one-shot", "epa-equal-budgets", "epa-three-uneven-links", "death-downs-a-link", "epa-period-7",
+     "pa-period-2", "pa-period-5", "pa-period-5-last-round", "min_power-1", "max_gain-1", "link_down",
+     "max_rounds", "pa-max_rounds", "binade_walk", "short_stretch", "quant-2", "quant-8", "quant-2-links",
      "quant-deaths", "quant-period-3", "quant-link-down"],
 )
 def test_bulk_stepping_is_invisible(case, monkeypatch):
-    # A run that steps static stretches and rounds whose levels repeat, and
-    # one that runs every round on the normal path, give the same trace, bit
-    # for bit: the repeated records of stepped rounds included, not only the
-    # residuals. Both skip the reallocations whose levels repeat, so every
-    # residual row must also be the public helper chain's, reallocated at
-    # every period boundary.
+    # A run that walks static stretches, through the rounds in which nodes
+    # die, and steps rounds whose levels repeat, and one that runs every
+    # round on the normal path, give the same trace, bit for bit: the
+    # repeated records of stepped rounds included, not only the residuals.
+    # Both skip the reallocations whose levels repeat, so every residual row
+    # must also be the public helper chain's, reallocated at every period
+    # boundary.
     cfg = stepping_case(case, monkeypatch)
     gate_calls = counted_calls(monkeypatch, "gate_and_charge")
-    stretch_rounds = []
-    if case == "pa-period-2":
-        full = beamlife.lifetime._advance
-        monkeypatch.setattr(
-            beamlife.lifetime,
-            "_advance",
-            lambda residual, cost, rounds: stretch_rounds.append(rounds) or full(residual, cost, rounds),
-        )
+    walks = []
+    full = beamlife.lifetime._walk
+
+    def logged(residual, cost, horizon):
+        fewest, paid, final = full(residual, cost, horizon)
+        walks.append((horizon, fewest))
+        return fewest, paid, final
+
+    monkeypatch.setattr(beamlife.lifetime, "_walk", logged)
     stepped = run_lifetime(cfg, rng_for(cfg.master_seed), record_nodes=True)
-    assert len(gate_calls) < stepped.lifetime
-    normal_rounds = len(gate_calls)
+    stepped_gates = len(gate_calls)
+    assert stepped_gates < stepped.lifetime
+    normal_rounds = set(run_with_normal_rounds(cfg, 0, monkeypatch)[1])
     assert_rows_match_round_charges(cfg, stepped, initial_residuals(cfg, 0), setup_gains(cfg, 0))
-    monkeypatch.setattr(beamlife.lifetime, "_advance", lambda residual, cost, rounds: 0)
+    monkeypatch.setattr(beamlife.lifetime, "_walk", lambda residual, cost, horizon: full(residual, cost, 0))
     del gate_calls[:]
     normal = run_lifetime(cfg, rng_for(cfg.master_seed), record_nodes=True)
     assert len(gate_calls) == normal.lifetime
@@ -857,21 +906,45 @@ def test_bulk_stepping_is_invisible(case, monkeypatch):
             assert a.tobytes() == b.tobytes(), field.name
         else:
             assert a == b, field.name
-    if case == "link_down":
-        assert stepped.link_lifetimes.min() < stepped.lifetime
-    elif case in ("max_rounds", "pa-max_rounds", "block_bound"):
+    alive_counts = np.concatenate([[cfg.n], stepped.node_alive.sum(axis=1)])
+    death_rounds = set(np.flatnonzero(np.diff(alive_counts) < 0) + 1)
+    walked_deaths = death_rounds - normal_rounds  # deaths found by a walk, in rounds that ran no gate
+    first_down = int(stepped.link_lifetimes.min())
+    if case in ("link_down", "quant-2-links", "quant-deaths", "quant-link-down"):
+        assert first_down < stepped.lifetime
+        if case == "quant-deaths":
+            assert stepped.node_alive[: first_down - 1].sum(axis=1).min() < cfg.n
+    elif case in ("max_rounds", "pa-max_rounds", "binade_walk"):
         assert stepped.lifetime == cfg.max_rounds and stepped.causes == ("max_rounds",)
+        if case == "binade_walk":
+            assert max(horizon for horizon, _ in walks) > 2
     elif case == "pa-period-2":
         # one-round stretches after a boundary that reallocated, and
         # two-round ones from a boundary whose levels repeated
-        assert {1, 2} <= set(stretch_rounds)
+        assert {1, 2} <= {horizon for horizon, _ in walks}
+    elif case == "epa-one-shot":
+        # one allocation; each death round after it is walked, unless a node
+        # cannot pay round 2, which then runs the gate
+        assert normal_rounds <= {1, 2} and death_rounds - {1, 2} <= walked_deaths and len(walked_deaths) > 2
+    elif case == "epa-equal-budgets":
+        assert alive_counts[-2] == cfg.n and alive_counts[-1] == 0 and walked_deaths == {stepped.lifetime}
+    elif case in ("epa-three-uneven-links", "death-downs-a-link"):
+        # a link goes down in a walked death round, and a later round runs the gate for the links left
+        assert first_down in walked_deaths and first_down < stepped.lifetime and first_down + 1 in normal_rounds
+        if case == "epa-three-uneven-links":
+            assert [len(range(l, cfg.n, cfg.links)) for l in range(cfg.links)] == [5, 5, 4]
+    elif case == "pa-period-5-last-round":
+        # a death in a period's last round reallocates at the next one; the stretch ends there
+        assert 10 in walked_deaths and 11 in normal_rounds
     elif case == "short_stretch":
-        # round 1 and the death rounds are not all the normal rounds
-        assert normal_rounds > 1 + np.count_nonzero(np.diff(stepped.node_alive.sum(axis=1)))
-    elif case in ("quant-2-links", "quant-deaths", "quant-link-down"):
-        assert stepped.link_lifetimes.min() < stepped.lifetime
-        if case == "quant-deaths":
-            assert stepped.node_alive[: stepped.link_lifetimes.min() - 1].sum(axis=1).min() < cfg.n
+        # the first stretch's walk paid its whole horizon short of the death,
+        # and the second found the node unable to pay the next round
+        (h1, m1), (h2, m2) = walks[:2]
+        assert m1 == h1 < cfg.max_rounds - 1 and m2 == 0
+        assert normal_rounds == {1, stepped.lifetime} and stepped.causes == ("nodes",)
+    elif case in ("min_power-1", "max_gain-1"):
+        # period 1: a walked death round ends its stretch, and the next round reallocates
+        assert walked_deaths and all(t + 1 in normal_rounds for t in walked_deaths if t < stepped.lifetime)
 
 
 def counted_calls(monkeypatch, name):
@@ -1242,55 +1315,40 @@ def test_gate_sees_one_weights_array_per_run(kind, monkeypatch):
 
 
 def test_stretch_stops_where_the_node_cannot_pay():
-    # A stretch's length is estimated as residual / cost, which near a whole
-    # ratio can promise one round more than repeated subtraction leaves;
-    # _advance, not the estimate, decides. One node on a one-shot equal
-    # weight gets a budget for which the estimate overshoots, and must still
-    # die in the first round it cannot pay, with every residual exact.
-    cfg = ScenarioConfig(
-        n=1,
-        links=1,
-        target_snr_db=6.0,
-        shadowing_sigma2_db=0.0,
-        phase_error_deg_bound=0.0,
-        energy=EnergySpec(kind="gaussian", e_max=1.0, mean=0.5, sigma=0.0),
-        strategy=StrategySpec(kind="cb_epa", levels=0, period=10**9),
-        t_slot_s=1e6,
-        p_max=1.0,
-        max_rounds=100,
-    )
-    w = cbepa_weight(cfg.target_snr_linear(), 1, lognormal_channel_stats(0.0), db_to_linear(cfg.noise_db))
-    cost = w * w * cfg.t_slot_s
-
-    def residuals(budget):
-        rows = [budget]
-        while rows[-1] >= cost:
-            rows.append(rows[-1] - cost)
-        return rows
-
-    budgets = np.nextafter(20 * cost, np.inf) + cost * np.arange(-8, 9) * 2.0**-45
-    overshoot = [b for b in budgets if int((b - cost) / cost) > len(residuals(b - cost)) - 1]
-    assert overshoot
-    budget = float(overshoot[0])
-    trace = run_lifetime(replace(cfg, energy=replace(cfg.energy, mean=budget)), rng_for(1), record_nodes=True)
-    rows = residuals(budget)
-    assert trace.lifetime == len(rows)
-    assert trace.causes == ("nodes",)
-    assert trace.node_residuals[:, 0].tolist() == rows[1:] + [rows[-1]]
-    assert_residual_curve_within_bound(trace)
+    # One node on an equal weight gets a budget for which residual / cost,
+    # the estimate that sizes a stretch's walk at period 1, promises one
+    # round more than repeated subtraction leaves. The walk, not the
+    # estimate, decides: one-shot or at period 1, the node must die in the
+    # first round it cannot pay, with every residual exact.
+    for period in (10**9, 1):
+        cfg, cost = one_node(period)
+        budgets = np.nextafter(20 * cost, np.inf) + cost * np.arange(-8, 9) * 2.0**-45
+        overshoot = [b for b in budgets if int((b - cost) / cost) > len(residual_rows(b - cost, cost)) - 1]
+        assert overshoot
+        budget = float(overshoot[0])
+        trace = run_lifetime(replace(cfg, energy=replace(cfg.energy, mean=budget)), rng_for(1), record_nodes=True)
+        rows = residual_rows(budget, cost)
+        assert trace.lifetime == len(rows)
+        assert trace.causes == ("nodes",)
+        assert trace.node_residuals[:, 0].tolist() == rows[1:] + [rows[-1]]
+        assert_residual_curve_within_bound(trace)
 
 
 def all_rows_stretch(residual, cost, rounds):
-    """Rows of a stretch of ``rounds`` rounds, ended by testing every stepped
-    row: the rounds whose starting residuals cover ``cost`` everywhere, up to
-    the first that does not."""
-    acc = np.empty((rounds + 1, residual.size))
-    acc[0] = residual
-    for prev, row in zip(acc[:-1], acc[1:]):
-        np.subtract(prev, cost, out=row)
-    funded = (acc[:-1] >= cost).all(axis=1)
-    stepped = rounds if funded.all() else int(funded.argmin())
-    return acc[1 : stepped + 1]
+    """Each node's rounds paid and residual after a stretch of ``rounds``
+    rounds at ``cost``, testing every row as ``gate_and_charge`` does: a node
+    pays while its residual covers its cost and stops at the first round it
+    cannot pay."""
+    x = residual.copy()
+    paid = np.zeros(residual.size, dtype=np.int64)
+    paying = np.ones(residual.size, dtype=bool)
+    for _ in range(rounds):
+        paying &= x >= cost
+        if not paying.any():
+            break
+        np.subtract(x, cost, out=x, where=paying)
+        paid += paying
+    return paid, x
 
 
 TINY = 2.0**-1074  # the smallest subnormal
@@ -1352,42 +1410,54 @@ def stretch_inputs(rng, n, longest):
 
 
 def test_stretch_ends_like_a_test_of_every_row(monkeypatch):
-    # _advance jumps a stretch to its end in closed form and steps only the
-    # crossers, in blocks; it must step the same rounds and leave the same
-    # residuals as testing every row does, whatever the estimate of the
-    # length. Small crosser bounds make one stretch span several blocks, and
-    # without the floor of ``_FEW`` crossers, stretches in which more than an
-    # eighth of the nodes cross step every row.
+    # _walk steps short stretches row by row and jumps longer ones across a
+    # binade per pass, in blocks of nodes; each node's count of rounds paid
+    # and its final residual must be those of testing every row, byte for
+    # byte, whether the horizon ends before the first node stops, at it or
+    # long after, for horizons of 0 to 10**5 rounds on up to 1000 nodes.
+    # Small blocks make one walk span several.
     rng = np.random.default_rng(2024)
-    overshoots, multi_block_cuts, general, wide = set(), 0, 0, 0
-    for i in range(3000):
+    cut, to_horizon, horizons, jumps, wide = 0, 0, set(), 0, 0
+    for i in range(2500):
         n, longest = (int(rng.integers(1, 7)), 40) if i % 10 < 6 else (int(rng.integers(1, 1001)), 60)
         if i % 20 == 19:
             n, longest = int(rng.integers(1, 9)), 5000
         if i % 500 == 0:
             n, longest = 1000, 5000
+        if i % 500 == 250:
+            n, longest = int(rng.integers(1, 5)), 10**5
         residual, cost, estimate = stretch_inputs(rng, n, longest)
-        rounds = max(estimate + int(rng.integers(-2, 6)), 1) if i % 4 else int(rng.integers(1, longest + 1))
-        bound = int(rng.choice([1, 2, 3, 7, 2**16] if longest < 5000 else [256, 2048, 2**16]))
-        monkeypatch.setattr(beamlife.lifetime, "_CROSSER_BLOCK", bound)
-        monkeypatch.setattr(beamlife.lifetime, "_FEW", 0 if i % 3 == 0 else 1024)  # 0: many crossers step every row
-        expected = all_rows_stretch(residual, cost, rounds)
+        if i % 50 in (1, 2):
+            rounds = i % 50
+        elif i % 4:
+            rounds = max(estimate + int(rng.integers(-2, 6)), 0)
+        else:
+            rounds = int(rng.integers(0, longest + 1))
+        paid, final = all_rows_stretch(residual, cost, rounds)
         start = residual.copy()
-        stepped = beamlife.lifetime._advance(residual, cost, rounds)
-        assert stepped == len(expected), i
-        assert residual.tobytes() == (expected[-1] if stepped else start).tobytes(), i
-        overshoots.add(rounds - stepped)
-        general += rounds > beamlife.lifetime._SHORT
-        multi_block_cuts += stepped < rounds and stepped > bound
-        wide += n >= 500 and stepped > 2
-    assert {0, 1, 2, 5} <= overshoots
-    assert general > 1500 and multi_block_cuts > 200 and wide > 100
+        monkeypatch.setattr(beamlife.lifetime, "_BLOCK", int(rng.choice([1, 3, 64, 2**14])))
+        fewest, counts, walked = beamlife.lifetime._walk(residual, cost, rounds)
+        assert residual.tobytes() == start.tobytes(), i
+        if counts is None:
+            counts = np.full(n, rounds)
+        else:
+            assert counts.dtype == np.int64, i
+        assert counts.tolist() == paid.tolist() and fewest == paid.min(), i
+        assert walked.tobytes() == final.tobytes(), i
+        cut += int(paid.min()) < rounds
+        to_horizon += rounds > beamlife.lifetime._SHORT and int(paid.max()) == rounds
+        horizons.add(rounds)
+        # a node that paid a long walk and ended two binades below its start
+        jumps += rounds > beamlife.lifetime._SHORT and bool(np.any(np.frexp(start)[1] - np.frexp(final)[1] >= 2))
+        wide += n >= 500 and rounds > beamlife.lifetime._SHORT
+    assert {0, 1, 2} <= horizons and max(horizons) > 5 * 10**4
+    assert cut > 1000 and to_horizon > 300 and jumps > 200 and wide > 100
 
 
-def test_a_static_million_rounds_take_one_advance(monkeypatch):
+def test_a_static_million_rounds_take_one_walk(monkeypatch):
     # The 1-link, zero-target, one-shot probe pays nothing in any round, so
-    # every round after the first is one stretch, jumped in a single call.
-    calls = counted_calls(monkeypatch, "_advance")
+    # every round after the first is one stretch, walked in a single call.
+    calls = counted_calls(monkeypatch, "_walk")
     cfg = replace(preset("epa-uniform"), target_snr_db=None, target_rate_bits=0.0, max_rounds=10**6)
     trace = run_lifetime(cfg, rng_for(cfg.master_seed))
     assert len(calls) == 1
