@@ -35,8 +35,7 @@ _ROUNDS_BLOCK = 2**14
 # and summed, the ensemble's five running sums and their growth), and a
 # max_rounds that would need more is refused too. The two peak apart: the
 # per-round arrays are expanded as the run ends and folded after its node
-# arrays are freed. The fold's link mean briefly holds about three more
-# copies of the SNR rows, which this count leaves out (ROADMAP item 7).
+# arrays are freed. The fold's link mean takes the SNR rows a block at a time.
 _RUN_BYTES = 2**30
 _NODE_VECTORS = 16
 _ROUND_VECTORS = 12

@@ -91,8 +91,15 @@ def _run_indexed(scenario, index):
 
 
 def _per_run_link_mean_snr(trace):
-    """Per-round linear SNR for one run, averaged over the links still up."""
-    return np.nanmean(10.0 ** (trace.snr_db / 10.0), axis=1)
+    """Per-round linear SNR for one run, averaged over the links still up. Blocks of about 2**16 SNR
+    cells bound the temporaries beside the trace; each row is reduced as in the whole array."""
+    rows, links = trace.snr_db.shape
+    mean = np.empty(rows)
+    step = max(1, 2**16 // links)
+    for lo in range(0, rows, step):
+        block = slice(lo, lo + step)
+        mean[block] = np.nanmean(10.0 ** (trace.snr_db[block] / 10.0), axis=1)
+    return mean
 
 
 def run_ensemble(scenario, workers=1):
@@ -112,9 +119,10 @@ def run_ensemble(scenario, workers=1):
     if n % links:
         warnings.warn(f"{n} nodes do not split evenly into {links} links", stacklevel=2)
     run = partial(_run_indexed, scenario)
-    # Workers beyond the run count or the CPUs would sit idle, and a
-    # fork-based pool starts every one of them at the first submit.
-    workers = min(workers, runs, os.cpu_count() or 1)
+    # Workers beyond the run count or the CPUs this process may run on would
+    # sit idle, and a fork-based pool starts every one of them at the first submit.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, runs, cpus)
     if workers > 1:
         # imported here: the pool's modules add to every command's start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -132,9 +140,9 @@ def _fold(traces):
     terminal = []
     for trace in traces:
         rounds_i = trace.lifetime
+        snr = _per_run_link_mean_snr(trace)  # before the sums grow, so that the two peak apart
         if rounds_i > sums[0].size:
             sums = [np.concatenate((a, np.zeros(rounds_i - a.size, a.dtype))) for a in sums]
-        snr = _per_run_link_mean_snr(trace)
         for total, curve in zip(sums, (1, trace.alive_fraction, snr, trace.rate_total, trace.residual_total)):
             total[:rounds_i] += curve
         terminal.append((rounds_i, trace.wasted_j, trace.wasted_pct, trace.causes))

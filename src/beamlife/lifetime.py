@@ -92,12 +92,10 @@ ends at its first death: its walk's horizon is ``int(min(residual /
 charge)) + 1`` rounds, the estimated first death, and a walk that ends
 short of any death is followed by another from where it ended.
 
-Residuals are materialized only where something reads them: where a
-stretch ends (the allocation that follows, or ``wasted_j``), where a link
-goes down, and, in a recorded run, at each death round, whose node rows
-show them. Each is a walk from the stretch's start for the rounds stepped
-(or the walk's own final residuals, at its horizon), which stops every
-node that died where it died.
+Residuals are materialized only where the run reads them: at a ``cb_pa``
+allocation, where a link goes down, at a stretch's end and for
+``wasted_j``. In a stretch, a walk from its start (or its walk's final
+residuals, at its horizon) gives them, stopping each node where it died.
 
 ``_walk`` has the bits of the gate's test ``residual >= cost``, followed
 by ``residual -= cost``, round by round (Goldberg, "What every computer
@@ -134,15 +132,15 @@ rounds' payments, each record's payment repeated for its stepped rounds.
 That accumulation has the bits of a per-round ``consumed += paid``, so a
 stepped round and a normal round give the same value, and ``consumed_j``
 is its last element. It differs from the exact sum of the node residuals
-only by rounding (README states the bound). A recorded run expands each
-stretch's node rows by the same ``np.subtract.accumulate``, with the
-loop's bits.
+only by rounding (README states the bound). A recorded run's node rows
+are the initial residuals less its charge rows, one
+``np.subtract.accumulate`` with the bits of ``residual -= charge``.
 
 A normal round records its alive fraction, SNR row and rate (and, when
-nodes are recorded, its alive mask) once. The m stepped rounds after it
-repeat that record exactly, so they add m to the record's count of rounds
-instead of copying it; the trace's per-round arrays are expanded by one
-``np.repeat`` per field when the run ends.
+nodes are recorded, its charge and alive mask) once. The m stepped rounds
+after it repeat that record exactly, so they add m to the record's count
+of rounds instead of copying it; the trace's per-round arrays are
+expanded by one ``np.repeat`` per field when the run ends.
 """
 
 from __future__ import annotations
@@ -219,7 +217,7 @@ class LifetimeTrace:
     wasted_pct: float
     consumed_j: float
     initial_j: float               # realized total initial energy
-    node_residuals: np.ndarray = None  # (rounds, n) when recorded
+    node_residuals: np.ndarray = None  # (rounds, n) when recorded: the initial residuals less each round's charges
     node_alive: np.ndarray = None      # (rounds, n) when recorded
 
 
@@ -359,15 +357,6 @@ _BLOCK = 2**14  # nodes that jump together, which bounds a walk's temporaries
 _EXPONENT = np.int64(0x7FF0000000000000)  # the exponent field of a float64's bits
 
 
-def _stepped_rows(start, cost, rounds):
-    """The residual rows of ``rounds`` rounds after ``start``, with the bits of ``residual -= cost``."""
-    steps = np.empty((rounds + 1, start.size))
-    steps[0] = start
-    steps[1:] = cost
-    np.subtract.accumulate(steps, axis=0, out=steps)
-    return steps[1:]
-
-
 def _walk(residual, cost, horizon):
     """Each node's payable rounds at its fixed ``cost``, up to ``horizon``, and its residual after them.
 
@@ -476,6 +465,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
 
     residual = sample_initial_energies(scenario.energy, n, rng)
     initial_total = float(residual.sum())
+    first_row = residual[None].copy() if record_nodes else None  # gate_and_charge pays from residual in place
     alive = np.ones(n, dtype=bool)
     # Alive members per link, recounted only after a round in which some node
     # could not pay: nothing else changes the alive set. A down link's
@@ -495,7 +485,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
     # one record per normal round, and how many rounds it stands for: its own
     # and the stepped ones after it (module docstring)
     alive_rows, snr_rows, rate_rows, paids, counts = [], [], [], [], []
-    node_rows, node_alive_rows = ([], []) if record_nodes else (None, None)
+    charge_rows, node_alive_rows = ([], []) if record_nodes else (None, None)
     period = strategy.period
     reads_residuals = strategy.kind == "cb_pa"
     closed_form = strategy.kind in ("cb_pa", "cb_epa")  # the rest run the solvers
@@ -539,8 +529,6 @@ def run_lifetime(scenario, rng, record_nodes=False):
             charge[unfunded] = 0.0
             paid = float(np.add.reduce(charge))
             payable[unfunded] = horizon  # they pay nothing from now on
-            if record_nodes:
-                residual = walked_to_t()
         elif t == realloc:
             realloc = t + period if reads_residuals else never
             if reads_residuals:
@@ -625,7 +613,7 @@ def run_lifetime(scenario, rng, record_nodes=False):
             paids.append(paid)
             counts.append(1)
             if record_nodes:
-                node_rows.append(residual[None].copy())
+                charge_rows.append(charge)
                 node_alive_rows.append(alive.copy())
             if link_down:
                 if t0 is not None:
@@ -656,8 +644,6 @@ def run_lifetime(scenario, rng, record_nodes=False):
             else:
                 m = int(payable.min())
             stop = t0 + m if t0 + m < end else end
-            if record_nodes and stop > t:
-                node_rows.append(_stepped_rows(residual, charge, stop - t))
             counts[-1] += stop - t
             t = stop
             if m < horizon and t < end:
@@ -676,6 +662,10 @@ def run_lifetime(scenario, rng, record_nodes=False):
 
     wasted_j = float(residual.sum())
     wasted_pct = 100.0 * wasted_j / (n * scenario.energy.mean)
+    node_rows = None
+    if record_nodes:  # the initial residuals less each round's charges (module docstring)
+        node_rows = np.concatenate((first_row, np.array(charge_rows).repeat(counts, axis=0)))
+        node_rows = np.subtract.accumulate(node_rows, out=node_rows)[1:]
 
     return LifetimeTrace(
         alive_fraction=np.array(alive_rows).repeat(counts),
@@ -689,6 +679,6 @@ def run_lifetime(scenario, rng, record_nodes=False):
         wasted_pct=wasted_pct,
         consumed_j=float(consumed[-1]),
         initial_j=initial_total,
-        node_residuals=np.concatenate(node_rows) if record_nodes else None,
+        node_residuals=node_rows,
         node_alive=np.array(node_alive_rows).repeat(counts, axis=0) if record_nodes else None,
     )

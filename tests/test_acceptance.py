@@ -311,6 +311,8 @@ def test_criterion_9_property_suite_on_mini_scenarios():
         # stranded energy is the end-of-run sum of the node residuals
         drift = abs(trace.initial_j - trace.consumed_j - trace.wasted_j)
         assert drift <= 1e-9 * max(trace.initial_j, 1e-30), f"seed {seed}: conservation drift {drift}"
+        # the rows, expanded from the charges, end where the run's own residuals do
+        assert float(trace.node_residuals[-1].sum()) == trace.wasted_j, f"seed {seed}: last row off the residuals"
         # the residual curve, initial energy less the energy paid, lies within
         # its bound of each row's exact sum
         assert_residual_curve_within_bound(trace)

@@ -375,7 +375,7 @@ class TestCli:
         assert not out.exists()
 
     def test_worker_flag_does_not_change_outputs(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool, even on one CPU
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # a real pool, even on one CPU
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config_dict()))
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -389,7 +389,7 @@ class TestCli:
         # Shown under the "default" filter: no source location, no code line,
         # and raised once by the caller, never by a worker. capfd, not
         # capsys: a forked worker writes to its own copy of sys.stderr.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         paths = []
         for name in ("a", "b")[: 1 + (command == "compare")]:
             paths += ["--config", str(tmp_path / f"{name}.json")]
@@ -464,6 +464,24 @@ class TestCli:
         if case == "epa-one-shot-crossing":
             assert trace.wasted_j < 0.5 * n < trace.initial_j
         assert peak <= 8 * n * (cfg.links + beamlife.cli._NODE_VECTORS)
+
+    @pytest.mark.parametrize("links", [1, 10, 100])
+    def test_ensemble_memory_fits_the_round_budget(self, links):
+        # The budget the CLI refuses a max_rounds by must hold a one-run
+        # ensemble's traced peak, the fold's link mean included. At a zero
+        # target every weight is zero, so the one-shot run pays nothing and
+        # lasts all its rounds with every link up.
+        cfg = replace(
+            preset("epa-uniform"), links=links, target_snr_db=None, target_rate_bits=0.0, runs=1, max_rounds=10**5
+        )
+        tracemalloc.start()
+        try:
+            result = run_ensemble(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.rounds == cfg.max_rounds and not np.isnan(result.snr_db).any()
+        assert peak <= 8 * cfg.max_rounds * (links + beamlife.cli._ROUND_VECTORS)
 
     def test_negative_zero_shadowing_runs_as_zero(self, tmp_path):
         # sqrt(-0.0) is -0.0, a scale the channel draw would reject as negative

@@ -61,7 +61,7 @@ class TestRunEnsemble:
         np.testing.assert_array_equal(a.snr_db, b.snr_db)
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool, even on one CPU
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # a real pool, even on one CPU
         cfg = small_scenario()
         serial = run_ensemble(replace(cfg, runs=8, master_seed=5), workers=1)
         parallel = run_ensemble(replace(cfg, runs=8, master_seed=5), workers=2)
@@ -72,7 +72,7 @@ class TestRunEnsemble:
     def test_pool_never_exceeds_run_count(self, monkeypatch, recorded_pools):
         # A fork-based pool starts all its workers at the first submit, so
         # the pool is sized to the runs.
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         cfg = small_scenario()
         pooled = run_ensemble(replace(cfg, runs=3), workers=64)
         assert recorded_pools == [3]
@@ -80,10 +80,20 @@ class TestRunEnsemble:
         run_ensemble(replace(cfg, runs=1), workers=64)
         assert recorded_pools == [3]
 
-    @pytest.mark.parametrize("cpus, sizes", [(3, [3]), (1, []), (None, [])], ids=["three", "one", "unknown"])
-    def test_pool_never_exceeds_cpu_count(self, monkeypatch, recorded_pools, cpus, sizes):
-        # os.cpu_count() may return None; one CPU, or an unknown count, runs serially
+    @pytest.mark.parametrize(
+        "affinity, cpus, sizes",
+        [(3, 64, [3]), (1, 1, []), (1, 64, []), (None, 3, [3]), (None, None, [])],
+        ids=["three", "one", "one-of-64", "no-affinity", "unknown"],
+    )
+    def test_pool_never_exceeds_cpu_count(self, monkeypatch, recorded_pools, affinity, cpus, sizes):
+        # The pool is capped at the CPUs the process may run on: its affinity
+        # set where the platform has one, else os.cpu_count(), which may return
+        # None. One CPU, or an unknown count, runs serially.
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
         cfg = small_scenario(runs=8)
         pooled = run_ensemble(cfg, workers=5000)
         assert recorded_pools == sizes
@@ -93,7 +103,7 @@ class TestRunEnsemble:
         # A spawned worker keeps neither the caller's warning filters nor its
         # registry, so a warning raised in a run would print there, with a
         # source line, once per worker.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         spawn = partial(concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn)
         cfg = ScenarioConfig(n=101, links=2, runs=4)
@@ -173,7 +183,7 @@ def nanmean_reduction(traces):
 def test_run_order_fold_has_nanmean_bits(monkeypatch, name, runs, workers):
     # adding each run's curves in run order is nanmean's axis-0 sum over the
     # padded matrix, so every curve keeps its bits
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool, even on one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # a real pool, even on one CPU
     cfg = replace(preset(name), runs=runs)
     traces = [run_lifetime(cfg, rng_for(cfg.master_seed, i)) for i in range(runs)]
     if name == "multi-link":

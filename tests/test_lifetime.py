@@ -30,11 +30,15 @@ from beamlife.config import (
     EnergySpec,
     ScenarioConfig,
     StrategySpec,
+    from_dict,
     preset,
+    preset_names,
 )
 from beamlife.energy import sample_initial_energies
 from beamlife.geometry import db_to_linear, sample_channel, sample_phase_errors
 from beamlife.lifetime import LifetimeTrace, bit_rate, evaluate_death, run_lifetime
+
+from corpus import cases
 
 
 def rng_for(seed, index=0):
@@ -889,6 +893,7 @@ def test_bulk_stepping_is_invisible(case, monkeypatch):
 
     monkeypatch.setattr(beamlife.lifetime, "_walk", logged)
     stepped = run_lifetime(cfg, rng_for(cfg.master_seed), record_nodes=True)
+    assert float(stepped.node_residuals[-1].sum()) == stepped.wasted_j
     stepped_gates = len(gate_calls)
     assert stepped_gates < stepped.lifetime
     normal_rounds = set(run_with_normal_rounds(cfg, 0, monkeypatch)[1])
@@ -897,6 +902,7 @@ def test_bulk_stepping_is_invisible(case, monkeypatch):
     del gate_calls[:]
     normal = run_lifetime(cfg, rng_for(cfg.master_seed), record_nodes=True)
     assert len(gate_calls) == normal.lifetime
+    assert float(normal.node_residuals[-1].sum()) == normal.wasted_j
 
     for field in fields(LifetimeTrace):
         a, b = getattr(stepped, field.name), getattr(normal, field.name)
@@ -945,6 +951,37 @@ def test_bulk_stepping_is_invisible(case, monkeypatch):
     elif case in ("min_power-1", "max_gain-1"):
         # period 1: a walked death round ends its stretch, and the next round reallocates
         assert walked_deaths and all(t + 1 in normal_rounds for t in walked_deaths if t < stepped.lifetime)
+
+
+def test_recording_does_not_change_the_walks(monkeypatch):
+    # Recording reads the run and never steers it: a recorded run walks the
+    # same horizons, in the same order, as the same run unrecorded, on every
+    # preset and on the corpus's first cases.
+    horizons = []
+    walk = beamlife.lifetime._walk
+    monkeypatch.setattr(
+        beamlife.lifetime, "_walk", lambda residual, cost, horizon: horizons.append(horizon) or walk(residual, cost, horizon)
+    )
+    scenarios = [preset(name) for name in preset_names()]
+    for _, data in cases(40):
+        try:
+            scenarios.append(from_dict(data))
+        except ConfigError:
+            pass
+    walked = 0
+    for cfg in scenarios:
+        for index in range(2):
+            logs = []
+            for record_nodes in (False, True):
+                del horizons[:]
+                try:
+                    run_lifetime(cfg, rng_for(cfg.master_seed, index), record_nodes=record_nodes)
+                except InfeasibleAllocationError:
+                    pass
+                logs.append(list(horizons))
+            assert logs[0] == logs[1], (cfg, index)
+            walked += bool(logs[0])
+    assert walked > len(scenarios)
 
 
 def counted_calls(monkeypatch, name):
